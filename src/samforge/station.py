@@ -20,10 +20,11 @@ bytes move, never while waiting on cache locks.
 from __future__ import annotations
 
 import base64
+import io
 import json
 import logging
 import os
-import socket
+import shutil
 import socketserver
 import threading
 import uuid
@@ -56,11 +57,14 @@ from .transfer import (
     LocalPlugin,
     StationPlugin,
     TapePlugin,
-    crc32_bytes,
-    parse_send_header,
+    crc32_stream,
     put_to_store,
-    read_exact,
     read_line,
+    read_send_header,
+    receive_body,
+    send_header,
+    send_request,
+    serve_frame,
     transfer_with,
     with_fault_injection,
 )
@@ -114,6 +118,7 @@ class CacheEntry:
     file_name: str
     local_path: Path
     size_bytes: int
+    crc32: int  # verified when the file was admitted; served as the SEND header CRC
     pins: dict[str, int] = field(default_factory=dict)
     last_access: int = 0
 
@@ -227,10 +232,14 @@ class StationService(Dispatcher):
         with self._lock:
             self._jobs += 1
         try:
-            return self._attempt_loop(record, candidates, requesting_project)
+            staging = self._attempt_loop(record, candidates)
+        except BaseException:
+            self._release_reservation(record.size_bytes)
+            raise
         finally:
             with self._lock:
                 self._jobs -= 1
+        return self._admit(record, staging, requesting_project)
 
     def _candidates(self, file_id: int) -> list[EndpointSpec]:
         specs = []
@@ -242,8 +251,8 @@ class StationService(Dispatcher):
         specs.sort(key=lambda s: (0 if s.scheme == SCHEME_STATION else 1, s.name))
         return specs
 
-    def _attempt_loop(self, record: FileRecord, candidates: list[EndpointSpec],
-                      requesting_project: str | None) -> Path:
+    def _attempt_loop(self, record: FileRecord, candidates: list[EndpointSpec]) -> Path:
+        """Transfer until a copy verifies; returns its staging path."""
         excluded: set[str] = set()
         last_error: SamError | None = None
         for attempt in range(1, self.config.max_transfer_attempts + 1):
@@ -262,7 +271,10 @@ class StationService(Dispatcher):
             limiter.acquire()
             try:
                 outcome = transfer_with(plugin, source, staging)
-            except SamError as e:
+            except BaseException as e:
+                staging.unlink(missing_ok=True)  # a stream cut off mid-body
+                if not isinstance(e, SamError):
+                    raise
                 last_error = e
                 excluded.add(choice.name)
                 self._event("transfer_error", record.file_name, choice.name, attempt, str(e))
@@ -270,7 +282,7 @@ class StationService(Dispatcher):
             finally:
                 limiter.release()
             if outcome.computed_crc32 == record.crc32 and outcome.bytes_moved == record.size_bytes:
-                return self._admit(record, staging, requesting_project)
+                return staging
             with self._lock:
                 self.counters["crc_mismatches"] += 1
             self._event("crc_mismatch", record.file_name, choice.name, attempt,
@@ -281,7 +293,6 @@ class StationService(Dispatcher):
             excluded.add(choice.name)
             last_error = TransferExhausted(
                 f"{record.file_name}: checksum mismatch from {choice.name}")
-        self._release_reservation(record.size_bytes)
         raise TransferExhausted(
             f"{record.file_name}: gave up after {self.config.max_transfer_attempts} attempts "
             f"({last_error.msg if last_error else 'no attempt ran'})")
@@ -289,16 +300,18 @@ class StationService(Dispatcher):
     def _reserve(self, size: int) -> None:
         """Make room for an incoming file or fail fast with CacheFull."""
         victims = []
-        with self._lock:
-            while self._free_bytes() < size:
-                victim = self._lru_unpinned()
-                if victim is None:
-                    raise CacheFull(
-                        f"cannot free {size} bytes on {self.config.name}: all entries pinned")
-                self._drop_entry(victim)
-                victims.append(victim)
-            self._reserved += size
-        self._forget_locations(victims)
+        try:
+            with self._lock:
+                while self._free_bytes() < size:
+                    victim = self._lru_unpinned()
+                    if victim is None:
+                        raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
+                                        "all entries pinned")
+                    self._drop_entry(victim)
+                    victims.append(victim)
+                self._reserved += size
+        finally:
+            self._forget_locations(victims)  # evicted even when the reservation failed
 
     def _free_bytes(self) -> int:
         resident = sum(e.size_bytes for e in self._entries.values())
@@ -340,6 +353,7 @@ class StationService(Dispatcher):
                 file_name=record.file_name,
                 local_path=final,
                 size_bytes=record.size_bytes,
+                crc32=record.crc32,
                 last_access=self._bump(),
             )
             if requesting_project:
@@ -401,25 +415,39 @@ class StationService(Dispatcher):
             path = Path(local_path)
             if not path.is_file():
                 raise ValidationError(f"no such file: {path}")
-            data = path.read_bytes()
+            body = open(path, "rb")
         else:
-            data = base64.b64decode(data_b64)
-        rec = FileRecord.from_wire({**record, "file_id": None})
-        rec.size_bytes = len(data)
-        rec.crc32 = crc32_bytes(data)
-        if self.config.role == ROLE_ROUTER:
-            return self.store_local(rec, data)
-        return self._forward_store(rec, data)
+            body = io.BytesIO(base64.b64decode(data_b64))  # arrived whole in one JSON line
+        with body:
+            rec = FileRecord.from_wire({**record, "file_id": None})
+            rec.size_bytes = body.seek(0, os.SEEK_END)
+            body.seek(0)
+            rec.crc32 = crc32_stream(body)
+            if self.config.role != ROLE_ROUTER:
+                return self._forward_store(rec, body)
+            staged = self.incoming_dir / uuid.uuid4().hex
+            try:
+                body.seek(0)
+                with open(staged, "wb") as out:
+                    shutil.copyfileobj(body, out)
+                return self.store_local(rec, staged)
+            finally:
+                staged.unlink(missing_ok=True)
 
-    def store_local(self, rec: FileRecord, data: bytes) -> int:
-        """Router path: declare, buffer, forward to the route target."""
+    def store_local(self, rec: FileRecord, staged: Path) -> int:
+        """Router path: declare, buffer, forward to the route target.
+
+        staged holds the file's bytes, already checked against rec.crc32;
+        it moves into the permanent buffer and is forwarded from there.
+        """
         route = self._writable_route()
         file_id = self.catalog.declare_file(rec)  # DuplicateName/Validation stop us here
         buffered = self.buffer_dir / rec.file_name
-        buffered.write_bytes(data)
+        os.replace(staged, buffered)
         self.catalog.add_location(file_id, self.config.name, str(buffered))
         fileset = _fileset_of(rec)
-        volume_id = self._put_with_retry(route, rec, data, fileset)
+        with open(buffered, "rb") as body:
+            volume_id = self._put_with_retry(route, rec, body, fileset)
         self.catalog.add_location(file_id, route.name, volume_id)
         # tape has it; release the buffer copy and its catalog location
         buffered.unlink(missing_ok=True)
@@ -438,14 +466,14 @@ class StationService(Dispatcher):
         return spec
 
     def _put_with_retry(self, route: EndpointSpec, rec: FileRecord,
-                        data: bytes, fileset: int) -> str:
+                        body, fileset: int) -> str:
         last = None
         limiter = self._limits[route.name]
         for attempt in range(1, self.config.max_transfer_attempts + 1):
             limiter.acquire()
             try:
                 return put_to_store(route.data_addr, self.config.name,
-                                    rec.file_name, fileset, data, rec.crc32)
+                                    rec.file_name, fileset, body, rec.crc32)
             except SamError as e:
                 if isinstance(e, RemoteError) and e.code in ("ACCESS_DENIED", "STORE_FULL",
                                                              "FILE_TOO_LARGE", "DUPLICATE_NAME"):
@@ -457,10 +485,10 @@ class StationService(Dispatcher):
             f"{rec.file_name}: store to {route.name} failed after "
             f"{self.config.max_transfer_attempts} attempts ({last})")
 
-    def _forward_store(self, rec: FileRecord, data: bytes) -> int:
-        """Analysis path: hand the bytes to the router over the data plane."""
+    def _forward_store(self, rec: FileRecord, body) -> int:
+        """Analysis path: stream the file to the router over the data plane."""
         route = self._analysis_route()
-        reply = _send_store_frame(route.data_addr, rec, data)
+        reply = _send_store_frame(route.data_addr, rec, body)
         with self._lock:
             self.counters["stores_ok"] += 1
         return int(reply)
@@ -474,16 +502,19 @@ class StationService(Dispatcher):
 
     # -- serving the data plane -------------------------------------------
 
-    def open_for_read(self, file_name: str) -> Path:
+    def open_for_read(self, file_name: str):
+        """Open a resident or buffered file to serve: (file, size, verified crc32)."""
         with self._lock:
             file_id = self._by_name.get(file_name)
             if file_id is not None:
                 entry = self._entries[file_id]
                 entry.last_access = self._bump()
-                return entry.local_path
+                return open(entry.local_path, "rb"), entry.size_bytes, entry.crc32
         buffered = self.buffer_dir / file_name
         if buffered.is_file():
-            return buffered
+            # a router's upload waiting for tape: its CRC was verified at declare
+            record = self.catalog.get_file(file_name)
+            return open(buffered, "rb"), record.size_bytes, record.crc32
         raise NotFound(f"{file_name} not resident on {self.config.name}")
 
     # -- monitoring --------------------------------------------------------
@@ -544,29 +575,13 @@ def _fileset_of(rec: FileRecord) -> int:
     return 0
 
 
-def _send_store_frame(addr: str, rec: FileRecord, data: bytes) -> str:
+def _send_store_frame(addr: str, rec: FileRecord, body) -> str:
     """STORE handshake with a router: metadata line, SEND frame, OK/ERR reply."""
     wire = rec.to_wire()
     wire.pop("file_id", None)
-    try:
-        sock = socket.create_connection(parse_addr(addr), timeout=30)
-    except OSError as e:
-        raise TransferExhausted(f"router at {addr} unreachable: {e}") from e
-    with sock, sock.makefile("rb") as rfile:
-        try:
-            sock.sendall(b"STORE " + json.dumps(wire).encode() + b"\n")
-            sock.sendall(f"SEND {rec.file_name} {len(data)} {rec.crc32:08x}\n".encode())
-            sock.sendall(data)
-            reply = read_line(rfile)
-        except OSError as e:
-            raise TransferExhausted(f"store via {addr} failed: {e}") from e
-    parts = reply.split(None, 2)
-    if parts and parts[0] == "OK" and len(parts) > 1:
-        return parts[1]
-    if parts and parts[0] == "ERR":
-        code = parts[1] if len(parts) > 1 else "ERROR"
-        raise RemoteError(code, parts[2] if len(parts) > 2 else "")
-    raise TransferExhausted(f"unparseable router reply {reply!r}")
+    head = "STORE " + json.dumps(wire) + "\n" + send_header(rec.file_name, rec.size_bytes,
+                                                           rec.crc32)
+    return send_request(addr, head, body, rec.size_bytes)
 
 
 class _StationDataHandler(socketserver.StreamRequestHandler):
@@ -591,29 +606,27 @@ class _StationDataHandler(socketserver.StreamRequestHandler):
             self._err("INTERNAL", str(e))
 
     def _fetch(self, service: StationService, file_name: str) -> None:
-        path = service.open_for_read(file_name)
-        data = path.read_bytes()
-        self.wfile.write(f"SEND {file_name} {len(data)} {crc32_bytes(data):08x}\n".encode())
-        self.wfile.write(data)
-        self.wfile.flush()
-        try:
-            self.connection.settimeout(5)
-            self.rfile.readline(1024)  # courtesy ack
-        except OSError:
-            pass
+        body, size, crc = service.open_for_read(file_name)
+        with body:
+            serve_frame(self.connection, self.rfile, file_name, body, size, crc)
 
     def _store(self, service: StationService, payload: str) -> None:
-        record = json.loads(payload)
-        header = read_line(self.rfile)
-        name, size, declared_crc = parse_send_header(header)
-        data = read_exact(self.rfile, size)
-        if crc32_bytes(data) != declared_crc:
+        # the record is parsed once the body is in, so a bad one is answered, not reset
+        name, size, declared_crc = read_send_header(self.rfile)
+        staged = service.incoming_dir / uuid.uuid4().hex
+        try:
+            with open(staged, "wb") as out:
+                crc = receive_body(self.rfile, size, out)
+            if crc == declared_crc:
+                rec = FileRecord.from_wire({**json.loads(payload), "file_id": None})
+                rec.size_bytes = size
+                rec.crc32 = crc
+                file_id = service.store_local(rec, staged)
+        finally:
+            staged.unlink(missing_ok=True)  # before any reply, so none races the cleanup
+        if crc != declared_crc:
             self._err("CRC_MISMATCH", f"{name} arrived corrupt")
             return
-        rec = FileRecord.from_wire({**record, "file_id": None})
-        rec.size_bytes = len(data)
-        rec.crc32 = crc32_bytes(data)
-        file_id = service.store_local(rec, data)
         self.wfile.write(f"OK {file_id}\n".encode())
 
     def _err(self, code: str, msg: str) -> None:

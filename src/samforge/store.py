@@ -8,12 +8,21 @@ of volume subdirectories plus an inventory journal replayed at startup,
 the same crash discipline as the catalog.
 
 Control plane: line-delimited JSON (list_volumes, status).  Data plane:
-one request line then framed bytes —
+one request line then framed bytes, streamed in constant memory —
 
     PUT <client> <file_name> <fileset_number> <size_bytes> <crc32-hex>\\n  + bytes
         -> OK <volume_id>\\n | ERR <code> <msg>\\n
     FETCH <client> <file_name>\\n
         -> SEND <file_name> <size_bytes> <crc32-hex>\\n + bytes | ERR <code> <msg>\\n
+
+A PUT that can be refused from its request line alone (access, size,
+duplicate name, capacity) is answered ERR before its body is read; the
+body is then read and dropped so the client sees the reply.  Otherwise
+the body streams into a staging file under ``incoming/`` with a running
+CRC; only a body matching its declared CRC takes the drive, moves into
+its volume, is fsynced and journalled, and then acknowledged.  A FETCH
+answers with the CRC recorded in the inventory journal at PUT time, so
+the store makes no pass over the file to serve it.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import os
 import socketserver
 import threading
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,7 +46,7 @@ from .errors import (
 )
 from .journal import Journal
 from .sync import FairLock
-from .transfer import crc32_bytes, read_exact
+from .transfer import discard_body, receive_body, serve_frame
 from .wire import Dispatcher, parse_addr
 
 log = logging.getLogger(__name__)
@@ -91,11 +101,16 @@ class StoreService(Dispatcher):
         self._drive = FairLock()
         self._state_lock = threading.RLock()
         self.volumes: dict[str, Volume] = {}
-        self.file_index: dict[str, tuple[str, int]] = {}  # name -> (volume_id, size)
+        # name -> (volume_id, size, crc32 recorded at put time)
+        self.file_index: dict[str, tuple[str, int, int]] = {}
         self._open_volume: dict[int, str] = {}  # fileset -> volume with room
         self._next_volume = 1
         self.mounted_volume: str | None = None
         self.counters = {"puts": 0, "gets": 0, "mount_switches": 0, "bytes_used": 0}
+        self.incoming = self.root / "incoming"
+        self.incoming.mkdir(exist_ok=True)
+        for leftover in self.incoming.iterdir():  # puts cut off by a crash
+            leftover.unlink()
         self.journal = Journal(self.root / "inventory.journal")
         for entry in self.journal.entries():
             self._apply(entry["payload"])
@@ -111,7 +126,7 @@ class StoreService(Dispatcher):
         name, size = payload["file_name"], payload["size_bytes"]
         volume.files.append((name, volume.bytes_used, size))
         volume.bytes_used += size
-        self.file_index[name] = (volume_id, size)
+        self.file_index[name] = (volume_id, size, payload["crc32"])
         self.counters["bytes_used"] += size
         if volume.bytes_used < self.config.volume_capacity_bytes:
             self._open_volume[volume.fileset_number] = volume_id
@@ -133,32 +148,44 @@ class StoreService(Dispatcher):
 
     # -- operations --------------------------------------------------------
 
-    def put_file(self, client: str, file_name: str, data: bytes, fileset_number: int) -> str:
+    def check_put(self, client: str, file_name: str, size: int) -> None:
+        """Every reason to refuse a put that the request line alone shows."""
         self._require_write(client)
-        size = len(data)
         if size > self.config.volume_capacity_bytes:
             raise FileTooLarge(
                 f"{file_name}: {size} bytes exceeds volume capacity "
                 f"{self.config.volume_capacity_bytes}")
+        with self._state_lock:
+            if file_name in self.file_index:
+                raise DuplicateName(f"{file_name} already stored")  # names are catalog-unique
+            if self.counters["bytes_used"] + size > self.config.capacity_bytes:
+                raise StoreFull(f"{self.config.name} is full")
+
+    def staging_path(self) -> Path:
+        return self.incoming / uuid.uuid4().hex
+
+    def put_file(self, client: str, file_name: str, staged: Path, crc: int,
+                 fileset_number: int) -> str:
+        """Move a received, CRC-checked staging file into a volume; durable on return."""
+        size = staged.stat().st_size
         with self._drive:
             with self._state_lock:
-                if file_name in self.file_index:
-                    raise DuplicateName(f"{file_name} already stored")  # names are catalog-unique
-                if self.counters["bytes_used"] + size > self.config.capacity_bytes:
-                    raise StoreFull(f"{self.config.name} is full")
+                self.check_put(client, file_name, size)
                 volume_id = self._volume_for(fileset_number, size)
             path = self.root / volume_id / file_name
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
+            os.replace(staged, path)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
             payload = {
                 "volume_id": volume_id,
                 "fileset_number": fileset_number,
                 "file_name": file_name,
                 "size_bytes": size,
-                "crc32": crc32_bytes(data),
+                "crc32": crc,
             }
             with self._state_lock:
                 self.journal.append("PutFile", payload)
@@ -179,19 +206,20 @@ class StoreService(Dispatcher):
         self._next_volume += 1
         return allocated
 
-    def get_file(self, client: str, file_name: str) -> bytes:
+    def open_file(self, client: str, file_name: str):
+        """Mount the file's volume and open it: (file, size, recorded crc32)."""
         self._require_read(client)
         with self._drive:
             with self._state_lock:
                 entry = self.file_index.get(file_name)
                 if entry is None:
                     raise NotFound(f"{file_name} not on {self.config.name}")
-                volume_id, _size = entry
+                volume_id, size, crc = entry
             self._mount(volume_id)
-            data = (self.root / volume_id / file_name).read_bytes()
+            body = open(self.root / volume_id / file_name, "rb")
             with self._state_lock:
                 self.counters["gets"] += 1
-            return data
+            return body, size, crc
 
     def _mount(self, volume_id: str) -> None:
         """Single-drive model: switching volumes costs mount_latency_ms."""
@@ -249,24 +277,29 @@ class _StoreDataHandler(socketserver.StreamRequestHandler):
             self._err("INTERNAL", str(e))
 
     def _fetch(self, service: StoreService, client: str, file_name: str) -> None:
-        data = service.get_file(client, file_name)
-        header = f"SEND {file_name} {len(data)} {crc32_bytes(data):08x}\n"
-        self.wfile.write(header.encode())
-        self.wfile.write(data)
-        self.wfile.flush()
-        try:  # consume the courtesy ack so the peer's close is clean
-            self.connection.settimeout(5)
-            self.rfile.readline(1024)
-        except OSError:
-            pass
+        body, size, crc = service.open_file(client, file_name)
+        with body:
+            serve_frame(self.connection, self.rfile, file_name, body, size, crc)
 
     def _put(self, service: StoreService, client: str, file_name: str,
              fileset_number: int, size: int, declared_crc: int) -> None:
-        data = read_exact(self.rfile, size)
-        if crc32_bytes(data) != declared_crc:
+        try:
+            service.check_put(client, file_name, size)
+        except SamError as e:
+            self._err(e.code, e.msg)
+            discard_body(self.rfile, size)
+            return
+        staged = service.staging_path()
+        try:
+            with open(staged, "wb") as out:
+                crc = receive_body(self.rfile, size, out)
+            if crc == declared_crc:
+                volume_id = service.put_file(client, file_name, staged, crc, fileset_number)
+        finally:
+            staged.unlink(missing_ok=True)  # before any reply, so none races the cleanup
+        if crc != declared_crc:
             self._err("CRC_MISMATCH", f"{file_name} arrived corrupt")
             return
-        volume_id = service.put_file(client, file_name, data, fileset_number)
         self.wfile.write(f"OK {volume_id}\n".encode())
 
     def _err(self, code: str, msg: str) -> None:

@@ -1,22 +1,29 @@
 """Pluggable file transfers with CRC-32 checksumming and fault injection.
 
 Transfers are dispatched by locator scheme through a registry; plugins
-move bytes, and :func:`transfer_file` reports the CRC of what actually
-landed at the destination.  Deliberately, nothing here compares against
-the catalog checksum: verification and retry belong to the station, which
-lets the fault-injection wrapper corrupt data below the verification
-layer the way a failing disk would.
+move bytes into a local file and report the size and CRC of what they
+wrote, computed while the bytes stream in.  Deliberately, nothing here
+compares against the catalog checksum: verification and retry belong to
+the station, which lets the fault-injection wrapper corrupt data below
+the verification layer the way a failing disk would.
 
-The station-to-station data plane is a length-prefixed byte stream: a
+The data plane is a length-prefixed byte stream: a
 ``SEND <file_name> <size_bytes> <crc32-hex>`` header line followed by
 exactly size_bytes raw bytes, answered with ``OK`` or ``ERR <code>``.
-Pulls prefix the exchange with a one-line request.
+Pulls prefix the exchange with a one-line request.  Every daemon uses the
+one codec below: :func:`send_frame` writes a header line and streams the
+body from an open file, :func:`receive_body` streams a body into a file
+with a running CRC.  Bodies move in ``CHUNK``-sized pieces, so no daemon
+ever holds a whole file.  The CRC in a SEND header is the sender's
+recorded checksum, not a fresh pass over the file; the receiver verifies
+it once, as the bytes arrive.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import random
-import shutil
 import socket
 import time
 import zlib
@@ -101,7 +108,7 @@ class PluginRegistry:
 
 
 def transfer_file(registry: PluginRegistry, source: Locator, dest: str | Path) -> TransferOutcome:
-    """Move source to the local path dest and report the CRC of dest afterwards."""
+    """Move source to the local path dest and report the CRC of what landed there."""
     return transfer_with(registry.get(source.scheme), source, dest)
 
 
@@ -109,25 +116,26 @@ def transfer_with(plugin, source: Locator, dest: str | Path) -> TransferOutcome:
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
     start = time.monotonic()
-    plugin.fetch(source, dest)
+    size, crc = plugin.fetch(source, dest)
     duration_ms = int((time.monotonic() - start) * 1000)
-    return TransferOutcome(
-        bytes_moved=dest.stat().st_size,
-        computed_crc32=crc32_file(dest),
-        duration_ms=duration_ms,
-    )
+    return TransferOutcome(bytes_moved=size, computed_crc32=crc, duration_ms=duration_ms)
 
 
 # -- plugins ---------------------------------------------------------------
+#
+# A plugin's fetch(source, dest) writes dest and returns (size, crc32) of
+# the bytes it wrote.
 
 class LocalPlugin:
     """Filesystem copy; the locator ref is a source path."""
 
-    def fetch(self, source: Locator, dest: Path) -> None:
+    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
         src = Path(source.ref)
         if not src.is_file():
             raise SourceUnavailable(f"no such file: {src}")
-        shutil.copyfile(src, dest)
+        with open(src, "rb") as fh, open(dest, "wb") as out:
+            size = os.fstat(fh.fileno()).st_size
+            return size, receive_body(fh, size, out)
 
 
 class StationPlugin:
@@ -136,9 +144,9 @@ class StationPlugin:
     def __init__(self, address_book):
         self.address_book = address_book  # endpoint name -> data-plane address
 
-    def fetch(self, source: Locator, dest: Path) -> None:
+    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
         addr = self.address_book.data_addr(source.endpoint)
-        _pull_framed(addr, f"FETCH {source.ref}", dest)
+        return _pull_framed(addr, f"FETCH {source.ref}", dest)
 
 
 class TapePlugin:
@@ -148,9 +156,9 @@ class TapePlugin:
         self.client_name = client_name
         self.address_book = address_book
 
-    def fetch(self, source: Locator, dest: Path) -> None:
+    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
         addr = self.address_book.data_addr(source.endpoint)
-        _pull_framed(addr, f"FETCH {self.client_name} {source.ref}", dest)
+        return _pull_framed(addr, f"FETCH {self.client_name} {source.ref}", dest)
 
 
 class FaultInjectingPlugin:
@@ -159,6 +167,8 @@ class FaultInjectingPlugin:
     The flipped position comes from a generator seeded once at
     construction, so a fixed (seed, call sequence) reproduces identical
     corruption across runs.  All other transfers pass through untouched.
+    A corrupted transfer reports the CRC of the file as it is after the
+    flip, so the station's verification sees the damage.
     """
 
     def __init__(self, inner, seed: int, corrupt_every_nth: int):
@@ -170,12 +180,14 @@ class FaultInjectingPlugin:
         self.calls = 0
         self.corrupted = 0
 
-    def fetch(self, source: Locator, dest: Path) -> None:
-        self.inner.fetch(source, dest)
+    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
+        size, crc = self.inner.fetch(source, dest)
         self.calls += 1
         if self.calls % self.corrupt_every_nth == 0:
             if self._flip_one_byte(Path(dest)):
                 self.corrupted += 1
+                crc = crc32_file(dest)
+        return size, crc
 
     def _flip_one_byte(self, dest: Path) -> bool:
         size = dest.stat().st_size
@@ -196,12 +208,52 @@ def with_fault_injection(plugin, seed: int, corrupt_every_nth: int) -> FaultInje
 
 # -- framed data plane -----------------------------------------------------
 
-def write_frame(wfile, file_name: str, data: bytes, crc: int | None = None) -> None:
-    if crc is None:
-        crc = crc32_bytes(data)
-    wfile.write(f"SEND {file_name} {len(data)} {crc:08x}\n".encode())
-    wfile.write(data)
-    wfile.flush()
+def send_header(file_name: str, size: int, crc: int) -> str:
+    return f"SEND {file_name} {size} {crc:08x}\n"
+
+
+def send_frame(sock: socket.socket, head: str, body, size: int) -> None:
+    """Write the header line(s), then size bytes streamed from the start of body."""
+    sock.sendall(head.encode())
+    body.seek(0)
+    sent = sock.sendfile(body, 0, size) if size else 0  # sendfile refuses a count of 0
+    if sent != size:
+        raise SourceUnavailable(f"body ended at {sent} of {size} bytes")
+
+
+def receive_body(rfile, size: int, out) -> int:
+    """Stream exactly size bytes from rfile into the open file out; returns their CRC-32."""
+    crc = 0
+    buf = memoryview(bytearray(CHUNK))
+    left = size
+    while left > 0:
+        n = rfile.readinto(buf[:min(left, CHUNK)])
+        if not n:
+            raise SourceUnavailable(f"stream ended at {size - left} of {size} bytes")
+        crc = zlib.crc32(buf[:n], crc)
+        out.write(buf[:n])
+        left -= n
+    return crc & 0xFFFFFFFF
+
+
+def discard_body(rfile, size: int) -> None:
+    """Read and drop a body the receiver refused, so the sender sees the reply."""
+    while size > 0:
+        chunk = rfile.read(min(size, CHUNK))
+        if not chunk:
+            return
+        size -= len(chunk)
+
+
+def serve_frame(sock: socket.socket, rfile, file_name: str, body, size: int,
+                crc: int) -> None:
+    """Answer a FETCH: one SEND frame, then consume the puller's courtesy ack."""
+    send_frame(sock, send_header(file_name, size, crc), body, size)
+    try:  # so the peer's close is clean
+        sock.settimeout(5)
+        rfile.readline(1024)
+    except OSError:
+        pass
 
 
 def read_line(rfile) -> str:
@@ -211,89 +263,66 @@ def read_line(rfile) -> str:
     return line.decode(errors="replace").rstrip("\n")
 
 
-def read_exact(rfile, size: int) -> bytes:
-    buf = b""
-    while len(buf) < size:
-        chunk = rfile.read(size - len(buf))
-        if not chunk:
-            raise SourceUnavailable(f"stream ended at {len(buf)} of {size} bytes")
-        buf += chunk
-    return buf
-
-
 def parse_send_header(line: str) -> tuple[str, int, int]:
     parts = line.split()
-    if len(parts) != 4 or parts[0] != "SEND":
-        raise SourceUnavailable(f"bad frame header: {line!r}")
-    return parts[1], int(parts[2]), int(parts[3], 16)
-
-
-def _pull_framed(addr, request_line: str, dest: Path) -> None:
-    """Send one request line, receive a SEND frame into dest, acknowledge."""
     try:
-        sock = socket.create_connection(parse_addr(addr), timeout=30)
+        if len(parts) == 4 and parts[0] == "SEND" and int(parts[2]) >= 0:
+            return parts[1], int(parts[2]), int(parts[3], 16)
+    except ValueError:
+        pass
+    raise SourceUnavailable(f"bad frame header: {line!r}")
+
+
+def read_send_header(rfile) -> tuple[str, int, int]:
+    """The (name, size, crc) of the SEND frame that comes next; ERR lines raise."""
+    header = read_line(rfile)
+    if header.startswith("ERR"):
+        raise SourceUnavailable(header)
+    return parse_send_header(header)
+
+
+def _connect(addr) -> socket.socket:
+    try:
+        return socket.create_connection(parse_addr(addr), timeout=30)
     except OSError as e:
         raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
+
+
+def _pull_framed(addr, request_line: str, dest: Path) -> tuple[int, int]:
+    """Send one request line, stream a SEND frame into dest, acknowledge.
+
+    Returns the size and CRC of what was written to dest.
+    """
+    sock = _connect(addr)
     try:
         with sock, sock.makefile("rb") as rfile:
             sock.sendall(request_line.encode() + b"\n")
-            header = read_line(rfile)
-            if header.startswith("ERR"):
-                raise SourceUnavailable(header)
-            name, size, declared_crc = parse_send_header(header)
-            data = read_exact(rfile, size)
-            received_crc = crc32_bytes(data)
-            dest.write_bytes(data)
+            _name, size, declared_crc = read_send_header(rfile)
+            with open(dest, "wb") as out:
+                crc = receive_body(rfile, size, out)
             # courtesy protocol ack; catalog-level verification is the caller's job
-            verdict = b"OK\n" if received_crc == declared_crc else b"ERR CRC_MISMATCH\n"
+            verdict = b"OK\n" if crc == declared_crc else b"ERR CRC_MISMATCH\n"
             try:
                 sock.sendall(verdict)
             except OSError:
                 pass
+            return size, crc
     except OSError as e:
         raise SourceUnavailable(f"transfer from {addr} failed: {e}") from e
 
 
-def push_frame(addr, file_name: str, data: bytes, crc: int | None = None) -> str:
-    """Push one framed file (SEND); returns the receiver's OK payload.
+def send_request(addr, head: str, body, size: int) -> str:
+    """Push one framed body and return the receiver's OK payload.
 
     Raises RemoteError with the receiver's code when it answers ERR.
     """
-    try:
-        sock = socket.create_connection(parse_addr(addr), timeout=30)
-    except OSError as e:
-        raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
+    sock = _connect(addr)
     with sock, sock.makefile("rb") as rfile:
         try:
-            wfile = sock.makefile("wb")
-            write_frame(wfile, file_name, data, crc)
+            send_frame(sock, head, body, size)
             reply = read_line(rfile)
         except OSError as e:
-            raise SourceUnavailable(f"push to {addr} failed: {e}") from e
-    return _parse_reply(reply)
-
-
-def put_to_store(addr, client_name: str, file_name: str, fileset_number: int,
-                 data: bytes, crc: int | None = None) -> str:
-    """Write a file into a store volume; returns the assigned volume id."""
-    if crc is None:
-        crc = crc32_bytes(data)
-    try:
-        sock = socket.create_connection(parse_addr(addr), timeout=30)
-    except OSError as e:
-        raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
-    with sock, sock.makefile("rb") as rfile:
-        try:
-            header = f"PUT {client_name} {file_name} {fileset_number} {len(data)} {crc:08x}\n"
-            sock.sendall(header.encode())
-            sock.sendall(data)
-            reply = read_line(rfile)
-        except OSError as e:
-            raise SourceUnavailable(f"put to {addr} failed: {e}") from e
-    return _parse_reply(reply)
-
-
-def _parse_reply(reply: str) -> str:
+            raise SourceUnavailable(f"send to {addr} failed: {e}") from e
     if reply.startswith("OK"):
         return reply[2:].strip()
     parts = reply.split(None, 2)
@@ -302,3 +331,18 @@ def _parse_reply(reply: str) -> str:
         msg = parts[2] if len(parts) > 2 else ""
         raise RemoteError(code, msg)
     raise SourceUnavailable(f"unparseable reply: {reply!r}")
+
+
+def put_to_store(addr, client_name: str, file_name: str, fileset_number: int,
+                 data, crc: int | None = None) -> str:
+    """Write a file into a store volume; returns the assigned volume id.
+
+    data is the file's bytes or an open binary file, streamed from its start.
+    """
+    body = data if hasattr(data, "read") else io.BytesIO(data)
+    size = body.seek(0, os.SEEK_END)
+    if crc is None:
+        body.seek(0)
+        crc = crc32_stream(body)
+    head = f"PUT {client_name} {file_name} {fileset_number} {size} {crc:08x}\n"
+    return send_request(addr, head, body, size)

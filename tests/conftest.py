@@ -136,6 +136,13 @@ def rig(tmp_path):
     rig.close()
 
 
+def read_stored(store, client, file_name) -> bytes:
+    """The bytes a store holds under file_name, read as a FETCH would."""
+    body, _size, _crc = store.open_file(client, file_name)
+    with body:
+        return body.read()
+
+
 def run_threads(n, target):
     """Run target(i) in n threads started together; re-raise the first error."""
     errors = []

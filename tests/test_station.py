@@ -1,7 +1,13 @@
 """Station cache behavior: transfers, retries, LRU, pins, routing, limits."""
 
 import base64
+import io
+import json
+import random
+import socket
+import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -14,9 +20,11 @@ from samforge.errors import (
     RemoteError,
     TransferExhausted,
 )
-from samforge.transfer import crc32_bytes, crc32_file
+from samforge.transfer import crc32_bytes, crc32_file, send_header, send_request
 
-from conftest import run_threads
+from conftest import read_stored, run_threads
+
+MiB = 1 << 20
 
 STORE_ACCESS = {
     "cdfa-1": "read_only",
@@ -121,6 +129,72 @@ def test_cache_full_when_everything_is_pinned(rig):
     with pytest.raises(CacheFull):
         station.fetch_file("r")
     assert time.monotonic() - started < 1.0  # fail fast, no deadlock
+
+
+def test_cache_full_still_forgets_evicted_locations(rig):
+    # a (1 B) is evicted to make room before pinned b (2 B) blocks the 3 B fetch
+    station = simple_rig(rig, cache_capacity=3)
+    a = rig.seed_file("a", b"1", stores=["stken-sim"])
+    rig.seed_file("b", b"22", stores=["stken-sim"])
+    rig.seed_file("c", b"333", stores=["stken-sim"])
+    station.fetch_file("a")
+    station.fetch_file("b", requesting_project="proj")
+    with pytest.raises(CacheFull):
+        station.fetch_file("c")
+    cached = {e["file_name"] for e in station.station_status()["cache"]["entries"]}
+    assert cached == {"b"}
+    with rig.catalog_client() as catalog:
+        assert {loc.endpoint_name for loc in catalog.get_locations(a)} == {"stken-sim"}
+
+
+class FakePeer:
+    """A station data plane that answers every request with canned bytes, then hangs up."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.addr = "127.0.0.1:%d" % self.sock.getsockname()[1]
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            with conn:
+                conn.recv(1024)
+                conn.sendall(self.reply)
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.sock.close()
+
+
+@pytest.mark.parametrize("reply", [
+    b"SEND bad.raw many zz\n",
+    b"SEND bad.raw 100 00000000\n" + b"b" * 40,
+], ids=["bad-header", "truncated-body"])
+def test_broken_peer_frames_leak_neither_files_nor_capacity(rig, reply):
+    peer = FakePeer(reply)
+    try:
+        rig.station_data["cdfa-2"] = peer.addr
+        rig.add_store("stken-sim", STORE_ACCESS)
+        station = rig.add_station(
+            "cdfa-1", [("stken-sim", "read_only", 4), ("cdfa-2", "read_only", 4)],
+            cache_capacity=100)
+        bad = rig.seed_file("bad.raw", b"b" * 100)
+        with rig.catalog_client() as catalog:
+            catalog.add_location(bad, "cdfa-2", "/cache/bad.raw")
+        with pytest.raises(TransferExhausted):
+            station.fetch_file("bad.raw")
+        assert station.counters["retries"] == 2  # every attempt ran
+        assert list(station.incoming_dir.iterdir()) == []
+
+        rig.seed_file("full.raw", b"f" * 100, stores=["stken-sim"])
+        assert crc32_file(station.fetch_file("full.raw")) == crc32_bytes(b"f" * 100)
+    finally:
+        peer.close()
 
 
 def test_pin_unpin_lifecycle(rig):
@@ -229,7 +303,7 @@ def test_store_routing_from_router_to_store(rig):
     file_id = router.store_file(record, data_b64=base64.b64encode(data).decode())
 
     store = rig.stores["stken-sim"]
-    assert store.get_file("cdfa-1", record["file_name"]) == data
+    assert read_stored(store, "cdfa-1", record["file_name"]) == data
     with rig.catalog_client() as catalog:
         stored = catalog.get_file(file_id)
         assert stored.size_bytes == len(data)
@@ -256,9 +330,39 @@ def test_store_routing_through_analysis_station(rig):
         "calibration_set": 12,
     }
     file_id = analysis.store_file(record, local_path=str(local))
-    assert rig.stores["stken-sim"].get_file("cdfa-1", record["file_name"]) == payload
+    assert read_stored(rig.stores["stken-sim"], "cdfa-1", record["file_name"]) == payload
     with rig.catalog_client() as catalog:
         assert catalog.get_file(file_id).crc32 == crc32_bytes(payload)
+
+
+@pytest.mark.parametrize("corrupt, code", [
+    ("crc", "CRC_MISMATCH"),
+    ("record", "INTERNAL"),
+])
+def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
+    # an 8 MiB body outlasts the socket buffers, so a refusal that left it
+    # unread would reach the sender as a reset, not as ERR <code>
+    rig.add_store("stken-sim", STORE_ACCESS)
+    router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
+                             role="router", route_target="stken-sim", with_data_server=True)
+    record = {
+        "file_name": "bphy0412_fs0007_0045.raw", "size_bytes": 0, "crc32": 0,
+        "data_tier": "raw", "event_type": "phy", "program_version": 4,
+        "calibration_set": 12,
+    }
+    data = bytes(8 * MiB)
+    line = json.dumps(record) if corrupt == "crc" else "{not json"
+    crc = crc32_bytes(data) ^ (1 if corrupt == "crc" else 0)
+    head = "STORE " + line + "\n" + send_header(record["file_name"], len(data), crc)
+    with pytest.raises(RemoteError) as excinfo:
+        send_request(rig.station_data["fcdf-router"], head, io.BytesIO(data), len(data))
+    assert excinfo.value.code == code
+    assert list(router.incoming_dir.iterdir()) == []
+    assert list(router.buffer_dir.iterdir()) == []
+    with rig.catalog_client() as catalog:
+        with pytest.raises(RemoteError) as excinfo:
+            catalog.get_file(record["file_name"])  # nothing was declared
+        assert excinfo.value.code == "NOT_FOUND"
 
 
 def test_store_to_read_only_route_is_denied_before_any_mutation(rig):
@@ -309,3 +413,41 @@ def test_fetch_prefers_station_cache_over_tape(rig):
         assert fh.read() == data
     # the bytes came from the peer station, not another tape read
     assert rig.stores["stken-sim"].counters["gets"] == gets_before
+
+
+def test_data_plane_memory_does_not_grow_with_file_size(rig):
+    # one 16 MiB file: analysis station -> router -> tape, tape -> station,
+    # station -> peer station; no daemon may hold the whole file
+    rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
+    rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
+                    role="router", route_target="stken-sim", with_data_server=True)
+    station = rig.add_station(
+        "cdfa-1", [("stken-sim", "read_only", 4), ("fcdf-router", "read_write", 4)],
+        route_target="fcdf-router", with_data_server=True)
+    peer = rig.add_station(
+        "cdfa-2", [("stken-sim", "read_only", 4), ("cdfa-1", "read_only", 4)])
+    local = rig.root / "big.raw"
+    rng = random.Random(16)
+    with open(local, "wb") as fh:
+        for _ in range(16):
+            fh.write(rng.randbytes(MiB))
+    want = crc32_file(local)
+    record = {
+        "file_name": "bphy0412_fs0007_0044.raw", "size_bytes": 0, "crc32": 0,
+        "data_tier": "raw", "event_type": "phy", "program_version": 4,
+        "calibration_set": 12,
+    }
+
+    tracemalloc.start()
+    try:
+        station.store_file(record, local_path=str(local))
+        from_tape = station.fetch_file(record["file_name"])
+        gets = rig.stores["stken-sim"].counters["gets"]
+        from_peer = peer.fetch_file(record["file_name"])
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+    assert rig.stores["stken-sim"].counters["gets"] == gets  # the peer pulled from cdfa-1
+    assert crc32_file(from_tape) == crc32_file(from_peer) == want
+    assert peak < 2 * MiB

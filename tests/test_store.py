@@ -17,10 +17,13 @@ from samforge.transfer import (
     crc32_bytes,
     parse_send_header,
     put_to_store,
-    read_exact,
     read_line,
+    receive_body,
 )
+import io
 import socket
+
+from conftest import read_stored
 
 ACCESS = {"writer": "read_write", "reader": "read_only", "lurker": "none"}
 
@@ -39,6 +42,13 @@ def make_store(tmp_path, name="stken-sim", capacity=10**6, volume_capacity=100,
     )
 
 
+def put(store, client, file_name, data, fileset_number):
+    """Stage data the way the PUT handler does, then admit it."""
+    staged = store.staging_path()
+    staged.write_bytes(data)
+    return store.put_file(client, file_name, staged, crc32_bytes(data), fileset_number)
+
+
 @pytest.fixture
 def store(tmp_path):
     service = make_store(tmp_path)
@@ -47,60 +57,60 @@ def store(tmp_path):
 
 
 def test_put_then_get_round_trip(store):
-    volume = store.put_file("writer", "a.raw", b"hello", fileset_number=7)
+    volume = put(store, "writer", "a.raw", b"hello", fileset_number=7)
     assert volume == "stken-sim-vol-0001"
-    assert store.get_file("reader", "a.raw") == b"hello"
-    assert store.get_file("writer", "a.raw") == b"hello"
+    assert read_stored(store, "reader", "a.raw") == b"hello"
+    assert read_stored(store, "writer", "a.raw") == b"hello"
 
 
 def test_access_matrix_is_enforced(store):
-    store.put_file("writer", "a.raw", b"x", 1)
+    put(store, "writer", "a.raw", b"x", 1)
     with pytest.raises(AccessDenied):
-        store.put_file("reader", "b.raw", b"x", 1)
+        put(store, "reader", "b.raw", b"x", 1)
     with pytest.raises(AccessDenied):
-        store.put_file("lurker", "b.raw", b"x", 1)
+        put(store, "lurker", "b.raw", b"x", 1)
     with pytest.raises(AccessDenied):
-        store.get_file("lurker", "a.raw")
+        read_stored(store, "lurker", "a.raw")
     with pytest.raises(AccessDenied):
-        store.get_file("stranger", "a.raw")  # unlisted clients have no access
+        read_stored(store, "stranger", "a.raw")  # unlisted clients have no access
 
 
 def test_duplicate_name_rejected(store):
-    store.put_file("writer", "a.raw", b"x", 1)
+    put(store, "writer", "a.raw", b"x", 1)
     with pytest.raises(DuplicateName):
-        store.put_file("writer", "a.raw", b"y", 1)
+        put(store, "writer", "a.raw", b"y", 1)
 
 
 def test_get_missing_file(store):
     with pytest.raises(NotFound):
-        store.get_file("reader", "ghost.raw")
+        read_stored(store, "reader", "ghost.raw")
 
 
 def test_file_larger_than_a_volume_rejected(store):
     with pytest.raises(FileTooLarge):
-        store.put_file("writer", "big.raw", b"x" * 101, 1)
+        put(store, "writer", "big.raw", b"x" * 101, 1)
 
 
 def test_store_capacity_enforced(tmp_path):
     service = make_store(tmp_path, capacity=250, volume_capacity=100)
-    service.put_file("writer", "a", b"x" * 100, 1)
-    service.put_file("writer", "b", b"x" * 100, 2)
+    put(service, "writer", "a", b"x" * 100, 1)
+    put(service, "writer", "b", b"x" * 100, 2)
     with pytest.raises(StoreFull):
-        service.put_file("writer", "c", b"x" * 100, 3)
-    service.put_file("writer", "d", b"x" * 50, 3)  # smaller one still fits
+        put(service, "writer", "c", b"x" * 100, 3)
+    put(service, "writer", "d", b"x" * 50, 3)  # smaller one still fits
     service.close()
 
 
 def test_same_fileset_shares_a_volume_until_full(store):
     # volume capacity is 100; three 40-byte files of one fileset need two volumes
-    v1 = store.put_file("writer", "a", b"x" * 40, fileset_number=5)
-    v2 = store.put_file("writer", "b", b"x" * 40, fileset_number=5)
-    v3 = store.put_file("writer", "c", b"x" * 40, fileset_number=5)
+    v1 = put(store, "writer", "a", b"x" * 40, fileset_number=5)
+    v2 = put(store, "writer", "b", b"x" * 40, fileset_number=5)
+    v3 = put(store, "writer", "c", b"x" * 40, fileset_number=5)
     assert v1 == v2
     assert v3 != v1
 
     # a different fileset never shares, even though volume 1 has room
-    v4 = store.put_file("writer", "d", b"x" * 10, fileset_number=6)
+    v4 = put(store, "writer", "d", b"x" * 10, fileset_number=6)
     assert v4 not in (v1, v3)
 
     volumes = {v["volume_id"]: v for v in store.list_volumes()}
@@ -111,16 +121,16 @@ def test_same_fileset_shares_a_volume_until_full(store):
 
 def test_mount_switch_counting_and_latency(tmp_path):
     service = make_store(tmp_path, mount_latency_ms=50)
-    service.put_file("writer", "a", b"1", fileset_number=1)
-    service.put_file("writer", "b", b"2", fileset_number=2)
+    put(service, "writer", "a", b"1", fileset_number=1)
+    put(service, "writer", "b", b"2", fileset_number=2)
 
-    service.get_file("reader", "a")
+    read_stored(service, "reader", "a")
     switches_after_first = service.counters["mount_switches"]
-    service.get_file("reader", "a")  # same volume: no switch
+    read_stored(service, "reader", "a")  # same volume: no switch
     assert service.counters["mount_switches"] == switches_after_first
 
     start = time.monotonic()
-    service.get_file("reader", "b")  # different volume: pays the latency
+    read_stored(service, "reader", "b")  # different volume: pays the latency
     elapsed = time.monotonic() - start
     assert service.counters["mount_switches"] == switches_after_first + 1
     assert elapsed >= 0.05
@@ -129,18 +139,18 @@ def test_mount_switch_counting_and_latency(tmp_path):
 
 def test_restart_replays_inventory(tmp_path):
     service = make_store(tmp_path)
-    v_a = service.put_file("writer", "a", b"alpha", 1)
-    service.put_file("writer", "b", b"beta", 1)
+    v_a = put(service, "writer", "a", b"alpha", 1)
+    put(service, "writer", "b", b"beta", 1)
     before = service.list_volumes()
     service.close()
 
     reborn = make_store(tmp_path)
     assert reborn.list_volumes() == before
-    assert reborn.get_file("reader", "a") == b"alpha"
+    assert read_stored(reborn, "reader", "a") == b"alpha"
     with pytest.raises(DuplicateName):
-        reborn.put_file("writer", "a", b"again", 1)
+        put(reborn, "writer", "a", b"again", 1)
     # volume numbering continues where it left off
-    v_new = reborn.put_file("writer", "c", b"x" * 99, 9)
+    v_new = put(reborn, "writer", "c", b"x" * 99, 9)
     assert v_new > v_a
     reborn.close()
 
@@ -159,7 +169,7 @@ def test_put_over_the_wire(data_server):
     addr, store = data_server
     volume = put_to_store(addr, "writer", "w.raw", 3, b"wire bytes")
     assert volume == "stken-sim-vol-0001"
-    assert store.get_file("reader", "w.raw") == b"wire bytes"
+    assert read_stored(store, "reader", "w.raw") == b"wire bytes"
 
 
 def test_put_over_the_wire_rejects_bad_crc(data_server):
@@ -168,7 +178,7 @@ def test_put_over_the_wire_rejects_bad_crc(data_server):
         put_to_store(addr, "writer", "w.raw", 3, b"wire bytes", crc=0xDEAD)
     assert excinfo.value.code == "CRC_MISMATCH"
     with pytest.raises(NotFound):
-        store.get_file("reader", "w.raw")  # nothing was admitted
+        read_stored(store, "reader", "w.raw")  # nothing was admitted
 
 
 def test_put_over_the_wire_maps_errors(data_server):
@@ -180,23 +190,56 @@ def test_put_over_the_wire_maps_errors(data_server):
 
 def test_fetch_over_the_wire_frames_and_checksums(data_server):
     addr, store = data_server
-    store.put_file("writer", "f.raw", b"framed payload", 2)
+    put(store, "writer", "f.raw", b"framed payload", 2)
     with socket.create_connection(addr, timeout=10) as sock:
         rfile = sock.makefile("rb")
         sock.sendall(b"FETCH reader f.raw\n")
         name, size, crc = parse_send_header(read_line(rfile))
-        data = read_exact(rfile, size)
+        out = io.BytesIO()
+        received_crc = receive_body(rfile, size, out)
         sock.sendall(b"OK\n")
     assert name == "f.raw"
-    assert data == b"framed payload"
-    assert crc == crc32_bytes(data)
+    assert out.getvalue() == b"framed payload"
+    assert crc == received_crc == crc32_bytes(b"framed payload")
 
 
 def test_fetch_over_the_wire_denies_unknown_client(data_server):
     addr, store = data_server
-    store.put_file("writer", "f.raw", b"x", 2)
+    put(store, "writer", "f.raw", b"x", 2)
     with socket.create_connection(addr, timeout=10) as sock:
         rfile = sock.makefile("rb")
         sock.sendall(b"FETCH lurker f.raw\n")
         reply = read_line(rfile)
     assert reply.startswith("ERR ACCESS_DENIED")
+
+
+MiB = 1 << 20
+
+
+def test_large_put_rejections_carry_their_codes(tmp_path):
+    # the store streams PUT bodies, so an early refusal must still reach the
+    # client as ERR <code> and not as a reset connection
+    store = make_store(tmp_path, capacity=10**9, volume_capacity=8 * MiB)
+    server = start_store_data_server(store, ("127.0.0.1", 0))
+    data = bytes(range(256)) * (8 * MiB // 256)
+
+    def code_of(client, payload, crc=None):
+        with pytest.raises(RemoteError) as excinfo:
+            put_to_store(server.bound_addr, client, "big.raw", 1, payload, crc)
+        return excinfo.value.code
+
+    try:
+        assert code_of("reader", data) == "ACCESS_DENIED"
+        assert code_of("writer", data + b"!") == "FILE_TOO_LARGE"
+        assert code_of("writer", data, crc=crc32_bytes(data) ^ 1) == "CRC_MISMATCH"
+        assert list(store.root.glob("*-vol-*/*")) == []
+        assert list(store.incoming.iterdir()) == []
+        volume = put_to_store(server.bound_addr, "writer", "big.raw", 1, data)
+        assert read_stored(store, "reader", "big.raw") == data
+        assert code_of("writer", data) == "DUPLICATE_NAME"
+        assert [f[0] for v in store.list_volumes() for f in v["files"]] == ["big.raw"]
+        assert volume == "stken-sim-vol-0001"
+    finally:
+        server.shutdown()
+        server.server_close()
+        store.close()
