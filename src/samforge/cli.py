@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -32,10 +33,10 @@ from .naming import parse_legacy_name
 from .project import ProjectServer
 from .query import parse_expr, validate_expr
 from .records import FileRecord
-from .station import StationService, start_station_data_server
-from .store import StoreService, start_store_data_server
+from .station import StationDataHandler, StationService
+from .store import StoreDataHandler, StoreService
 from .transfer import crc32_file
-from .wire import Client, ControlServer, format_addr
+from .wire import Client, ControlHandler, format_addr, start_server
 
 DEFAULT_CATALOG_ADDR = f"127.0.0.1:{DEFAULT_CATALOG_PORT}"
 DEFAULT_PROJECT_ADDR = f"127.0.0.1:{DEFAULT_PROJECT_PORT}"
@@ -204,16 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- daemon commands -------------------------------------------------------
 
-def _serve_forever(service, listen, data_server=None, label="daemon"):
-    server = ControlServer(listen, service)
+def _serve_forever(service, listen, data_server=None):
+    server = start_server(ControlHandler, service, listen)
     print(f"READY {format_addr(server.bound_addr)}", flush=True)
     try:
-        server.serve_forever()
+        threading.Event().wait()  # until a signal ends the process
     finally:
-        server.server_close()
+        server.close()
         if data_server is not None:
-            data_server.shutdown()
-            data_server.server_close()
+            data_server.close()
         if hasattr(service, "close"):
             service.close()
 
@@ -227,7 +227,7 @@ def cmd_catalogd(args) -> int:
         listen = listen or topology.catalog.listen
         journal = journal or topology.catalog.journal
     service = CatalogService(journal or "catalog.journal", known_endpoints=known)
-    _serve_forever(service, listen or DEFAULT_CATALOG_ADDR, label="catalog")
+    _serve_forever(service, listen or DEFAULT_CATALOG_ADDR)
     return 0
 
 
@@ -243,9 +243,9 @@ def cmd_stationd(args) -> int:
     config = topology.station_config(args.name)
     service = StationService(config, topology.catalog.listen)
     data_listen = args.data_listen or topology.stations[args.name].data_listen
-    data_server = start_station_data_server(service, data_listen)
+    data_server = start_server(StationDataHandler, service, data_listen)
     listen = args.listen or topology.stations[args.name].listen
-    _serve_forever(service, listen, data_server, label="station")
+    _serve_forever(service, listen, data_server)
     return 0
 
 
@@ -256,8 +256,9 @@ def cmd_stored(args) -> int:
     if section is None:
         raise NotFound(f"no store {args.name!r} in {args.config}")
     service = StoreService(topology.store_config(args.name), section.root_dir)
-    data_server = start_store_data_server(service, args.data_listen or section.data_listen)
-    _serve_forever(service, args.listen or section.listen, data_server, label="store")
+    data_server = start_server(StoreDataHandler, service,
+                               args.data_listen or section.data_listen)
+    _serve_forever(service, args.listen or section.listen, data_server)
     return 0
 
 
@@ -270,7 +271,7 @@ def cmd_projectd(args) -> int:
         catalog = catalog or topology.catalog.listen
     service = ProjectServer(journal or "project.journal",
                             catalog or DEFAULT_CATALOG_ADDR)
-    _serve_forever(service, listen or DEFAULT_PROJECT_ADDR, label="project")
+    _serve_forever(service, listen or DEFAULT_PROJECT_ADDR)
     return 0
 
 

@@ -106,13 +106,6 @@ class TopologyConfig:
             return self.stores[endpoint_name].data_listen
         raise ValidationError(f"unknown endpoint {endpoint_name!r}")
 
-    def control_addr(self, endpoint_name: str) -> str:
-        if endpoint_name in self.stations:
-            return self.stations[endpoint_name].listen
-        if endpoint_name in self.stores:
-            return self.stores[endpoint_name].listen
-        raise ValidationError(f"unknown endpoint {endpoint_name!r}")
-
     def scheme_of(self, endpoint_name: str) -> str:
         return "stn" if endpoint_name in self.stations else "tape"
 

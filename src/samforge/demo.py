@@ -26,10 +26,10 @@ from .journal import Journal  # noqa: F401  (re-exported for durability harnesse
 from .migrate import load_export, run_migration, verify_migration
 from .naming import ConventionViolation, parse_legacy_name
 from .project import ProjectServer
-from .station import EndpointSpec, StationConfig, StationService, start_station_data_server
-from .store import StoreConfig, StoreService, start_store_data_server
+from .station import EndpointSpec, StationConfig, StationDataHandler, StationService
+from .store import StoreConfig, StoreDataHandler, StoreService
 from .transfer import crc32_bytes, crc32_file, put_to_store
-from .wire import Client, format_addr, start_control_server
+from .wire import Client, ControlHandler, format_addr, start_server
 
 DEFAULT_SEED = 20030617
 
@@ -211,7 +211,7 @@ class DemoTopology:
             )
             self.stores[store_name] = service
             self._serve(service)
-            data = start_store_data_server(service, ("127.0.0.1", 0))
+            data = start_server(StoreDataHandler, service, ("127.0.0.1", 0))
             self.servers.append(data)
             self.store_data[store_name] = format_addr(data.bound_addr)
 
@@ -249,7 +249,7 @@ class DemoTopology:
             )
             self.stations[name] = service
             self.station_control[name] = self._serve(service)
-            data = start_station_data_server(service, ("127.0.0.1", 0))
+            data = start_server(StationDataHandler, service, ("127.0.0.1", 0))
             self.servers.append(data)
             self.station_data[name] = format_addr(data.bound_addr)
         # station-to-station endpoints could not know their peers' ports
@@ -264,7 +264,7 @@ class DemoTopology:
         return self
 
     def _serve(self, service) -> str:
-        server = start_control_server(service, ("127.0.0.1", 0))
+        server = start_server(ControlHandler, service, ("127.0.0.1", 0))
         self.servers.append(server)
         return format_addr(server.bound_addr)
 
@@ -290,8 +290,7 @@ class DemoTopology:
 
     def stop(self) -> None:
         for server in self.servers:
-            server.shutdown()
-            server.server_close()
+            server.close()
         self.servers.clear()
         if self.project_service:
             self.project_service.close()

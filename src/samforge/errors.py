@@ -60,6 +60,14 @@ class SourceUnavailable(SamError):
     code = "SOURCE_UNAVAILABLE"
 
 
+class CrcMismatch(SamError):
+    code = "CRC_MISMATCH"
+
+
+class BadRequest(SamError):
+    code = "BAD_REQUEST"
+
+
 # -- station ---------------------------------------------------------------
 
 class NoReplica(SamError):

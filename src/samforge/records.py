@@ -70,17 +70,24 @@ class FileRecord:
         )
 
 
-def validate_file_record(record: FileRecord, known_ids: set[int]) -> list[str]:
-    """Collect every violation; an empty list means the record is valid.
+def file_name_problem(name: str) -> str | None:
+    """Why name cannot name a file, or None.
 
-    Names may not contain whitespace or '/' because they travel on
-    space-delimited wire headers and become cache file names.
+    Names travel on space-delimited wire headers and become file names in
+    cache and volume directories, so none may reach outside its directory.
     """
+    if not name:
+        return "file_name is empty"
+    if _NAME_FORBIDDEN.search(name) or name in (".", ".."):
+        return f"file_name {name!r} contains whitespace or '/', or is '.' or '..'"
+    return None
+
+
+def validate_file_record(record: FileRecord, known_ids: set[int]) -> list[str]:
+    """Collect every violation; an empty list means the record is valid."""
     problems = []
-    if not record.file_name:
-        problems.append("file_name is empty")
-    elif _NAME_FORBIDDEN.search(record.file_name):
-        problems.append(f"file_name {record.file_name!r} contains whitespace or '/'")
+    if name_problem := file_name_problem(record.file_name):
+        problems.append(name_problem)
     if not isinstance(record.size_bytes, int) or record.size_bytes < 0:
         problems.append(f"size_bytes {record.size_bytes!r} must be a non-negative integer")
     if not isinstance(record.crc32, int) or not 0 <= record.crc32 <= _CRC32_MAX:

@@ -51,24 +51,22 @@ from .sync import FairSemaphore
 from .transfer import (
     Locator,
     PluginRegistry,
-    SCHEME_LOCAL,
     SCHEME_STATION,
     SCHEME_TAPE,
-    LocalPlugin,
     StationPlugin,
     TapePlugin,
     crc32_stream,
     put_to_store,
-    read_line,
     read_send_header,
-    receive_body,
+    receive_verified,
     send_header,
     send_request,
     serve_frame,
+    serve_request,
     transfer_with,
     with_fault_injection,
 )
-from .wire import Dispatcher, parse_addr
+from .wire import Dispatcher
 
 log = logging.getLogger(__name__)
 
@@ -159,7 +157,6 @@ class StationService(Dispatcher):
         }
         self._overrides: dict[str, object] = {}  # endpoint name -> plugin
         self.registry = PluginRegistry()
-        self.registry.register(SCHEME_LOCAL, LocalPlugin())
         self.registry.register(SCHEME_STATION, StationPlugin(self))
         self.registry.register(SCHEME_TAPE, TapePlugin(config.name, self))
         self.counters = {
@@ -370,19 +367,6 @@ class StationService(Dispatcher):
 
     # -- eviction / pinning ------------------------------------------------
 
-    def evict_until(self, bytes_needed: int) -> int:
-        """Free unpinned LRU entries until bytes_needed are free; best effort."""
-        victims = []
-        with self._lock:
-            while self._free_bytes() < bytes_needed:
-                victim = self._lru_unpinned()
-                if victim is None:
-                    break
-                self._drop_entry(victim)
-                victims.append(victim)
-        self._forget_locations(victims)
-        return sum(v.size_bytes for v in victims)
-
     def pin_file(self, file_id: int, project: str) -> bool:
         with self._lock:
             entry = self._entries.get(file_id)
@@ -584,73 +568,26 @@ def _send_store_frame(addr: str, rec: FileRecord, body) -> str:
     return send_request(addr, head, body, rec.size_bytes)
 
 
-class _StationDataHandler(socketserver.StreamRequestHandler):
+class StationDataHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        service: StationService = self.server.service
-        try:
-            line = read_line(self.rfile)
-        except SamError:
-            return
-        verb, _, rest = line.partition(" ")
-        try:
-            if verb == "FETCH" and rest:
-                self._fetch(service, rest.strip())
-            elif verb == "STORE" and rest:
-                self._store(service, rest)
-            else:
-                self._err("BAD_REQUEST", f"unparseable request {line!r}")
-        except SamError as e:
-            self._err(e.code, e.msg)
-        except Exception as e:  # noqa: BLE001 - keep serving other clients
-            log.exception("station data-plane failure")
-            self._err("INTERNAL", str(e))
+        serve_request(self, {"FETCH": self._fetch, "STORE": self._store})
 
-    def _fetch(self, service: StationService, file_name: str) -> None:
-        body, size, crc = service.open_for_read(file_name)
+    def _fetch(self, file_name: str) -> None:
+        body, size, crc = self.server.service.open_for_read(file_name)
         with body:
             serve_frame(self.connection, self.rfile, file_name, body, size, crc)
 
-    def _store(self, service: StationService, payload: str) -> None:
-        # the record is parsed once the body is in, so a bad one is answered, not reset
+    def _store(self, payload: str) -> None:
+        service: StationService = self.server.service
         name, size, declared_crc = read_send_header(self.rfile)
-        staged = service.incoming_dir / uuid.uuid4().hex
-        try:
-            with open(staged, "wb") as out:
-                crc = receive_body(self.rfile, size, out)
-            if crc == declared_crc:
-                rec = FileRecord.from_wire({**json.loads(payload), "file_id": None})
-                rec.size_bytes = size
-                rec.crc32 = crc
-                file_id = service.store_local(rec, staged)
-        finally:
-            staged.unlink(missing_ok=True)  # before any reply, so none races the cleanup
-        if crc != declared_crc:
-            self._err("CRC_MISMATCH", f"{name} arrived corrupt")
-            return
+
+        def admit(staged: Path, crc: int) -> int:
+            # the record is parsed once the body is in, so a bad one is answered, not reset
+            rec = FileRecord.from_wire({**json.loads(payload), "file_id": None})
+            rec.size_bytes = size
+            rec.crc32 = crc
+            return service.store_local(rec, staged)
+
+        file_id = receive_verified(self.rfile, service.incoming_dir / uuid.uuid4().hex,
+                                   name, size, declared_crc, admit)
         self.wfile.write(f"OK {file_id}\n".encode())
-
-    def _err(self, code: str, msg: str) -> None:
-        try:
-            self.wfile.write(f"ERR {code} {msg}\n".encode())
-        except OSError:
-            pass
-
-
-class StationDataServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, addr, service: StationService):
-        super().__init__(parse_addr(addr), _StationDataHandler)
-        self.service = service
-
-    @property
-    def bound_addr(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
-
-
-def start_station_data_server(service: StationService, addr) -> StationDataServer:
-    server = StationDataServer(addr, service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server

@@ -15,19 +15,20 @@ one request line then framed bytes, streamed in constant memory —
     FETCH <client> <file_name>\\n
         -> SEND <file_name> <size_bytes> <crc32-hex>\\n + bytes | ERR <code> <msg>\\n
 
-A PUT that can be refused from its request line alone (access, size,
-duplicate name, capacity) is answered ERR before its body is read; the
-body is then read and dropped so the client sees the reply.  Otherwise
-the body streams into a staging file under ``incoming/`` with a running
-CRC; only a body matching its declared CRC takes the drive, moves into
-its volume, is fsynced and journalled, and then acknowledged.  A FETCH
-answers with the CRC recorded in the inventory journal at PUT time, so
-the store makes no pass over the file to serve it.
+A request line that does not parse is answered ERR BAD_REQUEST.  A PUT
+that can be refused from its request line alone (access, a file name the
+catalog would refuse, size, duplicate name, capacity) is answered ERR
+before its body is read; the body is then read and dropped so the client
+sees the reply.  Otherwise the body streams into a staging file under
+``incoming/`` with a running CRC; only a body matching its declared CRC
+takes the drive, moves into its volume, is fsynced and journalled, and
+then acknowledged.  A FETCH answers with the CRC recorded in the
+inventory journal at PUT time, so the store makes no pass over the file
+to serve it.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import socketserver
 import threading
@@ -38,18 +39,26 @@ from pathlib import Path
 
 from .errors import (
     AccessDenied,
+    BadRequest,
     DuplicateName,
     FileTooLarge,
     NotFound,
     SamError,
     StoreFull,
+    ValidationError,
 )
 from .journal import Journal
+from .records import file_name_problem
 from .sync import FairLock
-from .transfer import discard_body, receive_body, serve_frame
-from .wire import Dispatcher, parse_addr
-
-log = logging.getLogger(__name__)
+from .transfer import (
+    discard_body,
+    parse_put_args,
+    receive_verified,
+    reply_err,
+    serve_frame,
+    serve_request,
+)
+from .wire import Dispatcher
 
 ACCESS_NONE = "none"
 ACCESS_READ_ONLY = "read_only"
@@ -74,15 +83,14 @@ class Volume:
     fileset_number: int
     files: list[tuple[str, int, int]] = field(default_factory=list)  # (name, offset, size)
     bytes_used: int = 0
-    mounted: bool = False
 
-    def to_wire(self) -> dict:
+    def to_wire(self, mounted: bool) -> dict:
         return {
             "volume_id": self.volume_id,
             "fileset_number": self.fileset_number,
             "files": [list(f) for f in self.files],
             "bytes_used": self.bytes_used,
-            "mounted": self.mounted,
+            "mounted": mounted,
         }
 
 
@@ -151,6 +159,9 @@ class StoreService(Dispatcher):
     def check_put(self, client: str, file_name: str, size: int) -> None:
         """Every reason to refuse a put that the request line alone shows."""
         self._require_write(client)
+        problem = file_name_problem(file_name)  # also keeps the write inside its volume
+        if problem:
+            raise ValidationError(problem)
         if size > self.config.volume_capacity_bytes:
             raise FileTooLarge(
                 f"{file_name}: {size} bytes exceeds volume capacity "
@@ -228,15 +239,13 @@ class StoreService(Dispatcher):
         if self.config.mount_latency_ms:
             time.sleep(self.config.mount_latency_ms / 1000.0)
         with self._state_lock:
-            if self.mounted_volume is not None:
-                self.volumes[self.mounted_volume].mounted = False
             self.mounted_volume = volume_id
-            self.volumes[volume_id].mounted = True
             self.counters["mount_switches"] += 1
 
     def list_volumes(self) -> list[dict]:
         with self._state_lock:
-            return [self.volumes[vid].to_wire() for vid in sorted(self.volumes)]
+            return [self.volumes[vid].to_wire(vid == self.mounted_volume)
+                    for vid in sorted(self.volumes)]
 
     def status(self) -> dict:
         with self._state_lock:
@@ -254,76 +263,30 @@ class StoreService(Dispatcher):
 
 # -- data plane ------------------------------------------------------------
 
-class _StoreDataHandler(socketserver.StreamRequestHandler):
+class StoreDataHandler(socketserver.StreamRequestHandler):
     def handle(self):
-        service: StoreService = self.server.service
-        line = self.rfile.readline(64 * 1024)
-        if not line:
-            return
-        parts = line.decode(errors="replace").split()
-        try:
-            if parts and parts[0] == "FETCH" and len(parts) == 3:
-                self._fetch(service, client=parts[1], file_name=parts[2])
-            elif parts and parts[0] == "PUT" and len(parts) == 6:
-                self._put(service, client=parts[1], file_name=parts[2],
-                          fileset_number=int(parts[3]), size=int(parts[4]),
-                          declared_crc=int(parts[5], 16))
-            else:
-                self._err("BAD_REQUEST", f"unparseable request {line!r}")
-        except SamError as e:
-            self._err(e.code, e.msg)
-        except Exception as e:  # noqa: BLE001 - the store must survive bad clients
-            log.exception("store data-plane failure")
-            self._err("INTERNAL", str(e))
+        serve_request(self, {"FETCH": self._fetch, "PUT": self._put})
 
-    def _fetch(self, service: StoreService, client: str, file_name: str) -> None:
-        body, size, crc = service.open_file(client, file_name)
+    def _fetch(self, args: str) -> None:
+        parts = args.split()
+        if len(parts) != 2:
+            raise BadRequest(f"bad FETCH request: {args!r}")
+        client, file_name = parts
+        body, size, crc = self.server.service.open_file(client, file_name)
         with body:
             serve_frame(self.connection, self.rfile, file_name, body, size, crc)
 
-    def _put(self, service: StoreService, client: str, file_name: str,
-             fileset_number: int, size: int, declared_crc: int) -> None:
+    def _put(self, args: str) -> None:
+        service: StoreService = self.server.service
+        client, file_name, fileset_number, size, declared_crc = parse_put_args(args)
         try:
             service.check_put(client, file_name, size)
         except SamError as e:
-            self._err(e.code, e.msg)
+            reply_err(self.wfile, e.code, e.msg)
             discard_body(self.rfile, size)
             return
-        staged = service.staging_path()
-        try:
-            with open(staged, "wb") as out:
-                crc = receive_body(self.rfile, size, out)
-            if crc == declared_crc:
-                volume_id = service.put_file(client, file_name, staged, crc, fileset_number)
-        finally:
-            staged.unlink(missing_ok=True)  # before any reply, so none races the cleanup
-        if crc != declared_crc:
-            self._err("CRC_MISMATCH", f"{file_name} arrived corrupt")
-            return
+        volume_id = receive_verified(
+            self.rfile, service.staging_path(), file_name, size, declared_crc,
+            lambda staged, crc: service.put_file(client, file_name, staged, crc,
+                                                 fileset_number))
         self.wfile.write(f"OK {volume_id}\n".encode())
-
-    def _err(self, code: str, msg: str) -> None:
-        try:
-            self.wfile.write(f"ERR {code} {msg}\n".encode())
-        except OSError:
-            pass
-
-
-class StoreDataServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, addr, service: StoreService):
-        super().__init__(parse_addr(addr), _StoreDataHandler)
-        self.service = service
-
-    @property
-    def bound_addr(self) -> tuple[str, int]:
-        return self.server_address[0], self.server_address[1]
-
-
-def start_store_data_server(service: StoreService, addr) -> StoreDataServer:
-    server = StoreDataServer(addr, service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server

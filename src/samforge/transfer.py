@@ -16,12 +16,15 @@ body from an open file, :func:`receive_body` streams a body into a file
 with a running CRC.  Bodies move in ``CHUNK``-sized pieces, so no daemon
 ever holds a whole file.  The CRC in a SEND header is the sender's
 recorded checksum, not a fresh pass over the file; the receiver verifies
-it once, as the bytes arrive.
+it once, as the bytes arrive.  Store and station handlers share one
+request skeleton, :func:`serve_request`, and one staged, CRC-checked
+upload, :func:`receive_verified`.
 """
 
 from __future__ import annotations
 
 import io
+import logging
 import os
 import random
 import socket
@@ -31,16 +34,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
+    BadRequest,
+    CrcMismatch,
     DuplicateScheme,
     NoPlugin,
     RemoteError,
+    SamError,
     SourceUnavailable,
 )
 from .wire import parse_addr
 
+log = logging.getLogger(__name__)
+
 CHUNK = 64 * 1024
 
-SCHEME_LOCAL = "local"
 SCHEME_STATION = "stn"
 SCHEME_TAPE = "tape"
 
@@ -94,10 +101,6 @@ class PluginRegistry:
     def register(self, scheme: str, plugin) -> None:
         if scheme in self._plugins:
             raise DuplicateScheme(f"scheme {scheme!r} already registered")
-        self._plugins[scheme] = plugin
-
-    def replace(self, scheme: str, plugin) -> None:
-        """Swap the handler for a scheme (test harnesses wrap plugins this way)."""
         self._plugins[scheme] = plugin
 
     def get(self, scheme: str):
@@ -279,6 +282,68 @@ def read_send_header(rfile) -> tuple[str, int, int]:
     if header.startswith("ERR"):
         raise SourceUnavailable(header)
     return parse_send_header(header)
+
+
+def parse_put_args(args: str) -> tuple[str, str, int, int, int]:
+    """(client, file_name, fileset, size, crc) from what follows ``PUT``."""
+    parts = args.split()
+    try:
+        if len(parts) == 5:
+            fileset, size, crc = int(parts[2]), int(parts[3]), int(parts[4], 16)
+            if fileset >= 0 and size >= 0 and 0 <= crc <= 0xFFFFFFFF:
+                return parts[0], parts[1], fileset, size, crc
+    except ValueError:
+        pass
+    raise BadRequest(f"bad PUT request: {args!r}")
+
+
+# -- serving the data plane ------------------------------------------------
+
+def reply_err(wfile, code: str, msg: str) -> None:
+    try:
+        wfile.write(f"ERR {code} {msg}\n".encode())
+    except OSError:
+        pass
+
+
+def serve_request(handler, actions: dict) -> None:
+    """Read one request line and run ``actions[verb](rest of the line)``.
+
+    A SamError is answered ``ERR <code> <msg>``, anything else
+    ``ERR INTERNAL`` and logged, so no client can take the daemon down.
+    """
+    try:
+        line = read_line(handler.rfile)
+    except SamError:
+        return
+    verb, _, rest = line.partition(" ")
+    rest = rest.strip()
+    try:
+        action = actions.get(verb)
+        if action is None or not rest:
+            raise BadRequest(f"unparseable request {line!r}")
+        action(rest)
+    except SamError as e:
+        reply_err(handler.wfile, e.code, e.msg)
+    except Exception as e:  # noqa: BLE001 - keep serving other clients
+        log.exception("data-plane %s failed", verb)
+        reply_err(handler.wfile, "INTERNAL", str(e))
+
+
+def receive_verified(rfile, staged: Path, name: str, size: int, declared_crc: int, act):
+    """Stream a body into staged, check its CRC, and return act(staged, crc).
+
+    Raises CrcMismatch for a corrupt body.  Whatever act leaves of staged
+    is removed before this returns, so no reply races the cleanup.
+    """
+    try:
+        with open(staged, "wb") as out:
+            crc = receive_body(rfile, size, out)
+        if crc != declared_crc:
+            raise CrcMismatch(f"{name} arrived corrupt")
+        return act(staged, crc)
+    finally:
+        staged.unlink(missing_ok=True)
 
 
 def _connect(addr) -> socket.socket:

@@ -9,7 +9,9 @@ One request object per line, one response per line::
 Servers dispatch to a service object exposing ``dispatch(op, args)``;
 SamError subclasses become error responses with their code string,
 anything else becomes INTERNAL.  Clients keep one connection and raise
-RemoteError for error responses, ConnectFailed for transport trouble.
+RemoteError for error responses, ConnectFailed for transport trouble or
+a reply that is not protocol JSON.  Every daemon port, control or data
+plane, is a :class:`Server`; its ``close()`` returns at once.
 """
 
 from __future__ import annotations
@@ -75,8 +77,14 @@ class Client:
             if not line:
                 self.close()
                 raise ConnectFailed(f"connection to {format_addr(self.addr)} closed by peer")
-            response = json.loads(line)
-            if response.get("ok"):
+            try:
+                response = json.loads(line)
+                ok = response.get("ok")
+            except (ValueError, AttributeError):
+                self.close()
+                raise ConnectFailed(
+                    f"{format_addr(self.addr)} answered {line[:80]!r}, not protocol JSON") from None
+            if ok:
                 return response.get("result")
             error = response.get("error") or {}
             raise RemoteError(error.get("code", "ERROR"), error.get("msg", ""))
@@ -97,7 +105,7 @@ class Client:
         self.close()
 
 
-class _ControlHandler(socketserver.StreamRequestHandler):
+class ControlHandler(socketserver.StreamRequestHandler):
     def handle(self):
         service = self.server.service
         while True:
@@ -139,24 +147,34 @@ class _ControlHandler(socketserver.StreamRequestHandler):
             pass
 
 
-class ControlServer(socketserver.ThreadingTCPServer):
+class Server(socketserver.ThreadingTCPServer):
+    """One service behind one handler class; handlers reach it as server.service."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, addr, service):
-        super().__init__(parse_addr(addr), _ControlHandler)
+    def __init__(self, handler, service, addr):
+        super().__init__(parse_addr(addr), handler)
         self.service = service
 
     @property
     def bound_addr(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
+    def close(self) -> None:
+        """Stop serving and release the port; returns at once."""
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)  # wakes serve_forever's selector
+        except OSError:
+            pass
+        self.shutdown()
+        self.server_close()
 
-def start_control_server(service, addr) -> ControlServer:
+
+def start_server(handler, service, addr) -> Server:
     """Bind and serve in a daemon thread; returns the server (see .bound_addr)."""
-    server = ControlServer(addr, service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = Server(handler, service, addr)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
     return server
 
 

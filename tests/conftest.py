@@ -8,11 +8,10 @@ import pytest
 
 from samforge.catalog import CatalogClient, CatalogService
 from samforge.records import FileRecord
-from samforge.station import EndpointSpec, StationConfig, StationService, \
-    start_station_data_server
-from samforge.store import StoreConfig, StoreService, start_store_data_server
+from samforge.station import EndpointSpec, StationConfig, StationDataHandler, StationService
+from samforge.store import StoreConfig, StoreDataHandler, StoreService
 from samforge.transfer import crc32_bytes, put_to_store
-from samforge.wire import format_addr, start_control_server
+from samforge.wire import ControlHandler, format_addr, start_server
 
 
 class LoopbackRig:
@@ -38,7 +37,7 @@ class LoopbackRig:
         self.station_data: dict[str, str] = {}
 
     def _serve(self, service) -> str:
-        server = start_control_server(service, ("127.0.0.1", 0))
+        server = start_server(ControlHandler, service, ("127.0.0.1", 0))
         self._servers.append(server)
         return format_addr(server.bound_addr)
 
@@ -56,7 +55,7 @@ class LoopbackRig:
         )
         self.stores[name] = service
         self._services.append(service)
-        data = start_store_data_server(service, ("127.0.0.1", 0))
+        data = start_server(StoreDataHandler, service, ("127.0.0.1", 0))
         self._servers.append(data)
         self.store_data[name] = format_addr(data.bound_addr)
         return service
@@ -89,7 +88,7 @@ class LoopbackRig:
         self.stations[name] = service
         self._services.append(service)
         if with_data_server:
-            data = start_station_data_server(service, ("127.0.0.1", 0))
+            data = start_server(StationDataHandler, service, ("127.0.0.1", 0))
             self._servers.append(data)
             self.station_data[name] = format_addr(data.bound_addr)
         if with_control_server:
@@ -122,8 +121,7 @@ class LoopbackRig:
 
     def close(self) -> None:
         for server in self._servers:
-            server.shutdown()
-            server.server_close()
+            server.close()
         for service in self._services:
             if hasattr(service, "close"):
                 service.close()

@@ -27,7 +27,7 @@ from samforge.migrate import load_export, run_migration
 from samforge.query import Atom
 from samforge.records import FileRecord
 from samforge.transfer import crc32_bytes, crc32_file, crc32_stream
-from samforge.wire import Client, Dispatcher, format_addr, start_control_server
+from samforge.wire import Client, ControlHandler, Dispatcher, format_addr, start_server
 
 from conftest import run_threads
 from test_crc import reference_crc32
@@ -317,7 +317,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
     catalog_journal = str(tmp_path / "catalog.journal")
     project_journal = str(tmp_path / "project.journal")
 
-    station_server = start_control_server(_AcceptanceStation(), ("127.0.0.1", 0))
+    station_server = start_server(ControlHandler, _AcceptanceStation(), ("127.0.0.1", 0))
     station_addr = format_addr(station_server.bound_addr)
 
     def boot():
@@ -421,8 +421,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
         for proc in daemons.values():
             proc.kill()
             proc.wait()
-        station_server.shutdown()
-        station_server.server_close()
+        station_server.close()
 
 
 # -- criterion 7: cache discipline ------------------------------------------

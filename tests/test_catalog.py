@@ -8,7 +8,7 @@ from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import RemoteError
 from samforge.query import And, Atom, Or, eval_query
 from samforge.records import FileRecord
-from samforge.wire import format_addr, start_control_server
+from samforge.wire import ControlHandler, format_addr, start_server
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def test_locations_lifecycle(catalog):
 
 def test_known_endpoints_restrict_locations(tmp_path):
     service = CatalogService(tmp_path / "j", known_endpoints={"stken-sim"})
-    server = start_control_server(service, ("127.0.0.1", 0))
+    server = start_server(ControlHandler, service, ("127.0.0.1", 0))
     try:
         with CatalogClient(format_addr(server.bound_addr)) as catalog:
             file_id = catalog.declare_file(make_record())
@@ -153,8 +153,7 @@ def test_known_endpoints_restrict_locations(tmp_path):
                 catalog.add_location(file_id, "rogue", "vol")
             assert excinfo.value.code == "UNKNOWN_ENDPOINT"
     finally:
-        server.shutdown()
-        server.server_close()
+        server.close()
         service.close()
 
 
@@ -174,7 +173,7 @@ def test_lineage_walks_ancestors_to_depth(catalog):
 def test_restart_replays_identical_state(tmp_path):
     journal = tmp_path / "catalog.journal"
     service = CatalogService(journal)
-    server = start_control_server(service, ("127.0.0.1", 0))
+    server = start_server(ControlHandler, service, ("127.0.0.1", 0))
     with CatalogClient(format_addr(server.bound_addr)) as catalog:
         for record in _random_records(40):
             catalog.declare_file(record)
@@ -185,12 +184,11 @@ def test_restart_replays_identical_state(tmp_path):
         catalog.remove_location(2, "stken-sim")
         before_resolve = catalog.resolve_dataset("phys")
         before_status = catalog.status()
-    server.shutdown()
-    server.server_close()
+    server.close()
     service.close()
 
     reborn = CatalogService(journal)
-    server = start_control_server(reborn, ("127.0.0.1", 0))
+    server = start_server(ControlHandler, reborn, ("127.0.0.1", 0))
     try:
         with CatalogClient(format_addr(server.bound_addr)) as catalog:
             assert catalog.resolve_dataset("phys") == before_resolve
@@ -201,6 +199,5 @@ def test_restart_replays_identical_state(tmp_path):
             # new ids continue after the replayed ones, no reuse
             assert catalog.declare_file(make_record("after-restart.raw")) == 41
     finally:
-        server.shutdown()
-        server.server_close()
+        server.close()
         reborn.close()

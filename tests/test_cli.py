@@ -154,6 +154,13 @@ def test_status_queries_any_daemon(capsys, catalogd):
     assert "files" in status
 
 
+def test_status_of_a_data_port_maps_to_e_conn(capsys, rig):
+    # a data plane answers a JSON request with a plain ERR line, not JSON
+    rig.add_store("stken-sim", {"seeder": "read_write"})
+    code, _, err = run_cli(capsys, "status", rig.store_data["stken-sim"])
+    assert (code, err[-1]) == (3, "E_CONN")
+
+
 def test_migrate_command_with_report(capsys, tmp_path, catalogd):
     export_dir = tmp_path / "export"
     export_dir.mkdir()
@@ -196,7 +203,7 @@ def test_migrate_command_with_report(capsys, tmp_path, catalogd):
 # -- project daemon and the consumer adaptor --------------------------------
 
 def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, projectd):
-    from samforge.wire import Dispatcher, format_addr, start_control_server
+    from samforge.wire import ControlHandler, Dispatcher, format_addr, start_server
 
     class OneShotStation(Dispatcher):
         ops = {"fetch": "fetch", "unpin": "unpin"}
@@ -230,7 +237,7 @@ def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, pr
     assert code == 0
     assert out[0].startswith("cli-proj: running")
 
-    station_server = start_control_server(OneShotStation(), ("127.0.0.1", 0))
+    station_server = start_server(ControlHandler, OneShotStation(), ("127.0.0.1", 0))
     try:
         result = subprocess.run(
             [sys.executable, "-m", "samforge.cli", "consume",
@@ -240,8 +247,7 @@ def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, pr
             input="CONFIGURE\nGETFILE\nRELEASE\nGETFILE\nBYE\n",
             capture_output=True, text=True, timeout=30)
     finally:
-        station_server.shutdown()
-        station_server.server_close()
+        station_server.close()
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
         "OK", "FILE /fake/bphy0477_fs0007_0777.raw", "OK", "END"]

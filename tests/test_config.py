@@ -110,7 +110,6 @@ def test_endpoint_lookups(topology):
     assert config.scheme_of("cdfa-1") == "stn"
     assert config.scheme_of("stken-sim") == "tape"
     assert config.data_addr("stken-sim") == "127.0.0.1:6752"
-    assert config.control_addr("fcdf-router") == "127.0.0.1:5751"
     with pytest.raises(ValidationError):
         config.data_addr("nosuch")
 

@@ -14,7 +14,7 @@ from samforge.errors import (
 from samforge.project import ProjectServer
 from samforge.query import Atom
 from samforge.records import FileRecord
-from samforge.wire import Dispatcher, format_addr, start_control_server
+from samforge.wire import ControlHandler, Dispatcher, format_addr, start_server
 
 from conftest import run_threads
 
@@ -48,12 +48,11 @@ class FakeStation(Dispatcher):
 @pytest.fixture
 def project_rig(rig):
     station = FakeStation()
-    server = start_control_server(station, ("127.0.0.1", 0))
+    server = start_server(ControlHandler, station, ("127.0.0.1", 0))
     project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     yield rig, project, station, format_addr(server.bound_addr)
     project.close()
-    server.shutdown()
-    server.server_close()
+    server.close()
 
 
 def declare_files(rig, n, dataset="all"):
@@ -210,7 +209,7 @@ def test_stop_is_idempotent_and_final(project_rig):
 
 def test_restart_replays_held_and_delivered_state(rig):
     station = FakeStation()
-    server = start_control_server(station, ("127.0.0.1", 0))
+    server = start_server(ControlHandler, station, ("127.0.0.1", 0))
     station_addr = format_addr(server.bound_addr)
     journal = rig.root / "project.journal"
     try:
@@ -240,8 +239,7 @@ def test_restart_replays_held_and_delivered_state(rig):
         assert reborn.status("p")["state"] == "ended"
         reborn.close()
     finally:
-        server.shutdown()
-        server.server_close()
+        server.close()
 
 
 def test_concurrent_consumers_receive_each_file_exactly_once(project_rig):

@@ -12,7 +12,8 @@ from samforge.errors import (
     RemoteError,
     StoreFull,
 )
-from samforge.store import StoreConfig, StoreService, start_store_data_server
+from samforge.store import StoreConfig, StoreDataHandler, StoreService
+from samforge.wire import start_server
 from samforge.transfer import (
     crc32_bytes,
     parse_send_header,
@@ -159,10 +160,9 @@ def test_restart_replays_inventory(tmp_path):
 
 @pytest.fixture
 def data_server(store):
-    server = start_store_data_server(store, ("127.0.0.1", 0))
+    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
     yield server.bound_addr, store
-    server.shutdown()
-    server.server_close()
+    server.close()
 
 
 def test_put_over_the_wire(data_server):
@@ -179,6 +179,51 @@ def test_put_over_the_wire_rejects_bad_crc(data_server):
     assert excinfo.value.code == "CRC_MISMATCH"
     with pytest.raises(NotFound):
         read_stored(store, "reader", "w.raw")  # nothing was admitted
+
+
+@pytest.mark.parametrize("args", [
+    "neg.raw 1 -5 00000000",
+    "bad.raw -1 5 00000000",
+    "bad.raw x 5 00000000",
+    "bad.raw 1 abc 00000000",
+    "bad.raw 1 5 zz",
+    "bad.raw 1 5 100000000",
+    "bad.raw 1 5",
+], ids=["negative-size", "negative-fileset", "fileset-not-a-number", "size-not-a-number",
+        "crc-not-hex", "crc-over-32-bits", "missing-field"])
+def test_malformed_put_request_is_a_bad_request(data_server, args):
+    addr, store = data_server
+    with socket.create_connection(addr, timeout=10) as sock:
+        rfile = sock.makefile("rb")
+        sock.sendall(f"PUT writer {args}\n".encode())
+        reply = read_line(rfile)
+    assert reply.startswith("ERR BAD_REQUEST ")
+    assert store.list_volumes() == []
+    assert list(store.incoming.iterdir()) == []
+
+
+def test_put_cannot_write_outside_its_volume(tmp_path):
+    store = make_store(tmp_path)
+    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
+    journal = store.root / "inventory.journal"
+    try:
+        put_to_store(server.bound_addr, "writer", "a.raw", 1, b"kept")
+        before = journal.read_bytes()
+        for name in ("../inventory.journal", "..", "."):
+            with pytest.raises(RemoteError) as excinfo:
+                put_to_store(server.bound_addr, "writer", name, 1, b"garbage\n")
+            assert excinfo.value.code == "VALIDATION"
+        assert journal.read_bytes() == before
+        assert list(store.incoming.iterdir()) == []
+    finally:
+        server.close()
+        store.close()
+    reborn = make_store(tmp_path)
+    try:
+        assert [f[0] for v in reborn.list_volumes() for f in v["files"]] == ["a.raw"]
+        assert read_stored(reborn, "reader", "a.raw") == b"kept"
+    finally:
+        reborn.close()
 
 
 def test_put_over_the_wire_maps_errors(data_server):
@@ -220,7 +265,7 @@ def test_large_put_rejections_carry_their_codes(tmp_path):
     # the store streams PUT bodies, so an early refusal must still reach the
     # client as ERR <code> and not as a reset connection
     store = make_store(tmp_path, capacity=10**9, volume_capacity=8 * MiB)
-    server = start_store_data_server(store, ("127.0.0.1", 0))
+    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
     data = bytes(range(256)) * (8 * MiB // 256)
 
     def code_of(client, payload, crc=None):
@@ -240,6 +285,5 @@ def test_large_put_rejections_carry_their_codes(tmp_path):
         assert [f[0] for v in store.list_volumes() for f in v["files"]] == ["big.raw"]
         assert volume == "stken-sim-vol-0001"
     finally:
-        server.shutdown()
-        server.server_close()
+        server.close()
         store.close()

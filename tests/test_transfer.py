@@ -32,7 +32,6 @@ def local_source(tmp_path, data=b"payload bytes"):
 def test_registry_rejects_duplicate_scheme(registry):
     with pytest.raises(DuplicateScheme):
         registry.register("local", LocalPlugin())
-    registry.replace("local", LocalPlugin())  # replace is the explicit override
 
 
 def test_registry_unknown_scheme(registry):

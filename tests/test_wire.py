@@ -1,16 +1,18 @@
 """Control protocol: framing, dispatch, and error propagation."""
 
 import threading
+import time
 
 import pytest
 
 from samforge.errors import ConnectFailed, NotFound, RemoteError
 from samforge.wire import (
     Client,
+    ControlHandler,
     Dispatcher,
     format_addr,
     parse_addr,
-    start_control_server,
+    start_server,
 )
 
 
@@ -29,10 +31,9 @@ class EchoService(Dispatcher):
 
 @pytest.fixture
 def server():
-    server = start_control_server(EchoService(), ("127.0.0.1", 0))
+    server = start_server(ControlHandler, EchoService(), ("127.0.0.1", 0))
     yield server
-    server.shutdown()
-    server.server_close()
+    server.close()
 
 
 def test_parse_addr_forms():
@@ -92,3 +93,16 @@ def test_concurrent_clients_get_matching_responses(server):
     for t in threads:
         t.join()
     assert results == {i: [i + n for n in range(20)] for i in range(8)}
+
+
+def test_server_close_is_immediate():
+    server = start_server(ControlHandler, EchoService(), ("127.0.0.1", 0))
+    addr = format_addr(server.bound_addr)
+    with Client(addr) as client:
+        assert client.call("echo", value=1) == 1
+    time.sleep(0.05)  # let the serving thread go back to waiting for connections
+    start = time.monotonic()
+    server.close()
+    assert time.monotonic() - start < 0.2
+    with pytest.raises(ConnectFailed):
+        Client(addr).call("echo", value=1)  # the port is released
