@@ -18,25 +18,25 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .catalog import CatalogClient, CatalogService
+from .catalog import CatalogClient
 from .config import (
     CONFIG_ENV_VAR,
     DEFAULT_CATALOG_PORT,
     DEFAULT_PROJECT_PORT,
+    DaemonAddrs,
+    TopologyConfig,
     load_topology,
+    serve,
 )
 from .consumer import AdaptorConfig, adaptor_run
 from .demo import check_demo_results, run_demo
 from .errors import NotFound, SamError, ValidationError
 from .migrate import load_export, run_migration, verify_migration
 from .naming import parse_legacy_name
-from .project import ProjectServer
 from .query import parse_expr, validate_expr
 from .records import FileRecord
-from .station import StationDataHandler, StationService
-from .store import StoreDataHandler, StoreService
 from .transfer import crc32_file
-from .wire import Client, ControlHandler, format_addr, start_server
+from .wire import Client
 
 DEFAULT_CATALOG_ADDR = f"127.0.0.1:{DEFAULT_CATALOG_PORT}"
 DEFAULT_PROJECT_ADDR = f"127.0.0.1:{DEFAULT_PROJECT_PORT}"
@@ -75,28 +75,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR),
                    help="topology file; restricts replica endpoints to known names")
-    p.set_defaults(func=cmd_catalogd)
+    p.set_defaults(func=cmd_daemon)
 
     p = sub.add_parser("stationd", help="run a station daemon")
     p.add_argument("name")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR), required=False)
     p.add_argument("--listen", help="override the control address from the config")
     p.add_argument("--data-listen", help="override the data address from the config")
-    p.set_defaults(func=cmd_stationd)
+    p.set_defaults(func=cmd_daemon)
 
     p = sub.add_parser("stored", help="run a store daemon")
     p.add_argument("name")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR), required=False)
     p.add_argument("--listen")
     p.add_argument("--data-listen")
-    p.set_defaults(func=cmd_stored)
+    p.set_defaults(func=cmd_daemon)
 
     p = sub.add_parser("projectd", help="run the project server")
     p.add_argument("--listen")
     p.add_argument("--journal")
     p.add_argument("--catalog")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR))
-    p.set_defaults(func=cmd_projectd)
+    p.set_defaults(func=cmd_daemon)
 
     # -- catalog tools ----------------------------------------------------
     p = sub.add_parser("migrate", help="import a legacy CSV export into the catalog")
@@ -205,73 +205,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 # -- daemon commands -------------------------------------------------------
 
-def _serve_forever(service, listen, data_server=None):
-    server = start_server(ControlHandler, service, listen)
-    print(f"READY {format_addr(server.bound_addr)}", flush=True)
+def cmd_daemon(args) -> int:
+    role = args.command[:-1]  # catalogd -> catalog, stored -> store, ...
+    if args.config:
+        topology = load_topology(args.config)
+    elif role in ("catalog", "project"):
+        topology = TopologyConfig(
+            catalog=DaemonAddrs(DEFAULT_CATALOG_ADDR, journal="catalog.journal"),
+            project=DaemonAddrs(DEFAULT_PROJECT_ADDR, journal="project.journal"))
+    else:
+        raise ValidationError(
+            f"a topology file is required (--config or ${CONFIG_ENV_VAR})")
+    name = getattr(args, "name", role)
+    section = topology.section(role, name)
+    for key in ("listen", "data_listen", "journal"):
+        if getattr(args, key, None):
+            setattr(section, key, getattr(args, key))
+    if getattr(args, "catalog", None):
+        topology.catalog.listen = args.catalog
+    [daemon] = serve(topology, [(role, name)])
+    print(f"READY {section.listen}", flush=True)  # serve wrote the bound address
     try:
         threading.Event().wait()  # until a signal ends the process
     finally:
-        server.close()
-        if data_server is not None:
-            data_server.close()
-        if hasattr(service, "close"):
-            service.close()
-
-
-def cmd_catalogd(args) -> int:
-    known = None
-    listen, journal = args.listen, args.journal
-    if args.config:
-        topology = load_topology(args.config)
-        known = topology.endpoint_names()
-        listen = listen or topology.catalog.listen
-        journal = journal or topology.catalog.journal
-    service = CatalogService(journal or "catalog.journal", known_endpoints=known)
-    _serve_forever(service, listen or DEFAULT_CATALOG_ADDR)
-    return 0
-
-
-def _require_config(args):
-    if not args.config:
-        raise ValidationError(
-            f"a topology file is required (--config or ${CONFIG_ENV_VAR})")
-
-
-def cmd_stationd(args) -> int:
-    _require_config(args)
-    topology = load_topology(args.config)
-    config = topology.station_config(args.name)
-    service = StationService(config, topology.catalog.listen)
-    data_listen = args.data_listen or topology.stations[args.name].data_listen
-    data_server = start_server(StationDataHandler, service, data_listen)
-    listen = args.listen or topology.stations[args.name].listen
-    _serve_forever(service, listen, data_server)
-    return 0
-
-
-def cmd_stored(args) -> int:
-    _require_config(args)
-    topology = load_topology(args.config)
-    section = topology.stores.get(args.name)
-    if section is None:
-        raise NotFound(f"no store {args.name!r} in {args.config}")
-    service = StoreService(topology.store_config(args.name), section.root_dir)
-    data_server = start_server(StoreDataHandler, service,
-                               args.data_listen or section.data_listen)
-    _serve_forever(service, args.listen or section.listen, data_server)
-    return 0
-
-
-def cmd_projectd(args) -> int:
-    listen, journal, catalog = args.listen, args.journal, args.catalog
-    if args.config:
-        topology = load_topology(args.config)
-        listen = listen or topology.project.listen
-        journal = journal or topology.project.journal
-        catalog = catalog or topology.catalog.listen
-    service = ProjectServer(journal or "project.journal",
-                            catalog or DEFAULT_CATALOG_ADDR)
-    _serve_forever(service, listen or DEFAULT_PROJECT_ADDR)
+        daemon.close()
     return 0
 
 

@@ -36,7 +36,9 @@ bytes through, and stores list who may read or write them::
 An endpoint line is `<name> <access> [max_concurrent_transfers]`; the
 scheme (stn for stations, tape for stores) and the peer's data address
 come from the named section, so they are written once.  Relative paths
-resolve against the config file's directory.
+resolve against the config file's directory.  Keys under ``[DEFAULT]`` apply
+to every section; port 0 asks the kernel for a free port.  :func:`serve`
+starts daemons from a topology.
 """
 
 from __future__ import annotations
@@ -45,9 +47,18 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .catalog import CatalogService
 from .errors import ValidationError
-from .station import DEFAULT_MAX_CONCURRENT, EndpointSpec, StationConfig
-from .store import ACCESS_LEVELS, StoreConfig
+from .project import ProjectServer
+from .station import (
+    DEFAULT_MAX_CONCURRENT,
+    EndpointSpec,
+    StationConfig,
+    StationDataHandler,
+    StationService,
+)
+from .store import ACCESS_LEVELS, StoreConfig, StoreDataHandler, StoreService
+from .wire import ControlHandler, Server, format_addr
 
 DEFAULT_CATALOG_PORT = 4750
 DEFAULT_STATION_PORT = 4751
@@ -60,8 +71,7 @@ CONFIG_ENV_VAR = "SAMFORGE_CONFIG"
 @dataclass
 class DaemonAddrs:
     listen: str
-    data_listen: str | None = None
-    journal: str | None = None
+    journal: str
 
 
 @dataclass
@@ -95,9 +105,24 @@ class TopologyConfig:
     project: DaemonAddrs
     stations: dict[str, _StationSection] = field(default_factory=dict)
     stores: dict[str, _StoreSection] = field(default_factory=dict)
+    path: Path | None = None  # the file it was loaded from; None for flag defaults
 
     def endpoint_names(self) -> set[str]:
         return set(self.stations) | set(self.stores)
+
+    def daemons(self) -> list[tuple[str, str]]:
+        """Every daemon as (role, name), in start order."""
+        return ([("catalog", "catalog")] + [("store", name) for name in self.stores]
+                + [("station", name) for name in self.stations] + [("project", "project")])
+
+    def section(self, role: str, name: str):
+        """One daemon's section; the catalog and the project have one each."""
+        if role in ("catalog", "project"):
+            return getattr(self, role)
+        sections = {"station": self.stations, "store": self.stores}[role]
+        if name not in sections:
+            raise ValidationError(f"no {role} {name!r} in the configuration")
+        return sections[name]
 
     def data_addr(self, endpoint_name: str) -> str:
         if endpoint_name in self.stations:
@@ -110,9 +135,7 @@ class TopologyConfig:
         return "stn" if endpoint_name in self.stations else "tape"
 
     def station_config(self, name: str) -> StationConfig:
-        section = self.stations.get(name)
-        if section is None:
-            raise ValidationError(f"no station {name!r} in the configuration")
+        section = self.section("station", name)
         endpoints = [
             EndpointSpec(
                 name=ep_name,
@@ -134,9 +157,7 @@ class TopologyConfig:
         )
 
     def store_config(self, name: str) -> StoreConfig:
-        section = self.stores.get(name)
-        if section is None:
-            raise ValidationError(f"no store {name!r} in the configuration")
+        section = self.section("store", name)
         return StoreConfig(
             name=name,
             capacity_bytes=section.capacity_bytes,
@@ -158,15 +179,15 @@ def load_topology(path: str | Path) -> TopologyConfig:
     base = path.parent
 
     catalog = DaemonAddrs(
-        listen=_get(parser, "catalog", "listen", f"127.0.0.1:{DEFAULT_CATALOG_PORT}"),
-        journal=_path(base, _get(parser, "catalog", "journal", "state/catalog.journal")),
+        listen=parser.get("catalog", "listen", fallback=f"127.0.0.1:{DEFAULT_CATALOG_PORT}"),
+        journal=_path(base, parser.get("catalog", "journal", fallback="state/catalog.journal")),
     )
     project = DaemonAddrs(
-        listen=_get(parser, "project", "listen", f"127.0.0.1:{DEFAULT_PROJECT_PORT}"),
-        journal=_path(base, _get(parser, "project", "journal", "state/project.journal")),
+        listen=parser.get("project", "listen", fallback=f"127.0.0.1:{DEFAULT_PROJECT_PORT}"),
+        journal=_path(base, parser.get("project", "journal", fallback="state/project.journal")),
     )
 
-    topology = TopologyConfig(catalog=catalog, project=project)
+    topology = TopologyConfig(catalog=catalog, project=project, path=path)
     problems: list[str] = []
     for section in parser.sections():
         kind, _, name = section.partition(" ")
@@ -252,10 +273,6 @@ def _validate(topology: TopologyConfig, problems: list[str]) -> None:
                     f"station {station.name}: endpoint {ep_name!r} names no station or store")
 
 
-def _get(parser, section, option, default):
-    return parser.get(section, option, fallback=default) if parser.has_section(section) else default
-
-
 def _path(base: Path, value: str) -> str:
     p = Path(value)
     return str(p if p.is_absolute() else base / p)
@@ -263,4 +280,68 @@ def _path(base: Path, value: str) -> str:
 
 def _bump_port(listen: str) -> str:
     host, _, port = listen.rpartition(":")
-    return f"{host}:{int(port) + 1000}"
+    return f"{host}:{int(port) + 1000 if int(port) else 0}"
+
+
+@dataclass
+class Daemon:
+    """One served daemon: its service and its servers, control port first."""
+
+    role: str
+    name: str
+    servers: list[Server] = field(default_factory=list)
+    service: object = None
+
+    def close(self) -> None:
+        for server in self.servers:
+            server.close()
+        if self.service is not None:
+            self.service.close()
+
+
+_DATA_HANDLERS = {"station": StationDataHandler, "store": StoreDataHandler}
+
+
+def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
+    """Start ``daemons``, (role, name) pairs, from ``topology``.
+
+    Every control and data port is bound first and its address written back
+    into ``topology``; only then is each service built and served.  So a
+    port of 0 works, and peers see the real addresses.  If anything fails,
+    whatever was bound or built is closed and the error re-raised.
+    """
+    served: list[Daemon] = []
+    try:
+        for role, name in daemons:
+            section = topology.section(role, name)
+            daemon = Daemon(role, name)
+            served.append(daemon)
+            control = Server(ControlHandler, None, section.listen)
+            daemon.servers.append(control)
+            section.listen = format_addr(control.bound_addr)
+            if role in _DATA_HANDLERS:
+                data = Server(_DATA_HANDLERS[role], None, section.data_listen)
+                daemon.servers.append(data)
+                section.data_listen = format_addr(data.bound_addr)
+        for daemon in served:
+            daemon.service = _build(topology, daemon.role, daemon.name)
+            for server in daemon.servers:
+                server.service = daemon.service
+                server.start()
+    except BaseException:
+        for daemon in reversed(served):
+            daemon.close()
+        raise
+    return served
+
+
+def _build(topology: TopologyConfig, role: str, name: str):
+    if role == "catalog":
+        # without a file (flag defaults) the catalog accepts any endpoint name
+        known = topology.endpoint_names() if topology.path is not None else None
+        return CatalogService(topology.catalog.journal, known_endpoints=known)
+    if role == "project":
+        return ProjectServer(topology.project.journal, topology.catalog.listen)
+    if role == "station":
+        return StationService(topology.station_config(name), topology.catalog.listen)
+    return StoreService(topology.store_config(name), topology.stores[name].root_dir)

@@ -1,7 +1,8 @@
 """End-to-end demo: synthetic corpus, full topology, one project run.
 
 Builds a legacy-export corpus (1000 files over 5 datasets, a handful of
-convention-violating names), boots the whole deployment in one process
+convention-violating names), writes the deployment's topology file to
+``<root>/run/samforge.ini`` and boots every daemon from it in one process
 on ephemeral loopback ports - catalog, router station, two analysis
 stations, two stores, project server - migrates the corpus, seeds both
 stores with the file bytes, then drives a project over the 100-file
@@ -21,24 +22,66 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import CatalogClient, CatalogService
-from .journal import Journal  # noqa: F401  (re-exported for durability harnesses)
+from .catalog import CatalogClient
+from .config import TopologyConfig, load_topology, serve
 from .migrate import load_export, run_migration, verify_migration
 from .naming import ConventionViolation, parse_legacy_name
-from .project import ProjectServer
-from .station import EndpointSpec, StationConfig, StationDataHandler, StationService
-from .store import StoreConfig, StoreDataHandler, StoreService
 from .transfer import crc32_bytes, crc32_file, put_to_store
-from .wire import Client, ControlHandler, format_addr, start_server
+from .wire import Client
 
 DEFAULT_SEED = 20030617
 
-ROUTER = "fcdf-router"
-ANALYSIS_1 = "cdfa-1"
-ANALYSIS_2 = "cdfa-2"
-STORE_RO = "cdfen-sim"
-STORE_RW = "stken-sim"
 SEEDER = "seeder"
+
+# The README deployment, every port chosen by the kernel.
+_TOPOLOGY_INI = """\
+[DEFAULT]
+listen = 127.0.0.1:0
+cache_capacity_bytes = 67108864
+volume_capacity_bytes = 262144
+mount_latency_ms = {mount_latency_ms}
+
+[catalog]
+
+[project]
+
+[store cdfen-sim]
+access =
+    fcdf-router read_only
+    cdfa-1 read_only
+    cdfa-2 read_only
+    seeder read_write
+
+[store stken-sim]
+access =
+    fcdf-router read_write
+    cdfa-1 read_only
+    cdfa-2 read_only
+    seeder read_write
+
+[station fcdf-router]
+role = router
+route_target = stken-sim
+endpoints =
+    stken-sim read_write 4
+    cdfen-sim read_only 2
+
+[station cdfa-1]
+route_target = fcdf-router
+endpoints =
+    stken-sim read_only 4
+    cdfen-sim read_only 2
+    fcdf-router read_write 4
+    cdfa-2 read_only 4
+
+[station cdfa-2]
+route_target = fcdf-router
+endpoints =
+    stken-sim read_only 4
+    cdfen-sim read_only 2
+    fcdf-router read_write 4
+    cdfa-1 read_only 4
+"""
 
 # (stream, event_type, program_version, calibration_set, tier) per dataset
 _DATASET_SHAPES = [
@@ -164,148 +207,29 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-class DemoTopology:
-    """The deployment diagram in one process: every daemon on loopback."""
-
-    def __init__(self, root: str | Path, mount_latency_ms: int = 0,
-                 cache_capacity_bytes: int = 64 * 1024 * 1024,
-                 max_transfer_attempts: int = 3):
-        self.root = Path(root)
-        self.mount_latency_ms = mount_latency_ms
-        self.cache_capacity_bytes = cache_capacity_bytes
-        self.max_transfer_attempts = max_transfer_attempts
-        self.servers = []
-        self.stations: dict[str, StationService] = {}
-        self.stores: dict[str, StoreService] = {}
-        self.catalog_service: CatalogService | None = None
-        self.project_service: ProjectServer | None = None
-        self.catalog_addr = None
-        self.project_addr = None
-        self.station_control: dict[str, str] = {}
-        self.station_data: dict[str, str] = {}
-        self.store_data: dict[str, str] = {}
-
-    def start(self) -> "DemoTopology":
-        state = self.root / "state"
-        endpoints = {ROUTER, ANALYSIS_1, ANALYSIS_2, STORE_RO, STORE_RW}
-        self.catalog_service = CatalogService(state / "catalog.journal",
-                                              known_endpoints=endpoints)
-        self.catalog_addr = self._serve(self.catalog_service)
-
-        store_access = {
-            STORE_RO: {ROUTER: "read_only", ANALYSIS_1: "read_only",
-                       ANALYSIS_2: "read_only", SEEDER: "read_write"},
-            STORE_RW: {ROUTER: "read_write", ANALYSIS_1: "read_only",
-                       ANALYSIS_2: "read_only", SEEDER: "read_write"},
-        }
-        for store_name in (STORE_RO, STORE_RW):
-            service = StoreService(
-                StoreConfig(
-                    name=store_name,
-                    capacity_bytes=10**10,
-                    volume_capacity_bytes=256 * 1024,
-                    access_matrix=store_access[store_name],
-                    mount_latency_ms=self.mount_latency_ms,
-                ),
-                state / store_name,
-            )
-            self.stores[store_name] = service
-            self._serve(service)
-            data = start_server(StoreDataHandler, service, ("127.0.0.1", 0))
-            self.servers.append(data)
-            self.store_data[store_name] = format_addr(data.bound_addr)
-
-        station_endpoints = {
-            ROUTER: [(STORE_RW, "read_write", 4), (STORE_RO, "read_only", 2)],
-            ANALYSIS_1: [(STORE_RW, "read_only", 4), (STORE_RO, "read_only", 2),
-                         (ROUTER, "read_write", 4), (ANALYSIS_2, "read_only", 4)],
-            ANALYSIS_2: [(STORE_RW, "read_only", 4), (STORE_RO, "read_only", 2),
-                         (ROUTER, "read_write", 4), (ANALYSIS_1, "read_only", 4)],
-        }
-        roles = {ROUTER: "router", ANALYSIS_1: "analysis", ANALYSIS_2: "analysis"}
-        routes = {ROUTER: STORE_RW, ANALYSIS_1: ROUTER, ANALYSIS_2: ROUTER}
-        for name, pairs in station_endpoints.items():
-            specs = [
-                EndpointSpec(
-                    name=ep,
-                    scheme="tape" if ep in self.stores else "stn",
-                    access=access,
-                    data_addr=self.store_data.get(ep, "127.0.0.1:0"),
-                    max_concurrent_transfers=slots,
-                )
-                for ep, access, slots in pairs
-            ]
-            service = StationService(
-                StationConfig(
-                    name=name,
-                    cache_dir=str(state / name),
-                    cache_capacity_bytes=self.cache_capacity_bytes,
-                    role=roles[name],
-                    known_endpoints=specs,
-                    max_transfer_attempts=self.max_transfer_attempts,
-                    route_target=routes[name],
-                ),
-                self.catalog_addr,
-            )
-            self.stations[name] = service
-            self.station_control[name] = self._serve(service)
-            data = start_server(StationDataHandler, service, ("127.0.0.1", 0))
-            self.servers.append(data)
-            self.station_data[name] = format_addr(data.bound_addr)
-        # station-to-station endpoints could not know their peers' ports
-        # until every data server was bound; patch them now
-        for service in self.stations.values():
-            for spec in service.config.known_endpoints:
-                if spec.name in self.station_data:
-                    spec.data_addr = self.station_data[spec.name]
-
-        self.project_service = ProjectServer(state / "project.journal", self.catalog_addr)
-        self.project_addr = self._serve(self.project_service)
-        return self
-
-    def _serve(self, service) -> str:
-        server = start_server(ControlHandler, service, ("127.0.0.1", 0))
-        self.servers.append(server)
-        return format_addr(server.bound_addr)
-
-    def catalog_client(self) -> CatalogClient:
-        return CatalogClient(self.catalog_addr)
-
-    def seed_stores(self, corpus: Corpus, store_names=(STORE_RO, STORE_RW)) -> int:
-        """Copy every corpus file onto the given stores and record locations."""
-        seeded = 0
-        with self.catalog_client() as catalog:
-            for content in sorted(corpus.content_dir.iterdir()):
-                data = content.read_bytes()
-                name = content.name
-                record = catalog.get_file(name)
-                parts = parse_legacy_name(name)
-                fileset = 0 if isinstance(parts, ConventionViolation) else parts.fileset_number
-                for store_name in store_names:
-                    volume_id = put_to_store(self.store_data[store_name], SEEDER,
-                                             name, fileset, data, crc32_bytes(data))
-                    catalog.add_location(record.file_id, store_name, volume_id)
-                seeded += 1
-        return seeded
-
-    def stop(self) -> None:
-        for server in self.servers:
-            server.close()
-        self.servers.clear()
-        if self.project_service:
-            self.project_service.close()
-        for service in self.stations.values():
-            service.close()
-        for service in self.stores.values():
-            service.close()
-        if self.catalog_service:
-            self.catalog_service.close()
+def seed_stores(topology: TopologyConfig, corpus: Corpus) -> int:
+    """Copy every corpus file onto every store and record the locations."""
+    seeded = 0
+    with CatalogClient(topology.catalog.listen) as catalog:
+        for content in sorted(corpus.content_dir.iterdir()):
+            data = content.read_bytes()
+            name = content.name
+            record = catalog.get_file(name)
+            parts = parse_legacy_name(name)
+            fileset = 0 if isinstance(parts, ConventionViolation) else parts.fileset_number
+            for store_name, store in topology.stores.items():
+                volume_id = put_to_store(store.data_listen, SEEDER,
+                                         name, fileset, data, crc32_bytes(data))
+                catalog.add_location(record.file_id, store_name, volume_id)
+            seeded += 1
+    return seeded
 
 
-def run_lockstep_consumers(topology: DemoTopology, project_name: str,
+def run_lockstep_consumers(topology: TopologyConfig, project_name: str,
                            n_consumers: int = 4) -> list[dict]:
     """Pull a whole project dry with equal-rate consumers; returns transcript."""
-    stations = [ANALYSIS_1, ANALYSIS_2]
+    stations = [name for name, station in topology.stations.items()
+                if station.role == "analysis"]
     assignments = [(f"consumer-{i + 1}", stations[i % len(stations)])
                    for i in range(n_consumers)]
     barrier = threading.Barrier(n_consumers)
@@ -314,8 +238,8 @@ def run_lockstep_consumers(topology: DemoTopology, project_name: str,
     failures: list[BaseException] = []
 
     def consume(consumer_id: str, station_name: str) -> None:
-        client = Client(topology.project_addr)
-        catalog = topology.catalog_client()
+        client = Client(topology.project.listen)
+        catalog = CatalogClient(topology.catalog.listen)
         rounds = 0
         try:
             while True:
@@ -325,7 +249,7 @@ def run_lockstep_consumers(topology: DemoTopology, project_name: str,
                     pass  # peers finished; run the tail unsynchronized
                 result = client.call("next", project_name=project_name,
                                      consumer_id=consumer_id,
-                                     station=topology.station_control[station_name])
+                                     station=topology.stations[station_name].listen)
                 if result.get("end"):
                     break
                 rounds += 1
@@ -372,29 +296,32 @@ def run_demo(root: str | Path, seed: int = DEFAULT_SEED, n_consumers: int = 4,
     started = time.monotonic()
     root = Path(root)
     corpus = make_corpus(root / "corpus", seed=seed, n_files=n_files)
-    topology = DemoTopology(root / "run", mount_latency_ms=mount_latency_ms)
-    topology.start()
+    config = root / "run" / "samforge.ini"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    config.write_text(_TOPOLOGY_INI.format(mount_latency_ms=mount_latency_ms))
+    topology = load_topology(config)
+    daemons = serve(topology, topology.daemons())
     try:
         export = load_export(corpus.export_dir)
-        with topology.catalog_client() as catalog:
+        with CatalogClient(topology.catalog.listen) as catalog:
             report = run_migration(export, catalog, import_time=time.time(),
                                    content_dir=corpus.content_dir)
             divergences = verify_migration(export, catalog)
-        seeded = topology.seed_stores(corpus)
+        seeded = seed_stores(topology, corpus)
 
         project_name = "demo-project"
-        with Client(topology.project_addr) as project:
+        with Client(topology.project.listen) as project:
             project.call("start", project_name=project_name,
                          dataset_name=corpus.project_dataset)
             transcript = run_lockstep_consumers(topology, project_name, n_consumers)
             summary = project.call("stop", project_name=project_name)
 
-        station_status = {name: service.station_status()
-                          for name, service in topology.stations.items()}
-        store_status = {name: service.status()
-                        for name, service in topology.stores.items()}
+        station_status = {d.name: d.service.station_status()
+                          for d in daemons if d.role == "station"}
+        store_status = {d.name: d.service.status() for d in daemons if d.role == "store"}
     finally:
-        topology.stop()
+        for daemon in reversed(daemons):
+            daemon.close()
 
     return {
         "elapsed_s": time.monotonic() - started,

@@ -5,10 +5,11 @@ Sequence numbers are dense and strictly increasing from 1.  An append is
 flushed and fsynced before it returns, so a caller may acknowledge the
 operation the moment append() comes back.
 
-Replay tolerates a torn final line (the classic crash-mid-write): the tail
-is discarded and truncated away before the next append, so it can never
-turn into a corrupt middle line later.  A malformed or out-of-sequence
-line anywhere else means real corruption and raises JournalCorrupt.
+Replay drops a final line torn by a crash mid-write - no newline, or NUL
+bytes from blocks the crash allocated but never wrote - and truncates it
+away before the next append, so it can never become a corrupt middle line.
+Any other malformed or out-of-sequence line, even the last, raises
+JournalCorrupt.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class Journal:
                 entry = json.loads(line)
                 seq = entry["seq"]
             except (ValueError, KeyError, TypeError):
-                if raw.find(b"\n", newline + 1) == -1 and newline + 1 >= len(raw):
-                    break  # malformed final line: treat as torn tail
+                if newline + 1 == len(raw) and b"\0" in line:
+                    break  # final line with unwritten blocks: torn tail
                 raise JournalCorrupt(f"{self.path}: malformed entry at byte {offset}")
             if seq != expected:
                 raise JournalCorrupt(

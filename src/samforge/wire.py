@@ -154,28 +154,32 @@ class Server(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, handler, service, addr):
-        super().__init__(parse_addr(addr), handler)
+        super().__init__(parse_addr(addr), handler)  # binds and listens
         self.service = service
+        self._serving = False
 
     @property
     def bound_addr(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
 
+    def start(self) -> "Server":
+        """Serve from a daemon thread; returns self.
+
+        Connections made after binding wait in the backlog until this call.
+        """
+        self._serving = True
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+        return self
+
     def close(self) -> None:
-        """Stop serving and release the port; returns at once."""
+        """Stop serving, if started, and release the port; returns at once."""
         try:
             self.socket.shutdown(socket.SHUT_RDWR)  # wakes serve_forever's selector
         except OSError:
             pass
-        self.shutdown()
+        if self._serving:
+            self.shutdown()
         self.server_close()
-
-
-def start_server(handler, service, addr) -> Server:
-    """Bind and serve in a daemon thread; returns the server (see .bound_addr)."""
-    server = Server(handler, service, addr)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server
 
 
 class UnknownOp(SamError):

@@ -1,7 +1,10 @@
-"""Shared fixtures: loopback daemon rigs and acceptance reporting."""
+"""Shared fixtures: loopback daemon rigs, spawned daemons, acceptance reporting."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -11,7 +14,7 @@ from samforge.records import FileRecord
 from samforge.station import EndpointSpec, StationConfig, StationDataHandler, StationService
 from samforge.store import StoreConfig, StoreDataHandler, StoreService
 from samforge.transfer import crc32_bytes, put_to_store
-from samforge.wire import ControlHandler, format_addr, start_server
+from samforge.wire import ControlHandler, Server, format_addr
 
 
 class LoopbackRig:
@@ -37,7 +40,7 @@ class LoopbackRig:
         self.station_data: dict[str, str] = {}
 
     def _serve(self, service) -> str:
-        server = start_server(ControlHandler, service, ("127.0.0.1", 0))
+        server = Server(ControlHandler, service, ("127.0.0.1", 0)).start()
         self._servers.append(server)
         return format_addr(server.bound_addr)
 
@@ -55,7 +58,7 @@ class LoopbackRig:
         )
         self.stores[name] = service
         self._services.append(service)
-        data = start_server(StoreDataHandler, service, ("127.0.0.1", 0))
+        data = Server(StoreDataHandler, service, ("127.0.0.1", 0)).start()
         self._servers.append(data)
         self.store_data[name] = format_addr(data.bound_addr)
         return service
@@ -88,7 +91,7 @@ class LoopbackRig:
         self.stations[name] = service
         self._services.append(service)
         if with_data_server:
-            data = start_server(StationDataHandler, service, ("127.0.0.1", 0))
+            data = Server(StationDataHandler, service, ("127.0.0.1", 0)).start()
             self._servers.append(data)
             self.station_data[name] = format_addr(data.bound_addr)
         if with_control_server:
@@ -132,6 +135,35 @@ def rig(tmp_path):
     rig = LoopbackRig(tmp_path)
     yield rig
     rig.close()
+
+
+def spawn_daemon(*argv) -> tuple[subprocess.Popen, str]:
+    """Run ``samforge <argv>`` until it prints READY; returns (process, address).
+
+    The child ignores $SAMFORGE_CONFIG; end it with stop_daemon.
+    """
+    env = dict(os.environ)
+    env.pop("SAMFORGE_CONFIG", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "samforge.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    line = proc.stdout.readline().strip()
+    if not line.startswith("READY "):
+        proc.kill()
+        _, err = proc.communicate()
+        raise AssertionError(f"daemon never came up: {line!r}\n{err}")
+    return proc, line.split()[1]
+
+
+def stop_daemon(proc: subprocess.Popen, kill: bool = False) -> None:
+    """SIGTERM (or SIGKILL) a spawned daemon, reap it and close its pipes."""
+    if kill:
+        proc.kill()
+    else:
+        proc.terminate()
+    proc.wait(timeout=10)
+    proc.stdout.close()
+    proc.stderr.close()
 
 
 def read_stored(store, client, file_name) -> bytes:

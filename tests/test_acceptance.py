@@ -8,12 +8,9 @@ form it parses.
 import csv
 import io
 import itertools
-import os
 import random
 import re
 import socket
-import subprocess
-import sys
 import time
 from pathlib import Path
 
@@ -27,9 +24,9 @@ from samforge.migrate import load_export, run_migration
 from samforge.query import Atom
 from samforge.records import FileRecord
 from samforge.transfer import crc32_bytes, crc32_file, crc32_stream
-from samforge.wire import Client, ControlHandler, Dispatcher, format_addr, start_server
+from samforge.wire import Client, ControlHandler, Dispatcher, Server, format_addr
 
-from conftest import run_threads
+from conftest import run_threads, spawn_daemon, stop_daemon
 from test_crc import reference_crc32
 from test_fsm import CASES, at_state
 
@@ -297,19 +294,6 @@ def _free_port() -> int:
         return s.getsockname()[1]
 
 
-def _spawn(*argv) -> subprocess.Popen:
-    env = dict(os.environ)
-    env.pop("SAMFORGE_CONFIG", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "samforge.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    line = proc.stdout.readline()
-    if not line.startswith("READY "):
-        proc.kill()
-        raise AssertionError(f"daemon failed to start: {line!r}\n{proc.stderr.read()}")
-    return proc
-
-
 def test_criterion_6_durability_under_kill_9(tmp_path):
     n_files = 60
     catalog_addr = f"127.0.0.1:{_free_port()}"
@@ -317,16 +301,16 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
     catalog_journal = str(tmp_path / "catalog.journal")
     project_journal = str(tmp_path / "project.journal")
 
-    station_server = start_server(ControlHandler, _AcceptanceStation(), ("127.0.0.1", 0))
+    station_server = Server(ControlHandler, _AcceptanceStation(), ("127.0.0.1", 0)).start()
     station_addr = format_addr(station_server.bound_addr)
 
     def boot():
         return {
-            "catalog": _spawn("catalogd", "--listen", catalog_addr,
-                              "--journal", catalog_journal),
-            "project": _spawn("projectd", "--listen", project_addr,
-                              "--journal", project_journal,
-                              "--catalog", catalog_addr),
+            "catalog": spawn_daemon("catalogd", "--listen", catalog_addr,
+                                    "--journal", catalog_journal)[0],
+            "project": spawn_daemon("projectd", "--listen", project_addr,
+                                    "--journal", project_journal,
+                                    "--catalog", catalog_addr)[0],
         }
 
     daemons = boot()
@@ -367,8 +351,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
             if ops_done not in kill_points:
                 return
             for proc in daemons.values():
-                proc.kill()  # SIGKILL, no shutdown handlers
-                proc.wait()
+                stop_daemon(proc, kill=True)  # SIGKILL, no shutdown handlers
             daemons = boot()
             if held_file is not None:
                 killed_while_held += 1
@@ -419,8 +402,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
     finally:
         project_client.close()
         for proc in daemons.values():
-            proc.kill()
-            proc.wait()
+            stop_daemon(proc, kill=True)
         station_server.close()
 
 

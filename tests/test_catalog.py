@@ -8,7 +8,7 @@ from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import RemoteError
 from samforge.query import And, Atom, Or, eval_query
 from samforge.records import FileRecord
-from samforge.wire import ControlHandler, format_addr, start_server
+from samforge.wire import ControlHandler, Server, format_addr
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ def test_locations_lifecycle(catalog):
 
 def test_known_endpoints_restrict_locations(tmp_path):
     service = CatalogService(tmp_path / "j", known_endpoints={"stken-sim"})
-    server = start_server(ControlHandler, service, ("127.0.0.1", 0))
+    server = Server(ControlHandler, service, ("127.0.0.1", 0)).start()
     try:
         with CatalogClient(format_addr(server.bound_addr)) as catalog:
             file_id = catalog.declare_file(make_record())
@@ -173,7 +173,7 @@ def test_lineage_walks_ancestors_to_depth(catalog):
 def test_restart_replays_identical_state(tmp_path):
     journal = tmp_path / "catalog.journal"
     service = CatalogService(journal)
-    server = start_server(ControlHandler, service, ("127.0.0.1", 0))
+    server = Server(ControlHandler, service, ("127.0.0.1", 0)).start()
     with CatalogClient(format_addr(server.bound_addr)) as catalog:
         for record in _random_records(40):
             catalog.declare_file(record)
@@ -188,7 +188,7 @@ def test_restart_replays_identical_state(tmp_path):
     service.close()
 
     reborn = CatalogService(journal)
-    server = start_server(ControlHandler, reborn, ("127.0.0.1", 0))
+    server = Server(ControlHandler, reborn, ("127.0.0.1", 0)).start()
     try:
         with CatalogClient(format_addr(server.bound_addr)) as catalog:
             assert catalog.resolve_dataset("phys") == before_resolve

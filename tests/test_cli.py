@@ -2,13 +2,14 @@
 
 import csv
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 from samforge.cli import main
+
+from conftest import spawn_daemon, stop_daemon
 
 
 def run_cli(capsys, *argv):
@@ -17,27 +18,13 @@ def run_cli(capsys, *argv):
     return code, captured.out.splitlines(), captured.err.splitlines()
 
 
-def spawn_daemon(*argv):
-    env = dict(os.environ)
-    env.pop("SAMFORGE_CONFIG", None)
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "samforge.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
-    line = proc.stdout.readline().strip()
-    if not line.startswith("READY "):
-        proc.terminate()
-        raise AssertionError(f"daemon never came up: {line!r}\n{proc.stderr.read()}")
-    return proc, line.split()[1]
-
-
 @pytest.fixture(scope="module")
 def catalogd(tmp_path_factory):
     root = tmp_path_factory.mktemp("catalogd")
     proc, addr = spawn_daemon("catalogd", "--listen", "127.0.0.1:0",
                               "--journal", str(root / "catalog.journal"))
     yield addr
-    proc.terminate()
-    proc.wait(timeout=10)
+    stop_daemon(proc)
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +34,7 @@ def projectd(tmp_path_factory, catalogd):
                               "--journal", str(root / "project.journal"),
                               "--catalog", catalogd)
     yield addr
-    proc.terminate()
-    proc.wait(timeout=10)
+    stop_daemon(proc)
 
 
 # -- parsing and error mapping ----------------------------------------------
@@ -98,6 +84,41 @@ def test_stationd_requires_a_topology_file(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "stationd", "cdfa-1")
     assert code == 3
     assert err[-1] == "E_VALIDATION"
+
+
+@pytest.mark.parametrize("command", ["stored", "stationd"])
+def test_daemon_name_missing_from_the_topology_file(capsys, tmp_path, command):
+    config = tmp_path / "deploy.ini"
+    config.write_text("[catalog]\n")
+    code, out, err = run_cli(capsys, command, "nosuch", "--config", str(config))
+    assert (code, err[-1]) == (3, "E_VALIDATION")
+
+
+def test_stored_and_stationd_start_from_a_topology_file(capsys, tmp_path):
+    config = tmp_path / "deploy.ini"
+    config.write_text(
+        "[store stken-sim]\n"
+        "access =\n    fcdf-router read_write\n\n"
+        "[station fcdf-router]\n"
+        "role = router\nroute_target = stken-sim\n"
+        "endpoints =\n    stken-sim read_write 4\n")
+    ports = ("--listen", "127.0.0.1:0", "--data-listen", "127.0.0.1:0")
+    spawned = []
+    try:
+        for argv in (("stored", "stken-sim"), ("stationd", "fcdf-router")):
+            spawned.append(spawn_daemon(*argv, "--config", str(config), *ports))
+        statuses = []
+        for _proc, addr in spawned:
+            code, out, _ = run_cli(capsys, "--json", "status", addr)
+            assert code == 0
+            statuses.append(json.loads("\n".join(out)))
+    finally:
+        for proc, _addr in spawned:
+            stop_daemon(proc)
+    store, station = statuses
+    assert store["name"] == "stken-sim"
+    assert "volumes" in store  # a store's status; stores have no role field
+    assert (station["name"], station["role"]) == ("fcdf-router", "router")
 
 
 def test_connection_refused_maps_to_e_conn(capsys):
@@ -203,7 +224,7 @@ def test_migrate_command_with_report(capsys, tmp_path, catalogd):
 # -- project daemon and the consumer adaptor --------------------------------
 
 def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, projectd):
-    from samforge.wire import ControlHandler, Dispatcher, format_addr, start_server
+    from samforge.wire import ControlHandler, Dispatcher, Server, format_addr
 
     class OneShotStation(Dispatcher):
         ops = {"fetch": "fetch", "unpin": "unpin"}
@@ -237,7 +258,7 @@ def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, pr
     assert code == 0
     assert out[0].startswith("cli-proj: running")
 
-    station_server = start_server(ControlHandler, OneShotStation(), ("127.0.0.1", 0))
+    station_server = Server(ControlHandler, OneShotStation(), ("127.0.0.1", 0)).start()
     try:
         result = subprocess.run(
             [sys.executable, "-m", "samforge.cli", "consume",

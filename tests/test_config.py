@@ -1,4 +1,7 @@
-"""Topology file loading: defaults, path resolution, cross checks."""
+"""Topology file loading: defaults, path resolution, cross checks, serving."""
+
+import errno
+import socket
 
 import pytest
 
@@ -6,8 +9,10 @@ from samforge.config import (
     DEFAULT_CATALOG_PORT,
     DEFAULT_PROJECT_PORT,
     load_topology,
+    serve,
 )
-from samforge.errors import ValidationError
+from samforge.errors import JournalCorrupt, ValidationError
+from samforge.wire import parse_addr
 from samforge.station import DEFAULT_MAX_CONCURRENT
 
 FULL = """
@@ -221,3 +226,53 @@ access =
     problems = excinfo.value.problems
     assert any("bad access line 'someone read_write extra'" in p for p in problems)
     assert any("bad access line 'other sometimes'" in p for p in problems)
+
+
+def test_port_zero_gives_a_data_port_of_zero(tmp_path):
+    config_file = tmp_path / "ephemeral.ini"
+    config_file.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n"
+                           "[store s1]\n\n[station a1]\n")
+    config = load_topology(config_file)
+    assert config.stores["s1"].data_listen == "127.0.0.1:0"
+    assert config.stations["a1"].data_listen == "127.0.0.1:0"
+
+
+def _refuses(addr) -> bool:
+    try:
+        socket.create_connection(parse_addr(addr), timeout=5).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
+def test_serve_closes_what_it_bound_when_a_port_is_taken(tmp_path):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        config_file = tmp_path / "taken.ini"
+        config_file.write_text("[catalog]\nlisten = 127.0.0.1:0\n\n"
+                               f"[project]\nlisten = 127.0.0.1:{port}\n")
+        topology = load_topology(config_file)
+        with pytest.raises(OSError) as excinfo:
+            serve(topology, topology.daemons())
+    assert excinfo.value.errno == errno.EADDRINUSE
+    assert topology.catalog.listen != "127.0.0.1:0"  # bound before the project failed
+    # excinfo holds serve's frame and so every server it bound: the port is
+    # free only if serve closed them itself
+    assert _refuses(topology.catalog.listen)
+
+
+def test_serve_closes_what_it_built_when_a_later_daemon_fails(tmp_path):
+    config_file = tmp_path / "corrupt.ini"
+    config_file.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n"
+                           "[catalog]\n\n[project]\n\n[store s1]\n")
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "project.journal").write_bytes(b"damage\n{}\n")
+    topology = load_topology(config_file)
+    with pytest.raises(JournalCorrupt):
+        serve(topology, topology.daemons())
+    addrs = [topology.catalog.listen, topology.stores["s1"].listen,
+             topology.stores["s1"].data_listen, topology.project.listen]
+    assert not any(addr.endswith(":0") for addr in addrs)
+    assert [_refuses(addr) for addr in addrs] == [True] * 4

@@ -63,16 +63,37 @@ def test_torn_tail_is_discarded_and_truncated(tmp_path):
     final.close()
 
 
-def test_malformed_final_line_with_newline_is_tail_damage(tmp_path):
+def test_malformed_final_line_with_newline_raises(tmp_path):
+    # a complete line that does not parse is damage, not a crash mid-write
     path = tmp_path / "j"
     journal = Journal(path)
     journal.append("Op", {"i": 1})
     journal.close()
-    path.write_bytes(path.read_bytes() + b"garbage not json\n")
+    damaged = path.read_bytes() + b"garbage not json\n"
+    path.write_bytes(damaged)
+
+    with pytest.raises(JournalCorrupt):
+        Journal(path)
+    assert path.read_bytes() == damaged  # nothing truncated away
+
+
+def test_final_line_of_nul_blocks_is_a_torn_tail(tmp_path):
+    # a crash can leave allocated but unwritten blocks, which read as zeros
+    path = tmp_path / "j"
+    journal = Journal(path)
+    journal.append("Op", {"i": 1})
+    journal.close()
+    good = path.read_bytes()
+    path.write_bytes(good + b'{"seq": 2, "kind"' + b"\0" * 64 + b"\n")
 
     recovered = Journal(path)
     assert recovered.last_seq == 1
+    assert recovered.append("Op", {"i": 2}) == 2
     recovered.close()
+
+    final = Journal(path)
+    assert [e["payload"]["i"] for e in final.entries()] == [1, 2]
+    final.close()
 
 
 def test_corrupt_middle_line_raises(tmp_path):

@@ -14,7 +14,7 @@ from samforge.errors import (
 from samforge.project import ProjectServer
 from samforge.query import Atom
 from samforge.records import FileRecord
-from samforge.wire import ControlHandler, Dispatcher, format_addr, start_server
+from samforge.wire import ControlHandler, Dispatcher, Server, format_addr
 
 from conftest import run_threads
 
@@ -48,7 +48,7 @@ class FakeStation(Dispatcher):
 @pytest.fixture
 def project_rig(rig):
     station = FakeStation()
-    server = start_server(ControlHandler, station, ("127.0.0.1", 0))
+    server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
     project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     yield rig, project, station, format_addr(server.bound_addr)
     project.close()
@@ -209,7 +209,7 @@ def test_stop_is_idempotent_and_final(project_rig):
 
 def test_restart_replays_held_and_delivered_state(rig):
     station = FakeStation()
-    server = start_server(ControlHandler, station, ("127.0.0.1", 0))
+    server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
     station_addr = format_addr(server.bound_addr)
     journal = rig.root / "project.journal"
     try:

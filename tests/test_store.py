@@ -13,7 +13,7 @@ from samforge.errors import (
     StoreFull,
 )
 from samforge.store import StoreConfig, StoreDataHandler, StoreService
-from samforge.wire import start_server
+from samforge.wire import Server
 from samforge.transfer import (
     crc32_bytes,
     parse_send_header,
@@ -160,7 +160,7 @@ def test_restart_replays_inventory(tmp_path):
 
 @pytest.fixture
 def data_server(store):
-    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
+    server = Server(StoreDataHandler, store, ("127.0.0.1", 0)).start()
     yield server.bound_addr, store
     server.close()
 
@@ -204,7 +204,7 @@ def test_malformed_put_request_is_a_bad_request(data_server, args):
 
 def test_put_cannot_write_outside_its_volume(tmp_path):
     store = make_store(tmp_path)
-    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
+    server = Server(StoreDataHandler, store, ("127.0.0.1", 0)).start()
     journal = store.root / "inventory.journal"
     try:
         put_to_store(server.bound_addr, "writer", "a.raw", 1, b"kept")
@@ -265,7 +265,7 @@ def test_large_put_rejections_carry_their_codes(tmp_path):
     # the store streams PUT bodies, so an early refusal must still reach the
     # client as ERR <code> and not as a reset connection
     store = make_store(tmp_path, capacity=10**9, volume_capacity=8 * MiB)
-    server = start_server(StoreDataHandler, store, ("127.0.0.1", 0))
+    server = Server(StoreDataHandler, store, ("127.0.0.1", 0)).start()
     data = bytes(range(256)) * (8 * MiB // 256)
 
     def code_of(client, payload, crc=None):

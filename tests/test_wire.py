@@ -10,9 +10,9 @@ from samforge.wire import (
     Client,
     ControlHandler,
     Dispatcher,
+    Server,
     format_addr,
     parse_addr,
-    start_server,
 )
 
 
@@ -31,7 +31,7 @@ class EchoService(Dispatcher):
 
 @pytest.fixture
 def server():
-    server = start_server(ControlHandler, EchoService(), ("127.0.0.1", 0))
+    server = Server(ControlHandler, EchoService(), ("127.0.0.1", 0)).start()
     yield server
     server.close()
 
@@ -96,7 +96,7 @@ def test_concurrent_clients_get_matching_responses(server):
 
 
 def test_server_close_is_immediate():
-    server = start_server(ControlHandler, EchoService(), ("127.0.0.1", 0))
+    server = Server(ControlHandler, EchoService(), ("127.0.0.1", 0)).start()
     addr = format_addr(server.bound_addr)
     with Client(addr) as client:
         assert client.call("echo", value=1) == 1
