@@ -100,13 +100,7 @@ class CatalogService(Dispatcher):
         self._lock = threading.RLock()
         self.known_endpoints = set(known_endpoints) if known_endpoints is not None else None
         self.state = CatalogState()
-        self.journal = Journal(journal_path)
-        for entry in self.journal.entries():
-            self.state.apply(entry["kind"], entry["payload"])
-
-    def _commit(self, kind: str, payload: dict) -> None:
-        self.journal.append(kind, payload)
-        self.state.apply(kind, payload)
+        self.journal = Journal(journal_path, self.state.apply)
 
     # -- files -------------------------------------------------------------
 
@@ -121,7 +115,7 @@ class CatalogService(Dispatcher):
             rec.file_id = self.state.next_file_id
             if not rec.created_at:
                 rec.created_at = time.time()
-            self._commit(OP_DECLARE_FILE, rec.to_wire())
+            self.journal.commit(OP_DECLARE_FILE, rec.to_wire())
             return rec.file_id
 
     def get_file(self, name_or_id) -> dict:
@@ -146,7 +140,7 @@ class CatalogService(Dispatcher):
         with self._lock:
             if name in self.state.datasets:
                 raise DuplicateName(f"dataset {name!r} already defined")
-            self._commit(OP_DEFINE_DATASET, {
+            self.journal.commit(OP_DEFINE_DATASET, {
                 "name": name,
                 "expr": expr_to_wire(parsed),
                 "created_at": time.time(),
@@ -173,7 +167,7 @@ class CatalogService(Dispatcher):
                 file_ids=file_ids,
                 created_at=time.time(),
             )
-            self._commit(OP_TAKE_SNAPSHOT, snapshot.to_wire())
+            self.journal.commit(OP_TAKE_SNAPSHOT, snapshot.to_wire())
             return snapshot.to_wire()
 
     def get_snapshot(self, snapshot_id: int) -> dict:
@@ -194,7 +188,7 @@ class CatalogService(Dispatcher):
             if endpoint_name in self.state.locations.get(file_id, {}):
                 raise DuplicateLocation(f"file {file_id} already at {endpoint_name}")
             location = ReplicaLocation(file_id, endpoint_name, path_or_volume, verified_at)
-            self._commit(OP_ADD_LOCATION, location.to_wire())
+            self.journal.commit(OP_ADD_LOCATION, location.to_wire())
         return True
 
     def remove_location(self, file_id: int, endpoint_name: str) -> bool:
@@ -202,7 +196,7 @@ class CatalogService(Dispatcher):
             self._require_file(file_id)
             if endpoint_name not in self.state.locations.get(file_id, {}):
                 raise NotFound(f"file {file_id} has no location at {endpoint_name!r}")
-            self._commit(OP_REMOVE_LOCATION, {
+            self.journal.commit(OP_REMOVE_LOCATION, {
                 "file_id": file_id,
                 "endpoint_name": endpoint_name,
             })

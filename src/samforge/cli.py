@@ -363,7 +363,8 @@ def cmd_store(args) -> int:
     wire = record.to_wire()
     wire.pop("file_id", None)
     with Client(args.station) as station:
-        file_id = station.call("store", record=wire, local_path=str(path))
+        # the station opens the path itself, from its own working directory
+        file_id = station.call("store", record=wire, local_path=str(path.resolve()))
     _emit(args, {"file_id": file_id, "file_name": record.file_name},
           [f"stored {record.file_name} as file {file_id}"])
     return 0

@@ -82,7 +82,6 @@ class _StationSection:
     data_listen: str
     cache_dir: str
     cache_capacity_bytes: int
-    max_transfer_attempts: int
     route_target: str | None
     endpoints: list[tuple[str, str, int]]  # (name, access, max_concurrent)
 
@@ -152,7 +151,6 @@ class TopologyConfig:
             cache_capacity_bytes=section.cache_capacity_bytes,
             role=section.role,
             known_endpoints=endpoints,
-            max_transfer_attempts=section.max_transfer_attempts,
             route_target=section.route_target,
         )
 
@@ -177,6 +175,9 @@ def load_topology(path: str | Path) -> TopologyConfig:
     except configparser.Error as e:
         raise ValidationError(f"{path}: {e}") from e
     base = path.parent
+    for name in ("catalog", "project"):
+        if not parser.has_section(name):
+            parser.add_section(name)  # so [DEFAULT] keys reach them too
 
     catalog = DaemonAddrs(
         listen=parser.get("catalog", "listen", fallback=f"127.0.0.1:{DEFAULT_CATALOG_PORT}"),
@@ -224,7 +225,6 @@ def _station_section(parser, section, name, base, problems) -> _StationSection:
         data_listen=data_listen,
         cache_dir=_path(base, parser.get(section, "cache_dir", fallback=f"state/{name}")),
         cache_capacity_bytes=parser.getint(section, "cache_capacity_bytes", fallback=10**9),
-        max_transfer_attempts=parser.getint(section, "max_transfer_attempts", fallback=3),
         route_target=parser.get(section, "route_target", fallback=None),
         endpoints=endpoints,
     )

@@ -9,8 +9,12 @@ stores with the file bytes, then drives a project over the 100-file
 dataset with lockstep consumers, verifying every delivered path against
 the catalog checksum.
 
-Everything is deterministic under the given seed, so the demo doubles as
-the end-to-end acceptance harness.
+Only the corpus is seeded.  Which consumer receives which file, and in
+what order, follows thread scheduling, so transcripts differ between runs.
+The checks do not depend on that order - every file delivered exactly
+once, per-consumer counts within 1 of each other, every delivered path
+matching its catalog CRC - so the demo doubles as the end-to-end
+acceptance harness.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ listen = 127.0.0.1:0
 cache_capacity_bytes = 67108864
 volume_capacity_bytes = 262144
 mount_latency_ms = {mount_latency_ms}
-
-[catalog]
-
-[project]
 
 [store cdfen-sim]
 access =

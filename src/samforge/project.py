@@ -76,11 +76,9 @@ class ProjectServer(Dispatcher):
         self.catalog = CatalogClient(catalog_addr)
         self.projects: dict[str, ProjectState] = {}
         self._station_clients: dict[str, Client] = {}
-        self.journal = Journal(journal_path)
-        for entry in self.journal.entries():
-            self._apply(entry["kind"], entry["payload"])
+        self.journal = Journal(journal_path, self._apply)
 
-    # -- journal replay ----------------------------------------------------
+    # -- journal apply (replay and commit) ---------------------------------
 
     def _apply(self, kind: str, payload: dict) -> None:
         if kind == "StartProject":
@@ -119,10 +117,6 @@ class ProjectServer(Dispatcher):
         else:
             raise ValueError(f"unknown journal kind {kind!r}")
 
-    def _commit(self, kind: str, payload: dict) -> None:
-        self.journal.append(kind, payload)
-        self._apply(kind, payload)
-
     # -- operations --------------------------------------------------------
 
     def start_project(self, project_name: str, dataset_name: str) -> dict:
@@ -133,7 +127,7 @@ class ProjectServer(Dispatcher):
             if live is not None and live.state != STATE_ENDED:
                 raise DuplicateProject(f"project {project_name!r} is live")
             snapshot = self.catalog.take_snapshot(dataset_name)  # NOT_FOUND propagates
-            self._commit("StartProject", {
+            self.journal.commit("StartProject", {
                 "project_name": project_name,
                 "snapshot": snapshot.to_wire(),
             })
@@ -159,14 +153,14 @@ class ProjectServer(Dispatcher):
             else:
                 pool = project.deliverable()
                 if not pool:
-                    self._commit("Drain", {
+                    self.journal.commit("Drain", {
                         "project_name": project_name,
                         "consumer_id": consumer_id,
                     })
                     self._maybe_finish(project)
                     return {"end": True}
                 file_id = pool[0]
-                self._commit("Deliver", {
+                self.journal.commit("Deliver", {
                     "project_name": project_name,
                     "file_id": file_id,
                     "consumer_id": consumer_id,
@@ -179,7 +173,7 @@ class ProjectServer(Dispatcher):
                 "fetch", file_name=file_name, requesting_project=project_name)
         except SamError as e:
             with self._lock:
-                self._commit("DeliveryFailed", {
+                self.journal.commit("DeliveryFailed", {
                     "project_name": project_name,
                     "file_id": file_id,
                     "consumer_id": consumer_id,
@@ -197,7 +191,7 @@ class ProjectServer(Dispatcher):
             if project.held.get(file_id) != consumer_id:
                 raise NotHeld(f"consumer {consumer_id!r} does not hold file {file_id}")
             station_addr = project.stations.get(consumer_id)
-            self._commit("Release", {
+            self.journal.commit("Release", {
                 "project_name": project_name,
                 "file_id": file_id,
                 "consumer_id": consumer_id,
@@ -214,7 +208,7 @@ class ProjectServer(Dispatcher):
                 return project.summary
             summary = self._summarize(project)
             outstanding = [(f, c, project.stations.get(c)) for f, c in project.held.items()]
-            self._commit("StopProject", {
+            self.journal.commit("StopProject", {
                 "project_name": project_name,
                 "summary": summary,
             })
@@ -251,7 +245,7 @@ class ProjectServer(Dispatcher):
                 and not project.held
                 and not project.deliverable()
                 and project.saw_end >= set(project.per_consumer_counts)):
-            self._commit("StopProject", {
+            self.journal.commit("StopProject", {
                 "project_name": project.project_name,
                 "summary": self._summarize(project),
             })

@@ -19,8 +19,6 @@ bytes move, never while waiting on cache locks.
 
 from __future__ import annotations
 
-import base64
-import io
 import json
 import logging
 import os
@@ -73,7 +71,7 @@ log = logging.getLogger(__name__)
 ROLE_ANALYSIS = "analysis"
 ROLE_ROUTER = "router"
 
-DEFAULT_MAX_ATTEMPTS = 3
+MAX_TRANSFER_ATTEMPTS = 3
 DEFAULT_MAX_CONCURRENT = 4
 
 
@@ -95,7 +93,6 @@ class StationConfig:
     cache_capacity_bytes: int
     role: str = ROLE_ANALYSIS
     known_endpoints: list[EndpointSpec] = field(default_factory=list)
-    max_transfer_attempts: int = DEFAULT_MAX_ATTEMPTS
     route_target: str | None = None
 
     def __post_init__(self):
@@ -145,11 +142,12 @@ class StationService(Dispatcher):
             d.mkdir(parents=True, exist_ok=True)
 
         self._lock = threading.RLock()
+        self._settled = threading.Condition(self._lock)  # notified when a miss ends
         self._entries: dict[int, CacheEntry] = {}
         self._by_name: dict[str, int] = {}
         self._reserved = 0
         self._tick = 0
-        self._name_locks: dict[str, threading.Lock] = {}
+        self._in_flight: set[str] = set()  # names whose miss is being fetched
         self._endpoints = {e.name: e for e in config.known_endpoints}
         self._limits = {
             e.name: FairSemaphore(e.max_concurrent_transfers)
@@ -168,7 +166,6 @@ class StationService(Dispatcher):
             "stores_ok": 0,
         }
         self.events: deque[dict] = deque(maxlen=10000)
-        self._jobs = 0
 
     # -- topology lookups --------------------------------------------------
 
@@ -197,25 +194,24 @@ class StationService(Dispatcher):
 
     def fetch_file(self, file_name: str, requesting_project: str | None = None) -> str:
         record = self.catalog.get_file(file_name)
-        lock = self._admission_lock(file_name)
-        with lock:
-            with self._lock:
-                entry = self._entries.get(record.file_id)
-                if entry is not None:
-                    entry.last_access = self._bump()
-                    if requesting_project:
-                        # idempotent: redelivery of a held file must not stack pins
-                        entry.pins.setdefault(requesting_project, 1)
-                    self.counters["cache_hits"] += 1
-                    return str(entry.local_path)
-            return str(self._fetch_miss(record, requesting_project))
-
-    def _admission_lock(self, file_name: str) -> threading.Lock:
         with self._lock:
-            lock = self._name_locks.get(file_name)
-            if lock is None:
-                lock = self._name_locks[file_name] = threading.Lock()
-            return lock
+            while file_name in self._in_flight:
+                self._settled.wait()
+            entry = self._entries.get(record.file_id)
+            if entry is not None:
+                entry.last_access = self._bump()
+                if requesting_project:
+                    # idempotent: redelivery of a held file must not stack pins
+                    entry.pins.setdefault(requesting_project, 1)
+                self.counters["cache_hits"] += 1
+                return str(entry.local_path)
+            self._in_flight.add(file_name)
+        try:
+            return str(self._fetch_miss(record, requesting_project))
+        finally:
+            with self._lock:
+                self._in_flight.discard(file_name)
+                self._settled.notify_all()
 
     def _bump(self) -> int:
         self._tick += 1
@@ -225,17 +221,13 @@ class StationService(Dispatcher):
         candidates = self._candidates(record.file_id)
         if not candidates:
             raise NoReplica(f"no reachable replica for {record.file_name}")
-        self._reserve(record.size_bytes)
-        with self._lock:
-            self._jobs += 1
+        victims = self._reserve(record.size_bytes)
         try:
+            self._forget_locations(victims)
             staging = self._attempt_loop(record, candidates)
         except BaseException:
             self._release_reservation(record.size_bytes)
             raise
-        finally:
-            with self._lock:
-                self._jobs -= 1
         return self._admit(record, staging, requesting_project)
 
     def _candidates(self, file_id: int) -> list[EndpointSpec]:
@@ -252,7 +244,7 @@ class StationService(Dispatcher):
         """Transfer until a copy verifies; returns its staging path."""
         excluded: set[str] = set()
         last_error: SamError | None = None
-        for attempt in range(1, self.config.max_transfer_attempts + 1):
+        for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
             pool = [c for c in candidates if c.name not in excluded]
             if not pool:
                 excluded.clear()
@@ -291,34 +283,32 @@ class StationService(Dispatcher):
             last_error = TransferExhausted(
                 f"{record.file_name}: checksum mismatch from {choice.name}")
         raise TransferExhausted(
-            f"{record.file_name}: gave up after {self.config.max_transfer_attempts} attempts "
+            f"{record.file_name}: gave up after {MAX_TRANSFER_ATTEMPTS} attempts "
             f"({last_error.msg if last_error else 'no attempt ran'})")
 
-    def _reserve(self, size: int) -> None:
-        """Make room for an incoming file or fail fast with CacheFull."""
-        victims = []
-        try:
-            with self._lock:
-                while self._free_bytes() < size:
-                    victim = self._lru_unpinned()
-                    if victim is None:
-                        raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
-                                        "all entries pinned")
-                    self._drop_entry(victim)
-                    victims.append(victim)
-                self._reserved += size
-        finally:
-            self._forget_locations(victims)  # evicted even when the reservation failed
+    def _reserve(self, size: int) -> list[CacheEntry]:
+        """Reserve room for an incoming file; returns the entries evicted for it.
 
-    def _free_bytes(self) -> int:
-        resident = sum(e.size_bytes for e in self._entries.values())
-        return self.config.cache_capacity_bytes - resident - self._reserved
-
-    def _lru_unpinned(self) -> CacheEntry | None:
-        unpinned = [e for e in self._entries.values() if e.pin_count == 0]
-        if not unpinned:
-            return None
-        return min(unpinned, key=lambda e: e.last_access)
+        Victims are chosen, least recently used and unpinned first, before
+        any is dropped, so a reservation that cannot succeed evicts nothing.
+        """
+        with self._lock:
+            free = (self.config.cache_capacity_bytes - self._reserved
+                    - sum(e.size_bytes for e in self._entries.values()))
+            victims = []
+            for entry in sorted(self._entries.values(), key=lambda e: e.last_access):
+                if free >= size:
+                    break
+                if entry.pin_count == 0:
+                    victims.append(entry)
+                    free += entry.size_bytes
+            if free < size:
+                raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
+                                f"{free} free or unpinned")
+            for victim in victims:
+                self._drop_entry(victim)
+            self._reserved += size
+        return victims
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         del self._entries[entry.file_id]
@@ -391,18 +381,10 @@ class StationService(Dispatcher):
 
     # -- store path --------------------------------------------------------
 
-    def store_file(self, record: dict, local_path: str | None = None,
-                   data_b64: str | None = None) -> int:
-        if (local_path is None) == (data_b64 is None):
-            raise ValidationError("store needs exactly one of local_path or data_b64")
-        if local_path is not None:
-            path = Path(local_path)
-            if not path.is_file():
-                raise ValidationError(f"no such file: {path}")
-            body = open(path, "rb")
-        else:
-            body = io.BytesIO(base64.b64decode(data_b64))  # arrived whole in one JSON line
-        with body:
+    def store_file(self, record: dict, local_path: str | None = None) -> int:
+        if local_path is None or not Path(local_path).is_file():
+            raise ValidationError(f"store needs local_path, a file; got {local_path!r}")
+        with open(local_path, "rb") as body:
             rec = FileRecord.from_wire({**record, "file_id": None})
             rec.size_bytes = body.seek(0, os.SEEK_END)
             body.seek(0)
@@ -453,7 +435,7 @@ class StationService(Dispatcher):
                         body, fileset: int) -> str:
         last = None
         limiter = self._limits[route.name]
-        for attempt in range(1, self.config.max_transfer_attempts + 1):
+        for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
             limiter.acquire()
             try:
                 return put_to_store(route.data_addr, self.config.name,
@@ -467,7 +449,7 @@ class StationService(Dispatcher):
                 limiter.release()
         raise TransferExhausted(
             f"{rec.file_name}: store to {route.name} failed after "
-            f"{self.config.max_transfer_attempts} attempts ({last})")
+            f"{MAX_TRANSFER_ATTEMPTS} attempts ({last})")
 
     def _forward_store(self, rec: FileRecord, body) -> int:
         """Analysis path: stream the file to the router over the data plane."""
@@ -532,7 +514,7 @@ class StationService(Dispatcher):
                     }
                     for name, sem in sorted(self._limits.items())
                 },
-                "in_flight_jobs": self._jobs,
+                "in_flight_jobs": len(self._in_flight),
                 "counters": dict(self.counters),
             }
 

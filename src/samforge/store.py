@@ -119,11 +119,9 @@ class StoreService(Dispatcher):
         self.incoming.mkdir(exist_ok=True)
         for leftover in self.incoming.iterdir():  # puts cut off by a crash
             leftover.unlink()
-        self.journal = Journal(self.root / "inventory.journal")
-        for entry in self.journal.entries():
-            self._apply(entry["payload"])
+        self.journal = Journal(self.root / "inventory.journal", self._apply)
 
-    def _apply(self, payload: dict) -> None:
+    def _apply(self, kind: str, payload: dict) -> None:
         volume_id = payload["volume_id"]
         volume = self.volumes.get(volume_id)
         if volume is None:
@@ -199,8 +197,7 @@ class StoreService(Dispatcher):
                 "crc32": crc,
             }
             with self._state_lock:
-                self.journal.append("PutFile", payload)
-                self._apply(payload)
+                self.journal.commit("PutFile", payload)
                 self.counters["puts"] += 1
             return volume_id
 

@@ -64,7 +64,7 @@ class LoopbackRig:
         return service
 
     def add_station(self, name, endpoints, cache_capacity=10**8, role="analysis",
-                    route_target=None, max_attempts=3, with_data_server=False,
+                    route_target=None, with_data_server=False,
                     with_control_server=False) -> StationService:
         """endpoints: (endpoint_name, access, slots) over stores and stations
         already added to the rig."""
@@ -83,7 +83,6 @@ class LoopbackRig:
                 cache_capacity_bytes=cache_capacity,
                 role=role,
                 known_endpoints=specs,
-                max_transfer_attempts=max_attempts,
                 route_target=route_target,
             ),
             self.catalog_addr,

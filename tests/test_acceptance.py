@@ -72,8 +72,7 @@ def test_criterion_2_corruption_recovery(rig):
     rig.add_store("stken-sim", store_access)
     station = rig.add_station(
         "cdfa-1",
-        [("cdfen-sim", "read_only", 4), ("stken-sim", "read_only", 4)],
-        max_attempts=3)
+        [("cdfen-sim", "read_only", 4), ("stken-sim", "read_only", 4)])
 
     rng = random.Random(20260823)
     originals = {}
@@ -123,8 +122,10 @@ def test_criterion_3_access_and_rate_enforcement(rig):
         "data_tier": "raw", "event_type": "phy", "program_version": 1,
         "calibration_set": 1,
     }
+    empty = rig.root / "denied.raw"
+    empty.write_bytes(b"")
     with pytest.raises(AccessDenied) as excinfo:
-        router.store_file(record, data_b64="")
+        router.store_file(record, local_path=str(empty))
     assert excinfo.value.code == "ACCESS_DENIED"
 
     # 20 concurrent fetches against a 2-slot endpoint: exactly 2 in flight

@@ -223,6 +223,33 @@ def test_migrate_command_with_report(capsys, tmp_path, catalogd):
 
 # -- project daemon and the consumer adaptor --------------------------------
 
+def test_store_sends_an_absolute_path(capsys, tmp_path, monkeypatch):
+    # a station daemon resolves a relative path against its own directory
+    from samforge.wire import ControlHandler, Dispatcher, Server, format_addr
+
+    class RecordingStation(Dispatcher):
+        ops = {"store": "store"}
+
+        def __init__(self):
+            self.paths = []
+
+        def store(self, record, local_path):
+            self.paths.append(local_path)
+            return 1
+
+    (tmp_path / "out.raw").write_bytes(b"payload")
+    monkeypatch.chdir(tmp_path)
+    station = RecordingStation()
+    server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
+    try:
+        code, _, _ = run_cli(capsys, "store", "out.raw",
+                             "--station", format_addr(server.bound_addr))
+    finally:
+        server.close()
+    assert code == 0
+    assert station.paths == [str((tmp_path / "out.raw").resolve())]
+
+
 def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, projectd):
     from samforge.wire import ControlHandler, Dispatcher, Server, format_addr
 

@@ -29,7 +29,6 @@ role = router
 listen = 127.0.0.1:5751
 cache_dir = cache/router
 cache_capacity_bytes = 50000000
-max_transfer_attempts = 5
 route_target = stken-sim
 endpoints =
     stken-sim read_write 4
@@ -82,7 +81,6 @@ def test_station_sections(topology):
     assert router.route_target == "stken-sim"
     assert router.cache_dir == str(base / "cache/router")
     assert router.cache_capacity_bytes == 50_000_000
-    assert router.max_transfer_attempts == 5
     assert router.endpoints == [("stken-sim", "read_write", 4),
                                 ("cdfen-sim", "read_only", 2)]
     assert router.data_listen == "127.0.0.1:6751"  # listen port + 1000
@@ -90,7 +88,6 @@ def test_station_sections(topology):
     analysis = config.stations["cdfa-1"]
     assert analysis.role == "analysis"
     assert analysis.data_listen == "127.0.0.1:6761"  # explicit wins
-    assert analysis.max_transfer_attempts == 3
     assert analysis.endpoints == [
         ("stken-sim", "read_only", DEFAULT_MAX_CONCURRENT),
         ("fcdf-router", "read_only", DEFAULT_MAX_CONCURRENT),
@@ -160,6 +157,14 @@ def test_missing_daemon_sections_fall_back_to_defaults(tmp_path):
     assert config.catalog.journal == str(tmp_path / "state/catalog.journal")
     assert config.project.listen == f"127.0.0.1:{DEFAULT_PROJECT_PORT}"
     assert config.stores["s1"].access == {}
+
+
+def test_default_keys_reach_absent_catalog_and_project_sections(tmp_path):
+    config_file = tmp_path / "defaults.ini"
+    config_file.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n[store s1]\n")
+    config = load_topology(config_file)
+    assert config.catalog.listen == "127.0.0.1:0"
+    assert config.project.listen == "127.0.0.1:0"
 
 
 def test_missing_file_is_a_validation_error(tmp_path):

@@ -1,10 +1,10 @@
 """Station cache behavior: transfers, retries, LRU, pins, routing, limits."""
 
-import base64
 import io
 import json
 import random
 import socket
+import sys
 import threading
 import time
 import tracemalloc
@@ -34,13 +34,19 @@ STORE_ACCESS = {
 }
 
 
-def simple_rig(rig, cache_capacity=10**6, max_attempts=3, slots=4):
+def simple_rig(rig, cache_capacity=10**6, slots=4):
     """One read-only-for-stations store plus one analysis station."""
     rig.add_store("stken-sim", STORE_ACCESS)
     station = rig.add_station(
-        "cdfa-1", [("stken-sim", "read_only", slots)],
-        cache_capacity=cache_capacity, max_attempts=max_attempts)
+        "cdfa-1", [("stken-sim", "read_only", slots)], cache_capacity=cache_capacity)
     return station
+
+
+def local_file(rig, name, data):
+    """A file on the station's host for store_file to upload."""
+    path = rig.root / name
+    path.write_bytes(data)
+    return str(path)
 
 
 def test_fetch_pulls_verifies_and_registers_location(rig):
@@ -131,8 +137,8 @@ def test_cache_full_when_everything_is_pinned(rig):
     assert time.monotonic() - started < 1.0  # fail fast, no deadlock
 
 
-def test_cache_full_still_forgets_evicted_locations(rig):
-    # a (1 B) is evicted to make room before pinned b (2 B) blocks the 3 B fetch
+def test_cache_full_evicts_nothing(rig):
+    # evicting a (1 B) would not make room beside pinned b (2 B) for the 3 B fetch
     station = simple_rig(rig, cache_capacity=3)
     a = rig.seed_file("a", b"1", stores=["stken-sim"])
     rig.seed_file("b", b"22", stores=["stken-sim"])
@@ -142,9 +148,52 @@ def test_cache_full_still_forgets_evicted_locations(rig):
     with pytest.raises(CacheFull):
         station.fetch_file("c")
     cached = {e["file_name"] for e in station.station_status()["cache"]["entries"]}
-    assert cached == {"b"}
+    assert cached == {"a", "b"}
+    assert station.counters["evictions"] == 0
     with rig.catalog_client() as catalog:
-        assert {loc.endpoint_name for loc in catalog.get_locations(a)} == {"stken-sim"}
+        assert {loc.endpoint_name for loc in catalog.get_locations(a)} == \
+            {"stken-sim", "cdfa-1"}
+
+
+def test_file_larger_than_the_cache_evicts_nothing(rig):
+    station = simple_rig(rig, cache_capacity=10)
+    ids = [rig.seed_file(f"s{i}", b"22", stores=["stken-sim"]) for i in range(5)]
+    for i in range(5):
+        station.fetch_file(f"s{i}")
+    rig.seed_file("big", b"x" * 11, stores=["stken-sim"])
+    with pytest.raises(CacheFull):
+        station.fetch_file("big")
+    cached = {e["file_name"] for e in station.station_status()["cache"]["entries"]}
+    assert cached == {f"s{i}" for i in range(5)}
+    assert station.counters["evictions"] == 0
+    assert [e for e in station.events if e["kind"] == "evict"] == []
+    with rig.catalog_client() as catalog:
+        for file_id in ids:
+            assert {loc.endpoint_name for loc in catalog.get_locations(file_id)} == \
+                {"stken-sim", "cdfa-1"}
+
+
+@pytest.mark.parametrize("failure", [NoReplica, CacheFull])
+def test_failed_fetch_leaves_no_name_in_flight(rig, failure):
+    station = simple_rig(rig, cache_capacity=1)
+    if failure is NoReplica:
+        rig.seed_file("f", b"x", stores=[])  # declared, no bytes anywhere
+    else:
+        rig.seed_file("f", b"xx", stores=["stken-sim"])  # larger than the cache
+    for _ in range(2):
+        raised = []
+
+        def fetch():
+            try:
+                station.fetch_file("f")
+            except failure:
+                raised.append(failure)
+
+        worker = threading.Thread(target=fetch, daemon=True)
+        worker.start()
+        worker.join(timeout=1.0)
+        assert not worker.is_alive()  # a name left in flight would block this fetch
+        assert raised == [failure]
 
 
 class FakePeer:
@@ -244,8 +293,7 @@ def test_corrupt_source_retries_against_alternative(rig):
 
 def test_exhausts_after_max_attempts_when_only_source_is_corrupt(rig):
     rig.add_store("cdfen-sim", STORE_ACCESS)
-    station = rig.add_station("cdfa-1", [("cdfen-sim", "read_only", 2)],
-                              max_attempts=3)
+    station = rig.add_station("cdfa-1", [("cdfen-sim", "read_only", 2)])
     rig.seed_file("a.raw", b"bits", stores=["cdfen-sim"])
     wrapper = station.inject_faults("cdfen-sim", seed=3, corrupt_every_nth=1)
     with pytest.raises(TransferExhausted):
@@ -274,6 +322,30 @@ def test_concurrent_fetches_of_one_file_transfer_once(rig):
     assert station.counters["cache_hits"] == 7
 
 
+def test_concurrent_fetches_of_many_names_transfer_each_once(rig):
+    # 32 threads over 4 names with a short switch interval: every miss but
+    # the first per name must wait for it and then hit
+    station = simple_rig(rig)
+    for i in range(4):
+        rig.seed_file(f"m{i}", bytes([i]) * 500, stores=["stken-sim"])
+    paths = {}
+
+    def fetch(i):
+        paths[i] = station.fetch_file(f"m{i % 4}")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads(32, fetch)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(paths) == 32  # every fetch returned
+    assert len(set(paths.values())) == 4
+    assert station.counters["transfers_ok"] == 4
+    assert station.counters["cache_hits"] == 28
+    assert station.station_status()["in_flight_jobs"] == 0
+
+
 def test_rate_limit_high_water_mark_never_exceeds_slots(rig):
     rig.add_store("stken-sim", STORE_ACCESS, mount_latency_ms=20)
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 2)])
@@ -300,7 +372,7 @@ def test_store_routing_from_router_to_store(rig):
         "data_tier": "raw", "event_type": "phy", "program_version": 4,
         "calibration_set": 12,
     }
-    file_id = router.store_file(record, data_b64=base64.b64encode(data).decode())
+    file_id = router.store_file(record, local_path=local_file(rig, "fresh", data))
 
     store = rig.stores["stken-sim"]
     assert read_stored(store, "cdfa-1", record["file_name"]) == data
@@ -375,7 +447,7 @@ def test_store_to_read_only_route_is_denied_before_any_mutation(rig):
         "calibration_set": 1,
     }
     with pytest.raises(AccessDenied):
-        router.store_file(record, data_b64="")
+        router.store_file(record, local_path=local_file(rig, "empty", b""))
     with rig.catalog_client() as catalog:
         with pytest.raises(RemoteError) as excinfo:
             catalog.get_file("denied.raw")  # nothing was declared
@@ -393,7 +465,7 @@ def test_store_duplicate_name_is_rejected_at_declare(rig):
         "calibration_set": 1,
     }
     with pytest.raises(RemoteError) as excinfo:
-        router.store_file(record, data_b64="QQ==")
+        router.store_file(record, local_path=local_file(rig, "dup", b"A"))
     assert excinfo.value.code == "DUPLICATE_NAME"
 
 
