@@ -109,7 +109,7 @@ class CatalogService(Dispatcher):
         with self._lock:
             if rec.file_name in self.state.by_name:
                 raise DuplicateName(f"file {rec.file_name!r} already declared")
-            problems = validate_file_record(rec, set(self.state.files))
+            problems = validate_file_record(rec, self.state.files)
             if problems:
                 raise ValidationError(problems)
             rec.file_id = self.state.next_file_id

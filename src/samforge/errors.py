@@ -48,14 +48,6 @@ class DuplicateLocation(SamError):
 
 # -- transfer --------------------------------------------------------------
 
-class NoPlugin(SamError):
-    code = "NO_PLUGIN"
-
-
-class DuplicateScheme(SamError):
-    code = "DUPLICATE_SCHEME"
-
-
 class SourceUnavailable(SamError):
     code = "SOURCE_UNAVAILABLE"
 

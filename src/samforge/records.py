@@ -9,6 +9,7 @@ it was migrated from.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .naming import DATA_TIERS
@@ -83,7 +84,7 @@ def file_name_problem(name: str) -> str | None:
     return None
 
 
-def validate_file_record(record: FileRecord, known_ids: set[int]) -> list[str]:
+def validate_file_record(record: FileRecord, known_ids: Container[int]) -> list[str]:
     """Collect every violation; an empty list means the record is valid."""
     problems = []
     if name_problem := file_name_problem(record.file_name):

@@ -5,13 +5,16 @@ pin exemption), fetches files from replicas with CRC verification and
 bounded retry, and routes newly produced files toward the permanent
 store.  Router stations buffer stores on a permanent area and forward to
 their route target; analysis stations hand stores to the router over the
-framed data plane.
+framed data plane.  Either way the route target must be ``read_write``.
 
 Replica selection prefers another station's cache (stn) over tape, with
 lexicographic endpoint-name tie-breaks.  A retry re-runs selection but
 sets aside endpoints that already failed this fetch, so a corrupt source
 is not blindly retried while an alternative exists; when every candidate
-has failed once the slate is wiped and selection starts over.
+has failed once the slate is wiped and selection starts over.  Every
+pull is one request line to the endpoint's data port: ``FETCH <file>``
+for a station, ``FETCH <station> <file>`` for a store, which checks the
+client's access.
 
 Per-endpoint transfer slots are granted FIFO; a slot is held only while
 bytes move, never while waiting on cache locks.
@@ -47,12 +50,7 @@ from .naming import parse_legacy_name
 from .records import FileRecord
 from .sync import FairSemaphore
 from .transfer import (
-    Locator,
-    PluginRegistry,
-    SCHEME_STATION,
-    SCHEME_TAPE,
-    StationPlugin,
-    TapePlugin,
+    FaultInjector,
     crc32_stream,
     put_to_store,
     read_send_header,
@@ -62,7 +60,6 @@ from .transfer import (
     serve_frame,
     serve_request,
     transfer_with,
-    with_fault_injection,
 )
 from .wire import Dispatcher
 
@@ -70,6 +67,9 @@ log = logging.getLogger(__name__)
 
 ROLE_ANALYSIS = "analysis"
 ROLE_ROUTER = "router"
+
+SCHEME_STATION = "stn"  # another station's cache: FETCH <file>
+SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <file>
 
 MAX_TRANSFER_ATTEMPTS = 3
 DEFAULT_MAX_CONCURRENT = 4
@@ -153,10 +153,7 @@ class StationService(Dispatcher):
             e.name: FairSemaphore(e.max_concurrent_transfers)
             for e in config.known_endpoints
         }
-        self._overrides: dict[str, object] = {}  # endpoint name -> plugin
-        self.registry = PluginRegistry()
-        self.registry.register(SCHEME_STATION, StationPlugin(self))
-        self.registry.register(SCHEME_TAPE, TapePlugin(config.name, self))
+        self._faults: dict[str, FaultInjector] = {}  # endpoint name -> injector
         self.counters = {
             "transfers_ok": 0,
             "crc_mismatches": 0,
@@ -167,28 +164,18 @@ class StationService(Dispatcher):
         }
         self.events: deque[dict] = deque(maxlen=10000)
 
-    # -- topology lookups --------------------------------------------------
+    # -- fault injection ---------------------------------------------------
 
-    def data_addr(self, endpoint_name: str) -> str:
-        spec = self._endpoints.get(endpoint_name)
-        if spec is None:
-            raise NoReplica(f"endpoint {endpoint_name!r} unknown to station {self.config.name}")
-        return spec.data_addr
-
-    def endpoint_plugin(self, endpoint_name: str, scheme: str):
-        override = self._overrides.get(endpoint_name)
-        return override if override is not None else self.registry.get(scheme)
-
-    def inject_faults(self, endpoint_name: str, seed: int, corrupt_every_nth: int):
-        """Wrap one endpoint's effective plugin with deterministic corruption."""
-        spec = self._endpoints[endpoint_name]
-        base = self.endpoint_plugin(endpoint_name, spec.scheme)
-        wrapper = with_fault_injection(base, seed=seed, corrupt_every_nth=corrupt_every_nth)
-        self._overrides[endpoint_name] = wrapper
-        return wrapper
+    def inject_faults(self, endpoint_name: str, seed: int,
+                      corrupt_every_nth: int) -> FaultInjector:
+        """Corrupt every n-th pull from one endpoint, deterministically."""
+        if endpoint_name not in self._endpoints:
+            raise KeyError(endpoint_name)
+        injector = self._faults[endpoint_name] = FaultInjector(seed, corrupt_every_nth)
+        return injector
 
     def clear_faults(self, endpoint_name: str) -> None:
-        self._overrides.pop(endpoint_name, None)
+        self._faults.pop(endpoint_name, None)
 
     # -- fetch path --------------------------------------------------------
 
@@ -254,12 +241,12 @@ class StationService(Dispatcher):
                 with self._lock:
                     self.counters["retries"] += 1
             staging = self.incoming_dir / f"{record.file_name}.{uuid.uuid4().hex}"
-            plugin = self.endpoint_plugin(choice.name, choice.scheme)
-            source = Locator(choice.scheme, choice.name, record.file_name)
-            limiter = self._limits[choice.name]
-            limiter.acquire()
+            client = f"{self.config.name} " if choice.scheme == SCHEME_TAPE else ""
             try:
-                outcome = transfer_with(plugin, source, staging)
+                with self._limits[choice.name]:
+                    outcome = transfer_with(choice.data_addr,
+                                            f"FETCH {client}{record.file_name}",
+                                            staging, self._faults.get(choice.name))
             except BaseException as e:
                 staging.unlink(missing_ok=True)  # a stream cut off mid-body
                 if not isinstance(e, SamError):
@@ -268,8 +255,6 @@ class StationService(Dispatcher):
                 excluded.add(choice.name)
                 self._event("transfer_error", record.file_name, choice.name, attempt, str(e))
                 continue
-            finally:
-                limiter.release()
             if outcome.computed_crc32 == record.crc32 and outcome.bytes_moved == record.size_bytes:
                 return staging
             with self._lock:
@@ -406,7 +391,7 @@ class StationService(Dispatcher):
         staged holds the file's bytes, already checked against rec.crc32;
         it moves into the permanent buffer and is forwarded from there.
         """
-        route = self._writable_route()
+        route = self._route()
         file_id = self.catalog.declare_file(rec)  # DuplicateName/Validation stop us here
         buffered = self.buffer_dir / rec.file_name
         os.replace(staged, buffered)
@@ -422,11 +407,12 @@ class StationService(Dispatcher):
             self.counters["stores_ok"] += 1
         return file_id
 
-    def _writable_route(self) -> EndpointSpec:
+    def _route(self) -> EndpointSpec:
+        """The route target new files go to: a store for a router, else a router."""
         target = self.config.route_target
         spec = self._endpoints.get(target) if target else None
         if spec is None:
-            raise AccessDenied(f"station {self.config.name} has no route to a store")
+            raise AccessDenied(f"station {self.config.name} has no route target")
         if spec.access != "read_write":
             raise AccessDenied(f"route target {spec.name} is {spec.access}")
         return spec
@@ -453,18 +439,12 @@ class StationService(Dispatcher):
 
     def _forward_store(self, rec: FileRecord, body) -> int:
         """Analysis path: stream the file to the router over the data plane."""
-        route = self._analysis_route()
-        reply = _send_store_frame(route.data_addr, rec, body)
+        route = self._route()
+        with self._limits[route.name]:
+            reply = _send_store_frame(route.data_addr, rec, body)
         with self._lock:
             self.counters["stores_ok"] += 1
         return int(reply)
-
-    def _analysis_route(self) -> EndpointSpec:
-        target = self.config.route_target
-        spec = self._endpoints.get(target) if target else None
-        if spec is None:
-            raise AccessDenied(f"station {self.config.name} has no route toward a router")
-        return spec
 
     # -- serving the data plane -------------------------------------------
 

@@ -1,11 +1,12 @@
-"""Pluggable file transfers with CRC-32 checksumming and fault injection.
+"""Framed file transfers with CRC-32 checksumming and fault injection.
 
-Transfers are dispatched by locator scheme through a registry; plugins
-move bytes into a local file and report the size and CRC of what they
-wrote, computed while the bytes stream in.  Deliberately, nothing here
-compares against the catalog checksum: verification and retry belong to
-the station, which lets the fault-injection wrapper corrupt data below
-the verification layer the way a failing disk would.
+A pull, :func:`transfer_with`, sends one request line to a peer's data
+port and streams the answering frame into a local file, reporting the
+size and CRC of what it wrote, computed while the bytes stream in.
+Deliberately, nothing here compares against the catalog checksum:
+verification and retry belong to the station, which lets a
+:class:`FaultInjector` corrupt data below the verification layer the way
+a failing disk would.
 
 The data plane is a length-prefixed byte stream: a
 ``SEND <file_name> <size_bytes> <crc32-hex>`` header line followed by
@@ -28,7 +29,7 @@ import logging
 import os
 import random
 import socket
-import time
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,8 +37,6 @@ from pathlib import Path
 from .errors import (
     BadRequest,
     CrcMismatch,
-    DuplicateScheme,
-    NoPlugin,
     RemoteError,
     SamError,
     SourceUnavailable,
@@ -47,9 +46,6 @@ from .wire import parse_addr
 log = logging.getLogger(__name__)
 
 CHUNK = 64 * 1024
-
-SCHEME_STATION = "stn"
-SCHEME_TAPE = "tape"
 
 
 # -- checksums -------------------------------------------------------------
@@ -73,124 +69,56 @@ def crc32_file(path: str | Path) -> int:
         return crc32_stream(fh)
 
 
-# -- locators and outcomes -------------------------------------------------
-
-@dataclass(frozen=True)
-class Locator:
-    scheme: str
-    endpoint: str
-    ref: str  # file name at the endpoint, or a filesystem path for `local`
-
-    def __str__(self) -> str:
-        return f"{self.scheme}://{self.endpoint}/{self.ref}"
-
+# -- pulls ------------------------------------------------------------------
 
 @dataclass
 class TransferOutcome:
     bytes_moved: int
     computed_crc32: int
-    duration_ms: int
 
 
-class PluginRegistry:
-    """Scheme -> plugin table; pure routing, one plugin per scheme."""
+def transfer_with(addr, request_line: str, dest: str | Path,
+                  faults: FaultInjector | None = None) -> TransferOutcome:
+    """Pull one SEND frame from addr into dest; reports what landed there.
 
-    def __init__(self):
-        self._plugins = {}
-
-    def register(self, scheme: str, plugin) -> None:
-        if scheme in self._plugins:
-            raise DuplicateScheme(f"scheme {scheme!r} already registered")
-        self._plugins[scheme] = plugin
-
-    def get(self, scheme: str):
-        try:
-            return self._plugins[scheme]
-        except KeyError:
-            raise NoPlugin(f"no plugin registered for scheme {scheme!r}") from None
-
-
-def transfer_file(registry: PluginRegistry, source: Locator, dest: str | Path) -> TransferOutcome:
-    """Move source to the local path dest and report the CRC of what landed there."""
-    return transfer_with(registry.get(source.scheme), source, dest)
-
-
-def transfer_with(plugin, source: Locator, dest: str | Path) -> TransferOutcome:
+    dest's parent is created if missing.  faults, if given, may corrupt
+    the landed file before its CRC is reported.
+    """
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    start = time.monotonic()
-    size, crc = plugin.fetch(source, dest)
-    duration_ms = int((time.monotonic() - start) * 1000)
-    return TransferOutcome(bytes_moved=size, computed_crc32=crc, duration_ms=duration_ms)
+    size, crc = _pull_framed(addr, request_line, dest)
+    if faults is not None:
+        crc = faults.after_pull(dest, crc)
+    return TransferOutcome(bytes_moved=size, computed_crc32=crc)
 
 
-# -- plugins ---------------------------------------------------------------
-#
-# A plugin's fetch(source, dest) writes dest and returns (size, crc32) of
-# the bytes it wrote.
-
-class LocalPlugin:
-    """Filesystem copy; the locator ref is a source path."""
-
-    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
-        src = Path(source.ref)
-        if not src.is_file():
-            raise SourceUnavailable(f"no such file: {src}")
-        with open(src, "rb") as fh, open(dest, "wb") as out:
-            size = os.fstat(fh.fileno()).st_size
-            return size, receive_body(fh, size, out)
-
-
-class StationPlugin:
-    """Pull a file from another station's cache over the framed data plane."""
-
-    def __init__(self, address_book):
-        self.address_book = address_book  # endpoint name -> data-plane address
-
-    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
-        addr = self.address_book.data_addr(source.endpoint)
-        return _pull_framed(addr, f"FETCH {source.ref}", dest)
-
-
-class TapePlugin:
-    """Pull a file from a simulated mass store; requests carry the client name."""
-
-    def __init__(self, client_name: str, address_book):
-        self.client_name = client_name
-        self.address_book = address_book
-
-    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
-        addr = self.address_book.data_addr(source.endpoint)
-        return _pull_framed(addr, f"FETCH {self.client_name} {source.ref}", dest)
-
-
-class FaultInjectingPlugin:
-    """Wrap a plugin so that every n-th transfer lands with one byte flipped.
+class FaultInjector:
+    """Flip one byte of every n-th pulled file.
 
     The flipped position comes from a generator seeded once at
     construction, so a fixed (seed, call sequence) reproduces identical
-    corruption across runs.  All other transfers pass through untouched.
-    A corrupted transfer reports the CRC of the file as it is after the
-    flip, so the station's verification sees the damage.
+    corruption across runs.  All other pulls pass through untouched.  A
+    corrupted pull reports the CRC of the file as it is after the flip,
+    so the station's verification sees the damage.
     """
 
-    def __init__(self, inner, seed: int, corrupt_every_nth: int):
+    def __init__(self, seed: int, corrupt_every_nth: int):
         if corrupt_every_nth < 1:
             raise ValueError("corrupt_every_nth must be >= 1")
-        self.inner = inner
         self.corrupt_every_nth = corrupt_every_nth
         self._rng = random.Random(seed)
+        self._lock = threading.Lock()  # concurrent pulls share the count and the generator
         self.calls = 0
         self.corrupted = 0
 
-    def fetch(self, source: Locator, dest: Path) -> tuple[int, int]:
-        size, crc = self.inner.fetch(source, dest)
-        self.calls += 1
-        if self.calls % self.corrupt_every_nth == 0:
-            if self._flip_one_byte(Path(dest)):
+    def after_pull(self, dest: Path, crc: int) -> int:
+        """Count one pull into dest; returns the CRC of dest as it now is."""
+        with self._lock:
+            self.calls += 1
+            if self.calls % self.corrupt_every_nth == 0 and self._flip_one_byte(dest):
                 self.corrupted += 1
-                crc = crc32_file(dest)
-        return size, crc
+                return crc32_file(dest)
+        return crc
 
     def _flip_one_byte(self, dest: Path) -> bool:
         size = dest.stat().st_size
@@ -203,10 +131,6 @@ class FaultInjectingPlugin:
             fh.seek(position)
             fh.write(bytes([byte[0] ^ 0xFF]))
         return True
-
-
-def with_fault_injection(plugin, seed: int, corrupt_every_nth: int) -> FaultInjectingPlugin:
-    return FaultInjectingPlugin(plugin, seed=seed, corrupt_every_nth=corrupt_every_nth)
 
 
 # -- framed data plane -----------------------------------------------------

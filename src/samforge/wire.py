@@ -22,7 +22,7 @@ import socket
 import socketserver
 import threading
 
-from .errors import ConnectFailed, RemoteError, SamError
+from .errors import BadRequest, ConnectFailed, RemoteError, SamError
 
 log = logging.getLogger(__name__)
 
@@ -198,7 +198,6 @@ class Dispatcher:
         try:
             return getattr(self, method_name)(**args)
         except TypeError as e:
-            # surface bad/missing argument names as a client error
-            if "argument" in str(e):
-                raise SamError(f"bad arguments for {op}: {e}") from None
+            if e.__traceback__.tb_next is None:  # raised binding the call, not inside it
+                raise BadRequest(f"bad arguments for {op}: {e}") from None
             raise

@@ -407,6 +407,33 @@ def test_store_routing_through_analysis_station(rig):
         assert catalog.get_file(file_id).crc32 == crc32_bytes(payload)
 
 
+def test_analysis_store_route_needs_read_write_and_takes_a_slot(rig):
+    rig.add_store("stken-sim", STORE_ACCESS)
+    router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
+                             role="router", route_target="stken-sim", with_data_server=True)
+    read_only = rig.add_station("cdfa-1", [("fcdf-router", "read_only", 1)],
+                                route_target="fcdf-router")
+    writable = rig.add_station("cdfa-2", [("fcdf-router", "read_write", 1)],
+                               route_target="fcdf-router")
+    record = {
+        "file_name": "bphy0412_fs0007_0044.raw", "size_bytes": 0, "crc32": 0,
+        "data_tier": "raw", "event_type": "phy", "program_version": 4,
+        "calibration_set": 12,
+    }
+    with pytest.raises(AccessDenied):
+        read_only.store_file(record, local_path=local_file(rig, "denied", b"results"))
+    assert router.counters["stores_ok"] == 0  # nothing reached the router
+    with rig.catalog_client() as catalog:
+        with pytest.raises(RemoteError) as excinfo:
+            catalog.get_file(record["file_name"])
+        assert excinfo.value.code == "NOT_FOUND"
+
+    writable.store_file(record, local_path=local_file(rig, "allowed", b"results"))
+    assert router.counters["stores_ok"] == 1
+    limits = writable.station_status()["rate_limits"]["fcdf-router"]
+    assert (limits["high_water"], limits["in_flight"]) == (1, 0)
+
+
 @pytest.mark.parametrize("corrupt, code", [
     ("crc", "CRC_MISMATCH"),
     ("record", "INTERNAL"),

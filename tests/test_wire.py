@@ -17,7 +17,7 @@ from samforge.wire import (
 
 
 class EchoService(Dispatcher):
-    ops = {"echo": "echo", "boom": "boom", "add": "add"}
+    ops = {"echo": "echo", "boom": "boom", "add": "add", "broken": "broken"}
 
     def echo(self, value):
         return value
@@ -27,6 +27,9 @@ class EchoService(Dispatcher):
 
     def boom(self):
         raise NotFound("gone")
+
+    def broken(self):
+        return int([1])  # a TypeError from the op's own body, not from its arguments
 
 
 @pytest.fixture
@@ -66,10 +69,15 @@ def test_unknown_op_and_bad_args(server):
         with pytest.raises(RemoteError) as excinfo:
             client.call("no_such_op")
         assert excinfo.value.code == "UNKNOWN_OP"
-        with pytest.raises(RemoteError):
+        with pytest.raises(RemoteError) as excinfo:
             client.call("add", a=1)  # missing argument
-        with pytest.raises(RemoteError):
+        assert excinfo.value.code == "BAD_REQUEST"
+        with pytest.raises(RemoteError) as excinfo:
             client.call("add", a=1, b=2, c=3)  # unexpected argument
+        assert excinfo.value.code == "BAD_REQUEST"
+        with pytest.raises(RemoteError) as excinfo:
+            client.call("broken")
+        assert excinfo.value.code == "INTERNAL"
 
 
 def test_connect_failed_has_conn_code():
