@@ -6,6 +6,8 @@ file id, so equal pull rates receive equal shares without any push-side
 partitioning.  Every hand-out is journaled before the consumer's station
 is told to fetch, which makes restarts safe: a consumer that lost the
 reply simply asks again and receives the same file it already holds.
+The same fetch names the next few ids the project will hand out, so the
+station can prefetch them before any consumer asks.
 
 Delivery failures return the file to the undelivered pool (at most 3
 redeliveries per file, then it is set aside and reported undelivered at
@@ -14,6 +16,8 @@ the end) and surface the station's error to the asking consumer only.
 
 from __future__ import annotations
 
+import bisect
+import operator
 import threading
 
 from .catalog import CatalogClient
@@ -30,6 +34,7 @@ from .records import DatasetSnapshot
 from .wire import Client, Dispatcher
 
 REDELIVERY_CAP = 3
+PREFETCH_DEPTH = 2  # ids after the one handed out that the station may prefetch
 
 STATE_RUNNING = "running"
 STATE_DRAINING = "draining"
@@ -43,6 +48,8 @@ class ProjectState:
         self.project_name = None  # set by the server
         self.snapshot = snapshot
         self.undelivered: set[int] = set(snapshot.file_ids)
+        # undelivered ids not exhausted, highest first: the next hand-out is pool[-1]
+        self.pool: list[int] = sorted(self.undelivered, reverse=True)
         self.delivered: dict[int, str] = {}
         self.held: dict[int, str] = {}  # delivered but not yet released
         self.per_consumer_counts: dict[str, int] = {}
@@ -53,8 +60,9 @@ class ProjectState:
         self.state = STATE_RUNNING
         self.summary: dict | None = None
 
-    def deliverable(self) -> list[int]:
-        return sorted(self.undelivered - self.exhausted)
+    def upcoming(self, n: int) -> list[int]:
+        """The next n ids to hand out, lowest first."""
+        return self.pool[:-n - 1:-1]
 
     def register(self, consumer_id: str, station: str | None) -> None:
         if station:
@@ -92,6 +100,10 @@ class ProjectServer(Dispatcher):
         if kind == "Deliver":
             file_id, consumer = payload["file_id"], payload["consumer_id"]
             project.undelivered.discard(file_id)
+            if project.pool and project.pool[-1] == file_id:
+                project.pool.pop()
+            elif file_id in project.pool:  # not the lowest: no live hand-out does this
+                project.pool.remove(file_id)
             project.delivered[file_id] = consumer
             project.held[file_id] = consumer
             project.register(consumer, payload.get("station"))
@@ -106,6 +118,8 @@ class ProjectServer(Dispatcher):
             project.attempts[file_id] = attempts
             if attempts >= REDELIVERY_CAP:
                 project.exhausted.add(file_id)
+            else:
+                bisect.insort(project.pool, file_id, key=operator.neg)
         elif kind == "Release":
             project.held.pop(payload["file_id"], None)
         elif kind == "Drain":
@@ -150,16 +164,17 @@ class ProjectServer(Dispatcher):
             held = [f for f, c in project.held.items() if c == consumer_id]
             if held:
                 file_id = min(held)  # resume: redeliver what they already hold
+                prefetch = []
             else:
-                pool = project.deliverable()
-                if not pool:
+                upcoming = project.upcoming(1 + PREFETCH_DEPTH)
+                if not upcoming:
                     self.journal.commit("Drain", {
                         "project_name": project_name,
                         "consumer_id": consumer_id,
                     })
                     self._maybe_finish(project)
                     return {"end": True}
-                file_id = pool[0]
+                file_id, prefetch = upcoming[0], upcoming[1:]
                 self.journal.commit("Deliver", {
                     "project_name": project_name,
                     "file_id": file_id,
@@ -170,7 +185,8 @@ class ProjectServer(Dispatcher):
         try:
             file_name = self.catalog.get_file(file_id).file_name
             path = self._station(consumer_id, station_addr).call(
-                "fetch", file_name=file_name, requesting_project=project_name)
+                "fetch", file_name=file_name, requesting_project=project_name,
+                prefetch=prefetch)
         except SamError as e:
             with self._lock:
                 self.journal.commit("DeliveryFailed", {
@@ -243,7 +259,7 @@ class ProjectServer(Dispatcher):
         """A drained project ends once every consumer saw END and nothing is held."""
         if (project.state == STATE_DRAINING
                 and not project.held
-                and not project.deliverable()
+                and not project.pool
                 and project.saw_end >= set(project.per_consumer_counts)):
             self.journal.commit("StopProject", {
                 "project_name": project.project_name,

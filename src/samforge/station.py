@@ -18,6 +18,12 @@ client's access.
 
 Per-endpoint transfer slots are granted FIFO; a slot is held only while
 bytes move, never while waiting on cache locks.
+
+A fetch may name file ids to prefetch: the ids its project will hand out
+next.  Once the fetch itself is done they are queued for one worker
+thread, which pulls each id that is neither resident nor in flight
+through the same miss path, without a pin.  A failed prefetch is
+counted and logged as an event, never raised.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import queue
 import shutil
 import socketserver
 import threading
@@ -73,6 +80,7 @@ SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <
 
 MAX_TRANSFER_ATTEMPTS = 3
 DEFAULT_MAX_CONCURRENT = 4
+PREFETCH_QUEUE_LIMIT = 64  # ids past this are dropped, not waited for
 
 
 @dataclass
@@ -148,6 +156,7 @@ class StationService(Dispatcher):
         self._reserved = 0
         self._tick = 0
         self._in_flight: set[str] = set()  # names whose miss is being fetched
+        self._prefetching: str | None = None  # the name the prefetch worker is pulling
         self._endpoints = {e.name: e for e in config.known_endpoints}
         self._limits = {
             e.name: FairSemaphore(e.max_concurrent_transfers)
@@ -161,8 +170,15 @@ class StationService(Dispatcher):
             "evictions": 0,
             "cache_hits": 0,
             "stores_ok": 0,
+            "prefetches": 0,
+            "prefetch_failed": 0,
         }
         self.events: deque[dict] = deque(maxlen=10000)
+        self._prefetch_queue: queue.Queue[int | None] = queue.Queue(PREFETCH_QUEUE_LIMIT)
+        self._stopping = threading.Event()
+        self._prefetcher = threading.Thread(target=self._prefetch_loop,
+                                            name=f"prefetch-{config.name}", daemon=True)
+        self._prefetcher.start()
 
     # -- fault injection ---------------------------------------------------
 
@@ -179,13 +195,26 @@ class StationService(Dispatcher):
 
     # -- fetch path --------------------------------------------------------
 
-    def fetch_file(self, file_name: str, requesting_project: str | None = None) -> str:
-        record = self.catalog.get_file(file_name)
+    def fetch_file(self, file_name: str, requesting_project: str | None = None,
+                   prefetch: list[int] | tuple[int, ...] = ()) -> str:
+        if not isinstance(prefetch, (list, tuple)) or \
+                not all(type(file_id) is int for file_id in prefetch):
+            raise ValidationError(f"prefetch must be a list of file ids, not {prefetch!r}")
+        path = self._fetch(file_name, requesting_project)
+        for file_id in prefetch:
+            try:
+                self._prefetch_queue.put_nowait(file_id)
+            except queue.Full:
+                break
+        return path
+
+    def _fetch(self, file_name: str, requesting_project: str | None) -> str:
         with self._lock:
             while file_name in self._in_flight:
                 self._settled.wait()
-            entry = self._entries.get(record.file_id)
-            if entry is not None:
+            file_id = self._by_name.get(file_name)
+            if file_id is not None:  # a hit needs no catalog call
+                entry = self._entries[file_id]
                 entry.last_access = self._bump()
                 if requesting_project:
                     # idempotent: redelivery of a held file must not stack pins
@@ -194,21 +223,64 @@ class StationService(Dispatcher):
                 return str(entry.local_path)
             self._in_flight.add(file_name)
         try:
+            record = self.catalog.get_file(file_name)
             return str(self._fetch_miss(record, requesting_project))
         finally:
-            with self._lock:
-                self._in_flight.discard(file_name)
-                self._settled.notify_all()
+            self._settle(file_name)
+
+    def _settle(self, file_name: str) -> None:
+        with self._lock:
+            self._in_flight.discard(file_name)
+            if self._prefetching == file_name:
+                self._prefetching = None
+            self._settled.notify_all()
 
     def _bump(self) -> int:
         self._tick += 1
         return self._tick
 
-    def _fetch_miss(self, record: FileRecord, requesting_project: str | None) -> Path:
+    def _prefetch_loop(self) -> None:
+        while True:
+            file_id = self._prefetch_queue.get()
+            if file_id is None or self._stopping.is_set():
+                return
+            self._prefetch(file_id)
+            self._prefetch_queue.task_done()
+
+    def _prefetch(self, file_id: int) -> None:
+        """Pull one file into the cache unpinned, unless it is there or on its way."""
+        name = str(file_id)
+        try:
+            with self._lock:
+                if file_id in self._entries:
+                    return
+            record = self.catalog.get_file(file_id)
+            name = record.file_name
+            with self._lock:
+                if file_id in self._entries or name in self._in_flight:
+                    return
+                self._in_flight.add(name)
+                self._prefetching = name
+            try:
+                self._fetch_miss(record, None, prefetch=True)
+            finally:
+                self._settle(name)
+        except Exception as e:  # noqa: BLE001 - a prefetch is advice; its failure is no one's error
+            if not isinstance(e, SamError):
+                log.exception("prefetch of %s failed", name)
+            with self._lock:
+                self.counters["prefetch_failed"] += 1
+            self._event("prefetch_error", name, "", 0, f"{type(e).__name__}: {e}")
+            return
+        with self._lock:
+            self.counters["prefetches"] += 1
+
+    def _fetch_miss(self, record: FileRecord, requesting_project: str | None,
+                    prefetch: bool = False) -> Path:
         candidates = self._candidates(record.file_id)
         if not candidates:
             raise NoReplica(f"no reachable replica for {record.file_name}")
-        victims = self._reserve(record.size_bytes)
+        victims = self._reserve(record.size_bytes, prefetch)
         try:
             self._forget_locations(victims)
             staging = self._attempt_loop(record, candidates)
@@ -271,25 +343,31 @@ class StationService(Dispatcher):
             f"{record.file_name}: gave up after {MAX_TRANSFER_ATTEMPTS} attempts "
             f"({last_error.msg if last_error else 'no attempt ran'})")
 
-    def _reserve(self, size: int) -> list[CacheEntry]:
+    def _reserve(self, size: int, prefetch: bool = False) -> list[CacheEntry]:
         """Reserve room for an incoming file; returns the entries evicted for it.
 
         Victims are chosen, least recently used and unpinned first, before
         any is dropped, so a reservation that cannot succeed evicts nothing.
+        A fetch short of room waits out a prefetch in flight, whose file
+        arrives unpinned and so can be evicted; a prefetch never waits.
         """
         with self._lock:
-            free = (self.config.cache_capacity_bytes - self._reserved
-                    - sum(e.size_bytes for e in self._entries.values()))
-            victims = []
-            for entry in sorted(self._entries.values(), key=lambda e: e.last_access):
+            while True:
+                free = (self.config.cache_capacity_bytes - self._reserved
+                        - sum(e.size_bytes for e in self._entries.values()))
+                victims = []
+                for entry in sorted(self._entries.values(), key=lambda e: e.last_access):
+                    if free >= size:
+                        break
+                    if entry.pin_count == 0:
+                        victims.append(entry)
+                        free += entry.size_bytes
                 if free >= size:
                     break
-                if entry.pin_count == 0:
-                    victims.append(entry)
-                    free += entry.size_bytes
-            if free < size:
-                raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
-                                f"{free} free or unpinned")
+                if prefetch or self._prefetching is None:
+                    raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
+                                    f"{free} free or unpinned")
+                self._settled.wait()
             for victim in victims:
                 self._drop_entry(victim)
             self._reserved += size
@@ -495,6 +573,7 @@ class StationService(Dispatcher):
                     for name, sem in sorted(self._limits.items())
                 },
                 "in_flight_jobs": len(self._in_flight),
+                "prefetch_queue": self._prefetch_queue.qsize(),
                 "counters": dict(self.counters),
             }
 
@@ -508,6 +587,13 @@ class StationService(Dispatcher):
         })
 
     def close(self) -> None:
+        """Stop the prefetch worker after the id it is pulling, then drop the catalog."""
+        self._stopping.set()
+        try:
+            self._prefetch_queue.put_nowait(None)  # wakes an idle worker
+        except queue.Full:
+            pass  # a busy worker sees _stopping before its next id
+        self._prefetcher.join()
         self.catalog.close()
 
 

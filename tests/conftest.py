@@ -124,9 +124,20 @@ class LoopbackRig:
     def close(self) -> None:
         for server in self._servers:
             server.close()
-        for service in self._services:
+        # stations first: a prefetch still running may call the catalog
+        for service in reversed(self._services):
             if hasattr(service, "close"):
                 service.close()
+
+
+@pytest.fixture(autouse=True)
+def no_prefetch_worker_left():
+    """Fail a test that leaves a station's prefetch worker running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate()
+            if t.name.startswith("prefetch-") and t not in before]
+    assert not left, f"prefetch workers still running after teardown: {left}"
 
 
 @pytest.fixture

@@ -282,7 +282,7 @@ def test_criterion_5_fsm_conformance_and_fuzz():
 class _AcceptanceStation(Dispatcher):
     ops = {"fetch": "fetch", "unpin": "unpin"}
 
-    def fetch(self, file_name, requesting_project=None):
+    def fetch(self, file_name, requesting_project=None, prefetch=()):
         return f"/delivered/{file_name}"
 
     def unpin(self, file_id, project):

@@ -256,7 +256,7 @@ def test_project_lifecycle_and_consume_subprocess(capsys, tmp_path, catalogd, pr
     class OneShotStation(Dispatcher):
         ops = {"fetch": "fetch", "unpin": "unpin"}
 
-        def fetch(self, file_name, requesting_project=None):
+        def fetch(self, file_name, requesting_project=None, prefetch=()):
             return f"/fake/{file_name}"
 
         def unpin(self, file_id, project):

@@ -26,13 +26,15 @@ class FakeStation(Dispatcher):
 
     def __init__(self):
         self.fetches = []
+        self.prefetches = []  # (file_name, prefetch list) per fetch
         self.unpins = []
         self.fail_names = {}  # file_name -> times to fail
         self._lock = threading.Lock()
 
-    def fetch(self, file_name, requesting_project=None):
+    def fetch(self, file_name, requesting_project=None, prefetch=()):
         with self._lock:
             self.fetches.append(file_name)
+            self.prefetches.append((file_name, list(prefetch)))
             remaining = self.fail_names.get(file_name, 0)
             if remaining:
                 self.fail_names[file_name] = remaining - 1
@@ -265,3 +267,55 @@ def test_concurrent_consumers_receive_each_file_exactly_once(project_rig):
     status = project.status("p")
     assert status["state"] == "ended"
     assert sum(status["per_consumer_counts"].values()) == n_files
+
+
+def test_fetch_names_the_next_two_ids_in_hand_out_order(project_rig):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 4)
+    project.start_project("p", "all")
+    first = project.next_file("p", "c1", station=station_addr)
+    project.next_file("p", "c1", station=station_addr)  # resume: prefetch nothing
+    project.release_file("p", "c1", first["file_id"])
+    for _ in range(3):
+        result = project.next_file("p", "c1", station=station_addr)
+        project.release_file("p", "c1", result["file_id"])
+    assert project.next_file("p", "c1", station=station_addr) == {"end": True}
+    assert station.prefetches == [
+        ("file-000.raw", [ids[1], ids[2]]),
+        ("file-000.raw", []),
+        ("file-001.raw", [ids[2], ids[3]]),
+        ("file-002.raw", [ids[3]]),
+        ("file-003.raw", []),
+    ]
+
+
+def test_pool_stays_lowest_first_across_failure_exhaustion_and_reopen(rig):
+    station = FakeStation()
+    server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
+    station_addr = format_addr(server.bound_addr)
+    journal = rig.root / "project.journal"
+    try:
+        ids = declare_files(rig, 6)
+        project = ProjectServer(journal, rig.catalog_addr)
+        project.start_project("p", "all")
+        station.fail_names = {"file-001.raw": 3, "file-002.raw": 1}
+        assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
+        for _ in range(3):  # a failed file goes back in place, ahead of the rest
+            with pytest.raises(RemoteError):
+                project.next_file("p", "c2", station=station_addr)
+        with pytest.raises(RemoteError):
+            project.next_file("p", "c2", station=station_addr)
+        # ids[1] is exhausted: it is neither handed out nor prefetched
+        assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[2]
+        assert station.prefetches[-1] == ("file-002.raw", [ids[3], ids[4]])
+        assert station.fetches[1:] == ["file-001.raw"] * 3 + ["file-002.raw"] * 2
+        before = project.projects["p"].pool
+        project.close()
+
+        reborn = ProjectServer(journal, rig.catalog_addr)
+        assert reborn.projects["p"].pool == before == [ids[5], ids[4], ids[3]]
+        assert reborn.next_file("p", "c3", station=station_addr)["file_id"] == ids[3]
+        assert station.prefetches[-1] == ("file-003.raw", [ids[4], ids[5]])
+        reborn.close()
+    finally:
+        server.close()

@@ -19,8 +19,18 @@ from samforge.errors import (
     NotResident,
     RemoteError,
     TransferExhausted,
+    ValidationError,
 )
-from samforge.transfer import crc32_bytes, crc32_file, send_header, send_request
+from samforge.project import ProjectServer
+from samforge.query import Atom
+from samforge.transfer import (
+    crc32_bytes,
+    crc32_file,
+    put_to_store,
+    send_header,
+    send_request,
+)
+from samforge.wire import Client
 
 from conftest import read_stored, run_threads
 
@@ -40,6 +50,14 @@ def simple_rig(rig, cache_capacity=10**6, slots=4):
     station = rig.add_station(
         "cdfa-1", [("stken-sim", "read_only", slots)], cache_capacity=cache_capacity)
     return station
+
+
+def settle_prefetches(station, timeout=10.0):
+    """Wait until the station's prefetch worker has handled every queued id."""
+    waiter = threading.Thread(target=station._prefetch_queue.join, daemon=True)
+    waiter.start()
+    waiter.join(timeout)
+    assert not waiter.is_alive(), "prefetch worker did not drain its queue"
 
 
 def local_file(rig, name, data):
@@ -346,6 +364,33 @@ def test_concurrent_fetches_of_many_names_transfer_each_once(rig):
     assert station.station_status()["in_flight_jobs"] == 0
 
 
+def test_concurrent_fetches_racing_prefetches_transfer_each_once(rig):
+    # as above, but each fetch also names the next two files, so the
+    # prefetch worker races the consumers for every name
+    station = simple_rig(rig)
+    ids = [rig.seed_file(f"m{i}", bytes([i]) * 500, stores=["stken-sim"]) for i in range(4)]
+    paths = {}
+
+    def fetch(i):
+        paths[i] = station.fetch_file(f"m{i % 4}",
+                                      prefetch=[ids[(i + 1) % 4], ids[(i + 2) % 4]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads(32, fetch)
+    finally:
+        sys.setswitchinterval(interval)
+    settle_prefetches(station)
+    assert len(paths) == 32
+    assert len(set(paths.values())) == 4
+    assert station.counters["transfers_ok"] == 4
+    # a file the worker pulled first is a hit for every consumer
+    assert station.counters["cache_hits"] == 28 + station.counters["prefetches"]
+    assert station.station_status()["in_flight_jobs"] == 0
+    assert station._reserved == 0
+
+
 def test_rate_limit_high_water_mark_never_exceeds_slots(rig):
     rig.add_store("stken-sim", STORE_ACCESS, mount_latency_ms=20)
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 2)])
@@ -550,3 +595,146 @@ def test_data_plane_memory_does_not_grow_with_file_size(rig):
     assert rig.stores["stken-sim"].counters["gets"] == gets  # the peer pulled from cdfa-1
     assert crc32_file(from_tape) == crc32_file(from_peer) == want
     assert peak < 2 * MiB
+
+
+# -- prefetch ---------------------------------------------------------------
+
+def cached_pins(station) -> dict[str, int]:
+    return {e["file_name"]: e["pin_count"]
+            for e in station.station_status()["cache"]["entries"]}
+
+
+def test_hit_makes_no_catalog_call(rig, monkeypatch):
+    station = simple_rig(rig)
+    rig.seed_file("a", b"x", stores=["stken-sim"])
+    path = station.fetch_file("a")
+
+    def no_catalog(*_args, **_kwargs):
+        raise AssertionError("a cache hit asked the catalog")
+
+    monkeypatch.setattr(station.catalog, "get_file", no_catalog)
+    assert station.fetch_file("a", requesting_project="proj") == path
+    assert station.counters["cache_hits"] == 1
+    assert cached_pins(station) == {"a": 1}
+
+
+def test_project_delivery_pulls_each_file_once_and_then_hits(rig):
+    rig.add_store("stken-sim", STORE_ACCESS)
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
+                              with_control_server=True)
+    n_files = 8
+    ids = [rig.seed_file(f"f{i}", b"%d" % i, stores=["stken-sim"]) for i in range(n_files)]
+    with rig.catalog_client() as catalog:
+        catalog.define_dataset("all", Atom("event_type", "=", "phy"))
+    project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        project.start_project("p", "all")
+        got = []
+        while True:
+            settle_prefetches(station)  # the worker has finished what it was told
+            hits = station.counters["cache_hits"]
+            result = project.next_file("p", "c1", station=rig.station_control["cdfa-1"])
+            if result.get("end"):
+                break
+            if got:
+                assert station.counters["cache_hits"] == hits + 1, result
+            got.append(result["file_id"])
+            project.release_file("p", "c1", result["file_id"])
+    finally:
+        project.close()
+    assert got == ids
+    assert station.counters["transfers_ok"] == n_files  # each file pulled once
+    assert station.counters["prefetches"] == n_files - 1
+    assert station.counters["prefetch_failed"] == 0
+    assert rig.stores["stken-sim"].counters["gets"] == n_files
+
+
+def test_prefetch_never_pins_nor_evicts_a_pinned_file(rig):
+    station = simple_rig(rig, cache_capacity=3)
+    for name in ("a", "b", "c", "d"):
+        rig.seed_file(name, b"x", stores=["stken-sim"])
+    station.fetch_file("a", requesting_project="proj")
+    station.fetch_file("b")
+    station.fetch_file("d", requesting_project="proj", prefetch=[3])  # c
+    settle_prefetches(station)
+    assert cached_pins(station) == {"a": 1, "d": 1, "c": 0}  # b was the one unpinned
+    assert station.counters["prefetches"] == 1
+
+
+def test_prefetch_into_a_pinned_full_cache_is_dropped(rig):
+    station = simple_rig(rig, cache_capacity=2)
+    for name in ("a", "b", "c"):
+        rig.seed_file(name, b"x", stores=["stken-sim"])
+    station.fetch_file("a", requesting_project="proj")
+    station.fetch_file("b", requesting_project="proj", prefetch=[3])
+    settle_prefetches(station)
+    status = station.station_status()
+    assert cached_pins(station) == {"a": 1, "b": 1}
+    assert status["counters"]["evictions"] == 0
+    assert status["counters"]["prefetches"] == 0
+    assert status["counters"]["prefetch_failed"] == 1
+    assert status["prefetch_queue"] == 0
+    [event] = [e for e in station.events if e["kind"] == "prefetch_error"]
+    assert event["file_name"] == "c" and "CacheFull" in event["detail"]
+    assert station._reserved == 0
+
+
+@pytest.mark.parametrize("failure", ["no_replica", "unreachable"])
+def test_failed_prefetch_leaves_nothing_behind(rig, failure):
+    rig.add_store("stken-sim", STORE_ACCESS)
+    # cdfa-2 has no data server in this rig: its address refuses connections
+    station = rig.add_station(
+        "cdfa-1", [("stken-sim", "read_only", 4), ("cdfa-2", "read_only", 1)])
+    rig.seed_file("a", b"a", stores=["stken-sim"])
+    file_id = rig.seed_file("f", b"f", stores=[])  # declared, no bytes anywhere
+    if failure == "unreachable":
+        with rig.catalog_client() as catalog:
+            catalog.add_location(file_id, "cdfa-2", "/cache/f")
+    station.fetch_file("a", prefetch=[file_id])
+    settle_prefetches(station)
+    assert station.counters["prefetch_failed"] == 1
+    assert station._in_flight == set()
+    assert station._reserved == 0
+
+    # the consumer's own fetch gets its own answer
+    with pytest.raises(NoReplica if failure == "no_replica" else TransferExhausted):
+        station.fetch_file("f")
+    if failure == "unreachable":
+        # once a reachable copy exists, the same fetch succeeds
+        volume = put_to_store(rig.store_data["stken-sim"], "seeder", "f", 0, b"f")
+        with rig.catalog_client() as catalog:
+            catalog.add_location(file_id, "stken-sim", volume)
+        with open(station.fetch_file("f"), "rb") as fh:
+            assert fh.read() == b"f"
+    assert station._in_flight == set()
+    assert station._reserved == 0
+
+
+@pytest.mark.parametrize("prefetch", ["1,2", 3, [1.5], ["f"], [True], {"ids": [1]}, [[1]]])
+def test_prefetch_must_be_a_list_of_ids(rig, prefetch):
+    station = rig.add_station("cdfa-1", [], with_control_server=True)
+    with pytest.raises(ValidationError):
+        station.fetch_file("a", prefetch=prefetch)
+    with Client(rig.station_control["cdfa-1"]) as client:
+        with pytest.raises(RemoteError) as excinfo:
+            client.call("fetch", file_name="a", prefetch=prefetch)
+    assert excinfo.value.code == "VALIDATION"
+
+
+def test_fetch_waits_out_a_prefetch_instead_of_failing_cache_full(rig):
+    # room for two files: a is pinned, c's prefetch holds the other slot while
+    # its tape mount runs; b's fetch must wait for c, then evict it
+    rig.add_store("stken-sim", STORE_ACCESS, mount_latency_ms=300)
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)], cache_capacity=2)
+    for fileset, name in enumerate(("a", "b", "c")):
+        rig.seed_file(name, b"x", fileset=fileset, stores=["stken-sim"])
+    station.fetch_file("a", requesting_project="proj", prefetch=[3])
+    deadline = time.monotonic() + 5
+    while station._reserved == 0:
+        assert time.monotonic() < deadline, "the prefetch of c never reserved room"
+        time.sleep(0.005)
+    station.fetch_file("b", requesting_project="proj")
+    settle_prefetches(station)
+    assert cached_pins(station) == {"a": 1, "b": 1}
+    assert station.counters["prefetches"] == 1
+    assert station._reserved == 0
