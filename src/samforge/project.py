@@ -6,8 +6,9 @@ file id, so equal pull rates receive equal shares without any push-side
 partitioning.  Every hand-out is journaled before the consumer's station
 is told to fetch, which makes restarts safe: a consumer that lost the
 reply simply asks again and receives the same file it already holds.
-The same fetch names the next few ids the project will hand out, so the
-station can prefetch them before any consumer asks.
+While all of a project's consumers use one station, the same fetch names
+the next few ids the project will hand out, so that station can prefetch
+them before any consumer asks.
 
 Delivery failures return the file to the undelivered pool (at most 3
 redeliveries per file, then it is set aside and reported undelivered at
@@ -100,10 +101,8 @@ class ProjectServer(Dispatcher):
         if kind == "Deliver":
             file_id, consumer = payload["file_id"], payload["consumer_id"]
             project.undelivered.discard(file_id)
-            if project.pool and project.pool[-1] == file_id:
-                project.pool.pop()
-            elif file_id in project.pool:  # not the lowest: no live hand-out does this
-                project.pool.remove(file_id)
+            lowest = project.pool.pop()
+            assert lowest == file_id, "a Deliver hands out the lowest deliverable id"
             project.delivered[file_id] = consumer
             project.held[file_id] = consumer
             project.register(consumer, payload.get("station"))
@@ -112,13 +111,18 @@ class ProjectServer(Dispatcher):
             file_id, consumer = payload["file_id"], payload["consumer_id"]
             project.delivered.pop(file_id, None)
             project.held.pop(file_id, None)
+            # a second failure of the same hand-out (a resumed fetch racing the
+            # first) finds the id back in the pool already: never add it twice
+            pooled = file_id in project.undelivered and file_id not in project.exhausted
             project.undelivered.add(file_id)
             project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 1) - 1
             attempts = project.attempts.get(file_id, 0) + 1
             project.attempts[file_id] = attempts
             if attempts >= REDELIVERY_CAP:
                 project.exhausted.add(file_id)
-            else:
+                if pooled:
+                    del project.pool[bisect.bisect_left(project.pool, -file_id, key=operator.neg)]
+            elif not pooled:
                 bisect.insort(project.pool, file_id, key=operator.neg)
         elif kind == "Release":
             project.held.pop(payload["file_id"], None)
@@ -174,7 +178,11 @@ class ProjectServer(Dispatcher):
                     })
                     self._maybe_finish(project)
                     return {"end": True}
-                file_id, prefetch = upcoming[0], upcoming[1:]
+                file_id = upcoming[0]
+                # prefetch only when every consumer of the project uses this
+                # station: the next ids go to whichever consumer asks next
+                one_station = all(s == station_addr for s in project.stations.values())
+                prefetch = upcoming[1:] if one_station else []
                 self.journal.commit("Deliver", {
                     "project_name": project_name,
                     "file_id": file_id,

@@ -289,6 +289,59 @@ def test_fetch_names_the_next_two_ids_in_hand_out_order(project_rig):
     ]
 
 
+def test_no_prefetch_while_consumers_use_different_stations(project_rig):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 4)
+    other = FakeStation()
+    server = Server(ControlHandler, other, ("127.0.0.1", 0)).start()
+    try:
+        project.start_project("p", "all")
+        first = project.next_file("p", "c1", station=station_addr)
+        project.next_file("p", "c2", station=format_addr(server.bound_addr))
+        project.release_file("p", "c1", first["file_id"])
+        project.next_file("p", "c1", station=station_addr)
+    finally:
+        server.close()
+    # only while c1 is the project's sole consumer may its station prefetch
+    assert station.prefetches == [("file-000.raw", [ids[1], ids[2]]), ("file-002.raw", [])]
+    assert other.prefetches == [("file-001.raw", [])]
+
+
+def test_a_hand_out_failed_twice_returns_to_the_pool_once(project_rig):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 3)
+    project.start_project("p", "all")
+    state = project.projects["p"]
+
+    def fail(file_id, consumer, times):  # a resumed fetch and the one it resumed both fail
+        for _ in range(times):
+            with project._lock:
+                project.journal.commit("DeliveryFailed", {
+                    "project_name": "p", "file_id": file_id, "consumer_id": consumer,
+                    "reason": "SOURCE_UNAVAILABLE: injected"})
+
+    assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
+    fail(ids[0], "c1", 2)
+    assert state.pool == [ids[2], ids[1], ids[0]]
+    assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
+    assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
+    fail(ids[1], "c2", 1)
+    assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
+    fail(ids[1], "c2", 2)  # the second failure is its third: it leaves the pool
+    assert state.pool == [ids[2]] and state.exhausted == {ids[1]}
+    assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[2]
+    assert project.next_file("p", "c4", station=station_addr) == {"end": True}
+    assert state.held == {ids[0]: "c1", ids[2]: "c3"}
+    project.close()
+
+    reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        again = reborn.projects["p"]
+        assert (again.pool, again.exhausted, again.held) == ([], {ids[1]}, state.held)
+    finally:
+        reborn.close()
+
+
 def test_pool_stays_lowest_first_across_failure_exhaustion_and_reopen(rig):
     station = FakeStation()
     server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
