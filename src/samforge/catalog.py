@@ -64,6 +64,8 @@ class CatalogState:
             )
         elif kind == OP_TAKE_SNAPSHOT:
             snapshot = DatasetSnapshot.from_wire(payload)
+            # records never change after declare, so the journal keeps ids only
+            snapshot.file_names = [self.files[i].file_name for i in snapshot.file_ids]
             self.snapshots[snapshot.snapshot_id] = snapshot
             self.next_snapshot_id = max(self.next_snapshot_id, snapshot.snapshot_id + 1)
         elif kind == OP_ADD_LOCATION:
@@ -160,15 +162,14 @@ class CatalogService(Dispatcher):
 
     def take_snapshot(self, dataset_name: str) -> dict:
         with self._lock:
-            file_ids = self.resolve_dataset(dataset_name)
-            snapshot = DatasetSnapshot(
-                snapshot_id=self.state.next_snapshot_id,
-                dataset_name=dataset_name,
-                file_ids=file_ids,
-                created_at=time.time(),
-            )
-            self.journal.commit(OP_TAKE_SNAPSHOT, snapshot.to_wire())
-            return snapshot.to_wire()
+            snapshot_id = self.state.next_snapshot_id
+            self.journal.commit(OP_TAKE_SNAPSHOT, {
+                "snapshot_id": snapshot_id,
+                "dataset_name": dataset_name,
+                "file_ids": self.resolve_dataset(dataset_name),
+                "created_at": time.time(),
+            })
+            return self.state.snapshots[snapshot_id].to_wire()
 
     def get_snapshot(self, snapshot_id: int) -> dict:
         with self._lock:

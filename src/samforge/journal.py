@@ -82,10 +82,11 @@ class Journal:
             self.last_seq = entry["seq"]
             return entry["seq"]
 
-    def commit(self, kind: str, payload: dict) -> None:
-        """Durably append one entry, then apply it."""
-        self.append(kind, payload)
+    def commit(self, kind: str, payload: dict) -> int:
+        """Durably append one entry, then apply it; returns its sequence number."""
+        seq = self.append(kind, payload)
         self._apply(kind, payload)
+        return seq
 
     def close(self) -> None:
         with self._lock:

@@ -6,13 +6,17 @@ file id, so equal pull rates receive equal shares without any push-side
 partitioning.  Every hand-out is journaled before the consumer's station
 is told to fetch, which makes restarts safe: a consumer that lost the
 reply simply asks again and receives the same file it already holds.
+File names ride in the snapshot, so a hand-out makes no catalog call.
 While all of a project's consumers use one station, the same fetch names
-the next few ids the project will hand out, so that station can prefetch
-them before any consumer asks.
+the next few files the project will hand out, so that station can
+prefetch them before any consumer asks.
 
 Delivery failures return the file to the undelivered pool (at most 3
 redeliveries per file, then it is set aside and reported undelivered at
 the end) and surface the station's error to the asking consumer only.
+A failure names the journal sequence number of the hand-out it undoes,
+and counts only while that hand-out is current: a stale fetch that fails
+after its file was returned, released or handed out again changes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .records import DatasetSnapshot
 from .wire import Client, Dispatcher
 
 REDELIVERY_CAP = 3
-PREFETCH_DEPTH = 2  # ids after the one handed out that the station may prefetch
+PREFETCH_DEPTH = 2  # files after the one handed out that the station may prefetch
 
 STATE_RUNNING = "running"
 STATE_DRAINING = "draining"
@@ -48,11 +52,13 @@ class ProjectState:
     def __init__(self, snapshot: DatasetSnapshot):
         self.project_name = None  # set by the server
         self.snapshot = snapshot
+        self.names: dict[int, str] = dict(zip(snapshot.file_ids, snapshot.file_names))
         self.undelivered: set[int] = set(snapshot.file_ids)
         # undelivered ids not exhausted, highest first: the next hand-out is pool[-1]
         self.pool: list[int] = sorted(self.undelivered, reverse=True)
         self.delivered: dict[int, str] = {}
         self.held: dict[int, str] = {}  # delivered but not yet released
+        self.handouts: dict[int, int] = {}  # held id -> journal seq of its Deliver
         self.per_consumer_counts: dict[str, int] = {}
         self.stations: dict[str, str] = {}  # consumer -> station control addr
         self.attempts: dict[int, int] = {}  # redelivery attempts per file
@@ -85,11 +91,13 @@ class ProjectServer(Dispatcher):
         self.catalog = CatalogClient(catalog_addr)
         self.projects: dict[str, ProjectState] = {}
         self._station_clients: dict[str, Client] = {}
+        self._seq = 0  # sequence number of the journal entry being applied
         self.journal = Journal(journal_path, self._apply)
 
     # -- journal apply (replay and commit) ---------------------------------
 
     def _apply(self, kind: str, payload: dict) -> None:
+        self._seq += 1  # the journal applies every entry once, in order, from 1
         if kind == "StartProject":
             state = ProjectState(DatasetSnapshot.from_wire(payload["snapshot"]))
             state.project_name = payload["project_name"]
@@ -105,27 +113,27 @@ class ProjectServer(Dispatcher):
             assert lowest == file_id, "a Deliver hands out the lowest deliverable id"
             project.delivered[file_id] = consumer
             project.held[file_id] = consumer
+            project.handouts[file_id] = self._seq
             project.register(consumer, payload.get("station"))
             project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 0) + 1
         elif kind == "DeliveryFailed":
             file_id, consumer = payload["file_id"], payload["consumer_id"]
+            if project.handouts.get(file_id) != payload["deliver_seq"]:
+                return  # a stale fetch: its hand-out was undone or released already
+            del project.handouts[file_id]
             project.delivered.pop(file_id, None)
             project.held.pop(file_id, None)
-            # a second failure of the same hand-out (a resumed fetch racing the
-            # first) finds the id back in the pool already: never add it twice
-            pooled = file_id in project.undelivered and file_id not in project.exhausted
             project.undelivered.add(file_id)
             project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 1) - 1
             attempts = project.attempts.get(file_id, 0) + 1
             project.attempts[file_id] = attempts
             if attempts >= REDELIVERY_CAP:
                 project.exhausted.add(file_id)
-                if pooled:
-                    del project.pool[bisect.bisect_left(project.pool, -file_id, key=operator.neg)]
-            elif not pooled:
+            else:
                 bisect.insort(project.pool, file_id, key=operator.neg)
         elif kind == "Release":
             project.held.pop(payload["file_id"], None)
+            project.handouts.pop(payload["file_id"], None)
         elif kind == "Drain":
             project.state = STATE_DRAINING
             project.saw_end.add(payload["consumer_id"])
@@ -168,6 +176,7 @@ class ProjectServer(Dispatcher):
             held = [f for f, c in project.held.items() if c == consumer_id]
             if held:
                 file_id = min(held)  # resume: redeliver what they already hold
+                deliver_seq = project.handouts[file_id]
                 prefetch = []
             else:
                 upcoming = project.upcoming(1 + PREFETCH_DEPTH)
@@ -182,16 +191,16 @@ class ProjectServer(Dispatcher):
                 # prefetch only when every consumer of the project uses this
                 # station: the next ids go to whichever consumer asks next
                 one_station = all(s == station_addr for s in project.stations.values())
-                prefetch = upcoming[1:] if one_station else []
-                self.journal.commit("Deliver", {
+                prefetch = [project.names[i] for i in upcoming[1:]] if one_station else []
+                deliver_seq = self.journal.commit("Deliver", {
                     "project_name": project_name,
                     "file_id": file_id,
                     "consumer_id": consumer_id,
                     "station": station_addr,
                 })
-        # lookup and transfer happen outside the project lock: they may be slow
+            file_name = project.names[file_id]
+        # the transfer happens outside the project lock: it may be slow
         try:
-            file_name = self.catalog.get_file(file_id).file_name
             path = self._station(consumer_id, station_addr).call(
                 "fetch", file_name=file_name, requesting_project=project_name,
                 prefetch=prefetch)
@@ -201,6 +210,7 @@ class ProjectServer(Dispatcher):
                     "project_name": project_name,
                     "file_id": file_id,
                     "consumer_id": consumer_id,
+                    "deliver_seq": deliver_seq,
                     "reason": f"{e.code}: {e.msg}",
                 })
             raise

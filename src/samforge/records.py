@@ -125,6 +125,7 @@ class DatasetSnapshot:
     dataset_name: str
     file_ids: list[int]
     created_at: float
+    file_names: list[str] = field(default_factory=list)  # parallel to file_ids
 
     def to_wire(self) -> dict:
         return {
@@ -132,6 +133,7 @@ class DatasetSnapshot:
             "dataset_name": self.dataset_name,
             "file_ids": list(self.file_ids),
             "created_at": self.created_at,
+            "file_names": list(self.file_names),
         }
 
     @classmethod
@@ -141,6 +143,7 @@ class DatasetSnapshot:
             dataset_name=obj["dataset_name"],
             file_ids=list(obj["file_ids"]),
             created_at=obj["created_at"],
+            file_names=list(obj.get("file_names", ())),  # the catalog journals ids only
         )
 
 

@@ -19,11 +19,17 @@ client's access.
 Per-endpoint transfer slots are granted FIFO; a slot is held only while
 bytes move, never while waiting on cache locks.
 
-A fetch may name file ids to prefetch: the ids its project will hand out
-next.  Once the fetch itself is done they are queued for one worker
-thread, which pulls each id that is neither resident nor in flight
-through the same miss path, without a pin.  A failed prefetch is
-counted and logged as an event, never raised.
+A fetch may name files to prefetch: the files its project will hand out
+next.  Once the fetch itself is done they are queued for the station's
+prefetch workers, which pull each name that is neither resident nor in
+flight through the same miss path, without a pin.  Each worker has its
+own catalog connection, so the workers' lookups do not queue behind one
+another or behind the consumers'.  A failed prefetch is counted and
+logged as an event, never raised.
+
+The cache index is kept in least-recently-used order with a running
+total of resident bytes, so a hit moves one entry and a victim choice
+neither sums nor sorts the cache.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import shutil
 import socketserver
 import threading
 import uuid
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,7 +86,9 @@ SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <
 
 MAX_TRANSFER_ATTEMPTS = 3
 DEFAULT_MAX_CONCURRENT = 4
-PREFETCH_QUEUE_LIMIT = 64  # ids past this are dropped, not waited for
+PREFETCH_QUEUE_LIMIT = 64  # names past this are dropped, not waited for
+# one worker cannot pull as fast as the consumers of a tape-backed project read
+PREFETCH_WORKERS = 2
 
 
 @dataclass
@@ -123,7 +131,6 @@ class CacheEntry:
     size_bytes: int
     crc32: int  # verified when the file was admitted; served as the SEND header CRC
     pins: dict[str, int] = field(default_factory=dict)
-    last_access: int = 0
 
     @property
     def pin_count(self) -> int:
@@ -151,12 +158,12 @@ class StationService(Dispatcher):
 
         self._lock = threading.RLock()
         self._settled = threading.Condition(self._lock)  # notified when a miss ends
-        self._entries: dict[int, CacheEntry] = {}
+        self._entries: OrderedDict[int, CacheEntry] = OrderedDict()  # least recent first
         self._by_name: dict[str, int] = {}
+        self._resident = 0  # bytes of every entry
         self._reserved = 0
-        self._tick = 0
         self._in_flight: set[str] = set()  # names whose miss is being fetched
-        self._prefetching: str | None = None  # the name the prefetch worker is pulling
+        self._prefetching: set[str] = set()  # the in-flight names a prefetch worker pulls
         self._endpoints = {e.name: e for e in config.known_endpoints}
         self._limits = {
             e.name: FairSemaphore(e.max_concurrent_transfers)
@@ -174,11 +181,15 @@ class StationService(Dispatcher):
             "prefetch_failed": 0,
         }
         self.events: deque[dict] = deque(maxlen=10000)
-        self._prefetch_queue: queue.Queue[int | None] = queue.Queue(PREFETCH_QUEUE_LIMIT)
+        self._prefetch_queue: queue.Queue[str | None] = queue.Queue(PREFETCH_QUEUE_LIMIT)
         self._stopping = threading.Event()
-        self._prefetcher = threading.Thread(target=self._prefetch_loop,
-                                            name=f"prefetch-{config.name}", daemon=True)
-        self._prefetcher.start()
+        self._prefetchers = [
+            threading.Thread(target=self._prefetch_loop, args=(catalog_addr,),
+                             name=f"prefetch-{config.name}-{i}", daemon=True)
+            for i in range(PREFETCH_WORKERS)
+        ]
+        for worker in self._prefetchers:
+            worker.start()
 
     # -- fault injection ---------------------------------------------------
 
@@ -196,14 +207,14 @@ class StationService(Dispatcher):
     # -- fetch path --------------------------------------------------------
 
     def fetch_file(self, file_name: str, requesting_project: str | None = None,
-                   prefetch: list[int] | tuple[int, ...] = ()) -> str:
+                   prefetch: list[str] | tuple[str, ...] = ()) -> str:
         if not isinstance(prefetch, (list, tuple)) or \
-                not all(type(file_id) is int for file_id in prefetch):
-            raise ValidationError(f"prefetch must be a list of file ids, not {prefetch!r}")
+                not all(type(name) is str for name in prefetch):
+            raise ValidationError(f"prefetch must be a list of file names, not {prefetch!r}")
         path = self._fetch(file_name, requesting_project)
-        for file_id in prefetch:
+        for name in prefetch:
             try:
-                self._prefetch_queue.put_nowait(file_id)
+                self._prefetch_queue.put_nowait(name)
             except queue.Full:
                 break
         return path
@@ -215,7 +226,7 @@ class StationService(Dispatcher):
             file_id = self._by_name.get(file_name)
             if file_id is not None:  # a hit needs no catalog call
                 entry = self._entries[file_id]
-                entry.last_access = self._bump()
+                self._entries.move_to_end(file_id)
                 if requesting_project:
                     # idempotent: redelivery of a held file must not stack pins
                     entry.pins.setdefault(requesting_project, 1)
@@ -224,47 +235,37 @@ class StationService(Dispatcher):
             self._in_flight.add(file_name)
         try:
             record = self.catalog.get_file(file_name)
-            return str(self._fetch_miss(record, requesting_project))
+            return str(self._fetch_miss(record, requesting_project, self.catalog))
         finally:
             self._settle(file_name)
 
     def _settle(self, file_name: str) -> None:
         with self._lock:
             self._in_flight.discard(file_name)
-            if self._prefetching == file_name:
-                self._prefetching = None
+            self._prefetching.discard(file_name)
             self._settled.notify_all()
 
-    def _bump(self) -> int:
-        self._tick += 1
-        return self._tick
-
-    def _prefetch_loop(self) -> None:
-        while True:
-            file_id = self._prefetch_queue.get()
-            if file_id is None or self._stopping.is_set():
-                return
-            self._prefetch(file_id)
-            self._prefetch_queue.task_done()
-
-    def _prefetch(self, file_id: int) -> None:
-        """Pull one file into the cache unpinned, unless it is there or on its way."""
-        name = str(file_id)
+    def _prefetch_loop(self, catalog_addr) -> None:
+        catalog = CatalogClient(catalog_addr)  # connects on first use
         try:
-            with self._lock:
-                if file_id in self._entries:
+            while True:
+                name = self._prefetch_queue.get()
+                if name is None or self._stopping.is_set():
                     return
-            record = self.catalog.get_file(file_id)
-            name = record.file_name
-            with self._lock:
-                if file_id in self._entries or name in self._in_flight:
-                    return
-                self._in_flight.add(name)
-                self._prefetching = name
-            try:
-                self._fetch_miss(record, None, prefetch=True)
-            finally:
-                self._settle(name)
+                self._prefetch(name, catalog)
+                self._prefetch_queue.task_done()
+        finally:
+            catalog.close()
+
+    def _prefetch(self, name: str, catalog: CatalogClient) -> None:
+        """Pull one file into the cache unpinned, unless it is there or on its way."""
+        with self._lock:
+            if name in self._by_name or name in self._in_flight:
+                return
+            self._in_flight.add(name)
+            self._prefetching.add(name)
+        try:
+            self._fetch_miss(catalog.get_file(name), None, catalog, prefetch=True)
         except Exception as e:  # noqa: BLE001 - a prefetch is advice; its failure is no one's error
             if not isinstance(e, SamError):
                 log.exception("prefetch of %s failed", name)
@@ -272,26 +273,28 @@ class StationService(Dispatcher):
                 self.counters["prefetch_failed"] += 1
             self._event("prefetch_error", name, "", 0, f"{type(e).__name__}: {e}")
             return
+        finally:
+            self._settle(name)
         with self._lock:
             self.counters["prefetches"] += 1
 
     def _fetch_miss(self, record: FileRecord, requesting_project: str | None,
-                    prefetch: bool = False) -> Path:
-        candidates = self._candidates(record.file_id)
+                    catalog: CatalogClient, prefetch: bool = False) -> Path:
+        candidates = self._candidates(record.file_id, catalog)
         if not candidates:
             raise NoReplica(f"no reachable replica for {record.file_name}")
         victims = self._reserve(record.size_bytes, prefetch)
         try:
-            self._forget_locations(victims)
+            self._forget_locations(victims, catalog)
             staging = self._attempt_loop(record, candidates)
         except BaseException:
             self._release_reservation(record.size_bytes)
             raise
-        return self._admit(record, staging, requesting_project)
+        return self._admit(record, staging, requesting_project, catalog)
 
-    def _candidates(self, file_id: int) -> list[EndpointSpec]:
+    def _candidates(self, file_id: int, catalog: CatalogClient) -> list[EndpointSpec]:
         specs = []
-        for location in self.catalog.get_locations(file_id):
+        for location in catalog.get_locations(file_id):
             spec = self._endpoints.get(location.endpoint_name)
             if spec is not None and spec.name != self.config.name:
                 specs.append(spec)
@@ -348,15 +351,15 @@ class StationService(Dispatcher):
 
         Victims are chosen, least recently used and unpinned first, before
         any is dropped, so a reservation that cannot succeed evicts nothing.
-        A fetch short of room waits out a prefetch in flight, whose file
-        arrives unpinned and so can be evicted; a prefetch never waits.
+        A fetch short of room waits while any prefetch is in flight, since
+        its file arrives unpinned and so can be evicted; a prefetch never
+        waits.
         """
         with self._lock:
             while True:
-                free = (self.config.cache_capacity_bytes - self._reserved
-                        - sum(e.size_bytes for e in self._entries.values()))
+                free = self.config.cache_capacity_bytes - self._reserved - self._resident
                 victims = []
-                for entry in sorted(self._entries.values(), key=lambda e: e.last_access):
+                for entry in self._entries.values():
                     if free >= size:
                         break
                     if entry.pin_count == 0:
@@ -364,7 +367,7 @@ class StationService(Dispatcher):
                         free += entry.size_bytes
                 if free >= size:
                     break
-                if prefetch or self._prefetching is None:
+                if prefetch or not self._prefetching:
                     raise CacheFull(f"cannot free {size} bytes on {self.config.name}: "
                                     f"{free} free or unpinned")
                 self._settled.wait()
@@ -375,15 +378,16 @@ class StationService(Dispatcher):
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         del self._entries[entry.file_id]
+        self._resident -= entry.size_bytes
         self._by_name.pop(entry.file_name, None)
         entry.local_path.unlink(missing_ok=True)
         self.counters["evictions"] += 1
 
-    def _forget_locations(self, victims: list[CacheEntry]) -> None:
+    def _forget_locations(self, victims: list[CacheEntry], catalog: CatalogClient) -> None:
         for victim in victims:
             self._event("evict", victim.file_name, self.config.name, 0, "")
             try:
-                self.catalog.remove_location(victim.file_id, self.config.name)
+                catalog.remove_location(victim.file_id, self.config.name)
             except RemoteError as e:
                 if e.code != "NOT_FOUND":
                     raise
@@ -392,8 +396,8 @@ class StationService(Dispatcher):
         with self._lock:
             self._reserved -= size
 
-    def _admit(self, record: FileRecord, staging: Path,
-               requesting_project: str | None) -> Path:
+    def _admit(self, record: FileRecord, staging: Path, requesting_project: str | None,
+               catalog: CatalogClient) -> Path:
         final = self.files_dir / record.file_name
         os.replace(staging, final)
         with self._lock:
@@ -404,15 +408,15 @@ class StationService(Dispatcher):
                 local_path=final,
                 size_bytes=record.size_bytes,
                 crc32=record.crc32,
-                last_access=self._bump(),
             )
             if requesting_project:
                 entry.pins[requesting_project] = 1
             self._entries[record.file_id] = entry
+            self._resident += record.size_bytes
             self._by_name[record.file_name] = record.file_id
             self.counters["transfers_ok"] += 1
         try:
-            self.catalog.add_location(record.file_id, self.config.name, str(final))
+            catalog.add_location(record.file_id, self.config.name, str(final))
         except RemoteError as e:
             if e.code != "DUPLICATE_LOCATION":  # stale location from a prior life
                 raise
@@ -532,7 +536,7 @@ class StationService(Dispatcher):
             file_id = self._by_name.get(file_name)
             if file_id is not None:
                 entry = self._entries[file_id]
-                entry.last_access = self._bump()
+                self._entries.move_to_end(file_id)
                 return open(entry.local_path, "rb"), entry.size_bytes, entry.crc32
         buffered = self.buffer_dir / file_name
         if buffered.is_file():
@@ -545,23 +549,21 @@ class StationService(Dispatcher):
 
     def station_status(self) -> dict:
         with self._lock:
-            entries = [
+            entries = [  # least recently used first
                 {
                     "file_id": e.file_id,
                     "file_name": e.file_name,
                     "size_bytes": e.size_bytes,
                     "pin_count": e.pin_count,
-                    "last_access": e.last_access,
                 }
-                for e in sorted(self._entries.values(), key=lambda e: e.last_access)
+                for e in self._entries.values()
             ]
-            resident = sum(e.size_bytes for e in self._entries.values())
             return {
                 "name": self.config.name,
                 "role": self.config.role,
                 "cache": {
                     "capacity_bytes": self.config.cache_capacity_bytes,
-                    "resident_bytes": resident,
+                    "resident_bytes": self._resident,
                     "entries": entries,
                 },
                 "rate_limits": {
@@ -587,13 +589,15 @@ class StationService(Dispatcher):
         })
 
     def close(self) -> None:
-        """Stop the prefetch worker after the id it is pulling, then drop the catalog."""
+        """Stop the prefetch workers after the files they are pulling, then drop the catalog."""
         self._stopping.set()
-        try:
-            self._prefetch_queue.put_nowait(None)  # wakes an idle worker
-        except queue.Full:
-            pass  # a busy worker sees _stopping before its next id
-        self._prefetcher.join()
+        for _ in self._prefetchers:
+            try:
+                self._prefetch_queue.put_nowait(None)  # wakes an idle worker
+            except queue.Full:
+                break  # a queue this full wakes every worker, which then sees _stopping
+        for worker in self._prefetchers:
+            worker.join()
         self.catalog.close()
 
 

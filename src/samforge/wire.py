@@ -11,7 +11,9 @@ SamError subclasses become error responses with their code string,
 anything else becomes INTERNAL.  Clients keep one connection and raise
 RemoteError for error responses, ConnectFailed for transport trouble or
 a reply that is not protocol JSON.  Every daemon port, control or data
-plane, is a :class:`Server`; its ``close()`` returns at once.
+plane, is a :class:`Server`; its ``close()`` returns at once and cuts the
+connections it accepted, so a client sees ConnectFailed, never a reply
+from a service already closed.
 """
 
 from __future__ import annotations
@@ -157,6 +159,8 @@ class Server(socketserver.ThreadingTCPServer):
         super().__init__(parse_addr(addr), handler)  # binds and listens
         self.service = service
         self._serving = False
+        self._conns: set[socket.socket] = set()  # accepted and not yet shut down
+        self._conns_lock = threading.Lock()
 
     @property
     def bound_addr(self) -> tuple[str, int]:
@@ -171,15 +175,35 @@ class Server(socketserver.ThreadingTCPServer):
         threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
 
+    def process_request(self, request, client_address):
+        with self._conns_lock:
+            self._conns.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._conns_lock:  # close() must not shut down a socket closed under it
+            self._conns.discard(request)
+            super().shutdown_request(request)
+
     def close(self) -> None:
-        """Stop serving, if started, and release the port; returns at once."""
+        """Stop serving, if started, release the port and cut every open connection.
+
+        Returns at once; a handler still running finds its connection at
+        end of file and cannot answer.
+        """
         try:
             self.socket.shutdown(socket.SHUT_RDWR)  # wakes serve_forever's selector
         except OSError:
             pass
         if self._serving:
-            self.shutdown()
+            self.shutdown()  # no connection is accepted after this
         self.server_close()
+        with self._conns_lock:
+            for conn in self._conns:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 class UnknownOp(SamError):

@@ -1,5 +1,6 @@
 """Catalog daemon over the wire: records, datasets, locations, replay."""
 
+import json
 import random
 
 import pytest
@@ -117,11 +118,11 @@ def test_snapshot_freezes_membership(catalog):
     catalog.declare_file(make_record("a.raw"))
     catalog.define_dataset("phys", Atom("event_type", "=", "phy"))
     snapshot = catalog.take_snapshot("phys")
-    assert snapshot.file_ids == [1]
+    assert (snapshot.file_ids, snapshot.file_names) == ([1], ["a.raw"])
 
     catalog.declare_file(make_record("b.raw"))
     assert catalog.resolve_dataset("phys") == [1, 2]  # live resolve moved on
-    assert catalog.get_snapshot(snapshot.snapshot_id).file_ids == [1]  # snapshot did not
+    assert catalog.get_snapshot(snapshot.snapshot_id) == snapshot  # snapshot did not
 
 
 def test_locations_lifecycle(catalog):
@@ -179,6 +180,7 @@ def test_restart_replays_identical_state(tmp_path):
             catalog.declare_file(record)
         catalog.define_dataset("phys", Atom("event_type", "=", "phy"))
         snapshot = catalog.take_snapshot("phys")
+        assert snapshot.file_names == [catalog.get_file(i).file_name for i in snapshot.file_ids]
         catalog.add_location(1, "stken-sim", "vol-1")
         catalog.add_location(2, "stken-sim", "vol-1")
         catalog.remove_location(2, "stken-sim")
@@ -186,6 +188,10 @@ def test_restart_replays_identical_state(tmp_path):
         before_status = catalog.status()
     server.close()
     service.close()
+    # the journal keeps ids only; names are filled from the records on replay
+    [taken] = [entry["payload"] for entry in map(json.loads, journal.read_text().splitlines())
+               if entry["kind"] == "TakeSnapshot"]
+    assert "file_names" not in taken and taken["file_ids"] == snapshot.file_ids
 
     reborn = CatalogService(journal)
     server = Server(ControlHandler, reborn, ("127.0.0.1", 0)).start()

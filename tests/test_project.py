@@ -1,9 +1,11 @@
 """Project server: exactly-once delivery, fairness, failures, replay."""
 
+import itertools
 import threading
 
 import pytest
 
+from samforge.catalog import CatalogClient
 from samforge.errors import (
     DuplicateProject,
     NotHeld,
@@ -209,7 +211,7 @@ def test_stop_is_idempotent_and_final(project_rig):
         project.next_file("p", "c1", station=station_addr)
 
 
-def test_restart_replays_held_and_delivered_state(rig):
+def test_restart_replays_held_and_delivered_state(rig, monkeypatch):
     station = FakeStation()
     server = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
     station_addr = format_addr(server.bound_addr)
@@ -224,10 +226,15 @@ def test_restart_replays_held_and_delivered_state(rig):
         before = project.status("p")
         project.close()
 
+        def no_lookup(*_args, **_kwargs):
+            raise AssertionError("a hand-out asked the catalog for a name")
+
+        # the names were journaled with the snapshot
+        monkeypatch.setattr(CatalogClient, "get_file", no_lookup)
         reborn = ProjectServer(journal, rig.catalog_addr)
         assert reborn.status("p") == before
         resumed = reborn.next_file("p", "c1", station=station_addr)
-        assert resumed["file_id"] == held["file_id"]  # not a second delivery
+        assert resumed == held  # not a second delivery
         reborn.release_file("p", "c1", resumed["file_id"])
 
         remaining = []
@@ -235,6 +242,7 @@ def test_restart_replays_held_and_delivered_state(rig):
             result = reborn.next_file("p", "c1", station=station_addr)
             if result.get("end"):
                 break
+            assert result["file_name"] == f"file-{ids.index(result['file_id']):03d}.raw"
             remaining.append(result["file_id"])
             reborn.release_file("p", "c1", result["file_id"])
         assert sorted([done["file_id"], held["file_id"]] + remaining) == ids
@@ -281,10 +289,10 @@ def test_fetch_names_the_next_two_ids_in_hand_out_order(project_rig):
         project.release_file("p", "c1", result["file_id"])
     assert project.next_file("p", "c1", station=station_addr) == {"end": True}
     assert station.prefetches == [
-        ("file-000.raw", [ids[1], ids[2]]),
+        ("file-000.raw", ["file-001.raw", "file-002.raw"]),
         ("file-000.raw", []),
-        ("file-001.raw", [ids[2], ids[3]]),
-        ("file-002.raw", [ids[3]]),
+        ("file-001.raw", ["file-002.raw", "file-003.raw"]),
+        ("file-002.raw", ["file-003.raw"]),
         ("file-003.raw", []),
     ]
 
@@ -303,7 +311,8 @@ def test_no_prefetch_while_consumers_use_different_stations(project_rig):
     finally:
         server.close()
     # only while c1 is the project's sole consumer may its station prefetch
-    assert station.prefetches == [("file-000.raw", [ids[1], ids[2]]), ("file-002.raw", [])]
+    assert station.prefetches == [("file-000.raw", ["file-001.raw", "file-002.raw"]),
+                                  ("file-002.raw", [])]
     assert other.prefetches == [("file-001.raw", [])]
 
 
@@ -314,11 +323,12 @@ def test_a_hand_out_failed_twice_returns_to_the_pool_once(project_rig):
     state = project.projects["p"]
 
     def fail(file_id, consumer, times):  # a resumed fetch and the one it resumed both fail
+        deliver_seq = state.handouts[file_id]
         for _ in range(times):
             with project._lock:
                 project.journal.commit("DeliveryFailed", {
                     "project_name": "p", "file_id": file_id, "consumer_id": consumer,
-                    "reason": "SOURCE_UNAVAILABLE: injected"})
+                    "deliver_seq": deliver_seq, "reason": "SOURCE_UNAVAILABLE: injected"})
 
     assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
     fail(ids[0], "c1", 2)
@@ -327,7 +337,10 @@ def test_a_hand_out_failed_twice_returns_to_the_pool_once(project_rig):
     assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
     fail(ids[1], "c2", 1)
     assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
-    fail(ids[1], "c2", 2)  # the second failure is its third: it leaves the pool
+    fail(ids[1], "c2", 2)  # the second failure of one hand-out counts for nothing
+    assert state.pool == [ids[2], ids[1]] and state.attempts[ids[1]] == 2
+    assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
+    fail(ids[1], "c2", 1)  # its third failure: it leaves the pool
     assert state.pool == [ids[2]] and state.exhausted == {ids[1]}
     assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[2]
     assert project.next_file("p", "c4", station=station_addr) == {"end": True}
@@ -360,7 +373,7 @@ def test_pool_stays_lowest_first_across_failure_exhaustion_and_reopen(rig):
             project.next_file("p", "c2", station=station_addr)
         # ids[1] is exhausted: it is neither handed out nor prefetched
         assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[2]
-        assert station.prefetches[-1] == ("file-002.raw", [ids[3], ids[4]])
+        assert station.prefetches[-1] == ("file-002.raw", ["file-003.raw", "file-004.raw"])
         assert station.fetches[1:] == ["file-001.raw"] * 3 + ["file-002.raw"] * 2
         before = project.projects["p"].pool
         project.close()
@@ -368,7 +381,69 @@ def test_pool_stays_lowest_first_across_failure_exhaustion_and_reopen(rig):
         reborn = ProjectServer(journal, rig.catalog_addr)
         assert reborn.projects["p"].pool == before == [ids[5], ids[4], ids[3]]
         assert reborn.next_file("p", "c3", station=station_addr)["file_id"] == ids[3]
-        assert station.prefetches[-1] == ("file-003.raw", [ids[4], ids[5]])
+        assert station.prefetches[-1] == ("file-003.raw", ["file-004.raw", "file-005.raw"])
         reborn.close()
     finally:
         server.close()
+
+
+def test_a_stale_failure_leaves_the_next_hand_out_alone(project_rig):
+    # c1's fetch of file 0 stalls; c1 restarts on another port of the station
+    # and its resumed fetch stalls too.  The first then fails, file 0 goes
+    # back to the pool and on to c2, and only then the resumed fetch fails.
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 3)
+    project.start_project("p", "all")
+    second = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
+    stalled = [threading.Event(), threading.Event()]
+    go = [threading.Event(), threading.Event()]
+    calls = itertools.count()
+    fetch = station.fetch
+
+    def stall_then_fail(file_name, **kwargs):
+        n = next(calls)
+        if n >= 2:
+            return fetch(file_name, **kwargs)
+        stalled[n].set()
+        go[n].wait(10)
+        raise SourceUnavailable(f"fetch {n} of {file_name} failed late")
+
+    station.fetch = stall_then_fail
+    errors = []
+
+    def next_for_c1(addr):
+        try:
+            project.next_file("p", "c1", station=addr)
+        except RemoteError as e:
+            errors.append(e.code)
+
+    first = threading.Thread(target=next_for_c1, args=(station_addr,))
+    resumed = threading.Thread(target=next_for_c1, args=(format_addr(second.bound_addr),))
+    try:
+        first.start()
+        assert stalled[0].wait(10)
+        resumed.start()
+        assert stalled[1].wait(10)
+        go[0].set()
+        first.join(10)
+        assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[0]
+        go[1].set()
+        resumed.join(10)
+    finally:
+        for event in go:
+            event.set()
+        second.close()
+    assert not first.is_alive() and not resumed.is_alive()
+    assert errors == ["SOURCE_UNAVAILABLE"] * 2
+    state = project.projects["p"]
+    assert state.held == {ids[0]: "c2"} and state.attempts == {ids[0]: 1}
+    assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[1]
+    project.close()
+
+    reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        again = reborn.projects["p"]
+        assert (again.pool, again.held, again.attempts) == \
+            ([ids[2]], {ids[0]: "c2", ids[1]: "c3"}, {ids[0]: 1})
+    finally:
+        reborn.close()

@@ -79,7 +79,7 @@ def test_multiple_problems_all_reported():
 
 
 def test_snapshot_round_trip():
-    snapshot = DatasetSnapshot(3, "sec-phy", [5, 7, 9], 99.0)
+    snapshot = DatasetSnapshot(3, "sec-phy", [5, 7, 9], 99.0, ["e.raw", "g.raw", "i.raw"])
     assert DatasetSnapshot.from_wire(snapshot.to_wire()) == snapshot
 
 

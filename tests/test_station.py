@@ -11,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+from samforge.catalog import CatalogClient
 from samforge.errors import (
     AccessDenied,
     CacheFull,
@@ -53,11 +54,11 @@ def simple_rig(rig, cache_capacity=10**6, slots=4):
 
 
 def settle_prefetches(station, timeout=10.0):
-    """Wait until the station's prefetch worker has handled every queued id."""
+    """Wait until the station's prefetch workers have handled every queued name."""
     waiter = threading.Thread(target=station._prefetch_queue.join, daemon=True)
     waiter.start()
     waiter.join(timeout)
-    assert not waiter.is_alive(), "prefetch worker did not drain its queue"
+    assert not waiter.is_alive(), "prefetch workers did not drain their queue"
 
 
 def local_file(rig, name, data):
@@ -118,6 +119,26 @@ def test_lru_eviction_order(rig):
 
     cached = {e["file_name"] for e in station.station_status()["cache"]["entries"]}
     assert cached == {"a", "d", "e"}
+
+
+def test_a_hit_refreshes_an_entrys_place_in_the_eviction_order(rig):
+    # capacity 2: a consumer hit on a, then a peer's read of b, each save
+    # that file from the next eviction
+    station = simple_rig(rig, cache_capacity=2)
+    for name in ("a", "b", "c", "d"):
+        rig.seed_file(name, b"x", stores=["stken-sim"])
+    station.fetch_file("a")
+    station.fetch_file("b")
+    station.fetch_file("a")
+    station.fetch_file("c")  # evicts b, the least recently used
+    body, _, _ = station.open_for_read("a")  # a peer station pulls a
+    body.close()
+    station.fetch_file("d")  # evicts c
+    evicted = [e["file_name"] for e in station.events if e["kind"] == "evict"]
+    assert evicted == ["b", "c"]
+    cache = station.station_status()["cache"]
+    assert [e["file_name"] for e in cache["entries"]] == ["a", "d"]  # least recent first
+    assert cache["resident_bytes"] == 2
 
 
 def test_eviction_removes_catalog_location(rig):
@@ -365,15 +386,16 @@ def test_concurrent_fetches_of_many_names_transfer_each_once(rig):
 
 
 def test_concurrent_fetches_racing_prefetches_transfer_each_once(rig):
-    # as above, but each fetch also names the next two files, so the
-    # prefetch worker races the consumers for every name
+    # as above, but each fetch also names the next two files, so both
+    # prefetch workers race the consumers and each other for every name
     station = simple_rig(rig)
-    ids = [rig.seed_file(f"m{i}", bytes([i]) * 500, stores=["stken-sim"]) for i in range(4)]
+    assert len(station._prefetchers) == 2
+    for i in range(4):
+        rig.seed_file(f"m{i}", bytes([i]) * 500, stores=["stken-sim"])
     paths = {}
 
     def fetch(i):
-        paths[i] = station.fetch_file(f"m{i % 4}",
-                                      prefetch=[ids[(i + 1) % 4], ids[(i + 2) % 4]])
+        paths[i] = station.fetch_file(f"m{i % 4}", prefetch=[f"m{(i + 1) % 4}", f"m{(i + 2) % 4}"])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -385,10 +407,12 @@ def test_concurrent_fetches_racing_prefetches_transfer_each_once(rig):
     assert len(paths) == 32
     assert len(set(paths.values())) == 4
     assert station.counters["transfers_ok"] == 4
-    # a file the worker pulled first is a hit for every consumer
+    # a file a worker pulled first is a hit for every consumer
     assert station.counters["cache_hits"] == 28 + station.counters["prefetches"]
+    assert station.counters["prefetch_failed"] == 0
     assert station.station_status()["in_flight_jobs"] == 0
-    assert station._reserved == 0
+    assert station._prefetching == set()
+    assert (station._reserved, station._resident) == (0, 4 * 500)
 
 
 def test_rate_limit_high_water_mark_never_exceeds_slots(rig):
@@ -655,7 +679,7 @@ def test_prefetch_never_pins_nor_evicts_a_pinned_file(rig):
         rig.seed_file(name, b"x", stores=["stken-sim"])
     station.fetch_file("a", requesting_project="proj")
     station.fetch_file("b")
-    station.fetch_file("d", requesting_project="proj", prefetch=[3])  # c
+    station.fetch_file("d", requesting_project="proj", prefetch=["c"])
     settle_prefetches(station)
     assert cached_pins(station) == {"a": 1, "d": 1, "c": 0}  # b was the one unpinned
     assert station.counters["prefetches"] == 1
@@ -666,7 +690,7 @@ def test_prefetch_into_a_pinned_full_cache_is_dropped(rig):
     for name in ("a", "b", "c"):
         rig.seed_file(name, b"x", stores=["stken-sim"])
     station.fetch_file("a", requesting_project="proj")
-    station.fetch_file("b", requesting_project="proj", prefetch=[3])
+    station.fetch_file("b", requesting_project="proj", prefetch=["c"])
     settle_prefetches(station)
     status = station.station_status()
     assert cached_pins(station) == {"a": 1, "b": 1}
@@ -690,7 +714,7 @@ def test_failed_prefetch_leaves_nothing_behind(rig, failure):
     if failure == "unreachable":
         with rig.catalog_client() as catalog:
             catalog.add_location(file_id, "cdfa-2", "/cache/f")
-    station.fetch_file("a", prefetch=[file_id])
+    station.fetch_file("a", prefetch=["f"])
     settle_prefetches(station)
     assert station.counters["prefetch_failed"] == 1
     assert station._in_flight == set()
@@ -710,7 +734,41 @@ def test_failed_prefetch_leaves_nothing_behind(rig, failure):
     assert station._reserved == 0
 
 
-@pytest.mark.parametrize("prefetch", ["1,2", 3, [1.5], ["f"], [True], {"ids": [1]}, [[1]]])
+def test_a_duplicate_prefetch_name_makes_no_catalog_call(rig, monkeypatch):
+    station = simple_rig(rig)
+    for name in ("a", "b"):
+        rig.seed_file(name, b"x", stores=["stken-sim"])
+    station.fetch_file("a")
+    looked_up = []
+    get_file = CatalogClient.get_file
+
+    def counting_get_file(self, name_or_id):
+        looked_up.append(name_or_id)
+        return get_file(self, name_or_id)
+
+    monkeypatch.setattr(CatalogClient, "get_file", counting_get_file)
+    # a is resident; of the three b, one is pulled and the others find it
+    # in flight or resident
+    station.fetch_file("a", prefetch=["a", "b", "b", "a", "b"])
+    settle_prefetches(station)
+    assert looked_up == ["b"]
+    assert station.counters["transfers_ok"] == 2
+    assert station.counters["prefetches"] == 1
+
+
+def test_close_stops_every_prefetch_worker(rig):
+    rig.add_store("stken-sim", STORE_ACCESS, mount_latency_ms=50)
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)])
+    for fileset, name in enumerate(("a", "b", "c", "d")):
+        rig.seed_file(name, b"x", fileset=fileset, stores=["stken-sim"])
+    workers = [t for t in threading.enumerate() if t.name.startswith("prefetch-cdfa-1-")]
+    assert sorted(t.name for t in workers) == ["prefetch-cdfa-1-0", "prefetch-cdfa-1-1"]
+    station.fetch_file("a", prefetch=["b", "c", "d"])  # close comes while both pull
+    station.close()
+    assert not any(t.is_alive() for t in workers)
+
+
+@pytest.mark.parametrize("prefetch", ["1,2", 3, [1.5], [1], [True], {"names": ["a"]}, [["a"]]])
 def test_prefetch_must_be_a_list_of_ids(rig, prefetch):
     station = rig.add_station("cdfa-1", [], with_control_server=True)
     with pytest.raises(ValidationError):
@@ -728,7 +786,7 @@ def test_fetch_waits_out_a_prefetch_instead_of_failing_cache_full(rig):
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)], cache_capacity=2)
     for fileset, name in enumerate(("a", "b", "c")):
         rig.seed_file(name, b"x", fileset=fileset, stores=["stken-sim"])
-    station.fetch_file("a", requesting_project="proj", prefetch=[3])
+    station.fetch_file("a", requesting_project="proj", prefetch=["c"])
     deadline = time.monotonic() + 5
     while station._reserved == 0:
         assert time.monotonic() < deadline, "the prefetch of c never reserved room"

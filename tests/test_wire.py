@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import ConnectFailed, NotFound, RemoteError
+from samforge.query import Atom
 from samforge.wire import (
     Client,
     ControlHandler,
@@ -114,3 +116,15 @@ def test_server_close_is_immediate():
     assert time.monotonic() - start < 0.2
     with pytest.raises(ConnectFailed):
         Client(addr).call("echo", value=1)  # the port is released
+
+
+def test_close_cuts_connections_already_open(tmp_path):
+    # a service closed after its server must not see another request
+    service = CatalogService(tmp_path / "catalog.journal")
+    server = Server(ControlHandler, service, ("127.0.0.1", 0)).start()
+    with CatalogClient(format_addr(server.bound_addr)) as catalog:
+        catalog.define_dataset("before", Atom("event_type", "=", "phy"))
+        server.close()
+        service.close()
+        with pytest.raises(ConnectFailed):
+            catalog.define_dataset("after", Atom("event_type", "=", "phy"))
