@@ -39,6 +39,11 @@ come from the named section, so they are written once.  Relative paths
 resolve against the config file's directory.  Keys under ``[DEFAULT]`` apply
 to every section; port 0 asks the kernel for a free port.  :func:`serve`
 starts daemons from a topology.
+
+Each station section loads straight into the :class:`StationConfig` its
+service takes, and each store section into a :class:`StoreConfig`.  A
+daemon's own rules are its config's; the loader adds only the checks that
+span sections, and reports every problem at once.
 """
 
 from __future__ import annotations
@@ -52,6 +57,8 @@ from .errors import ValidationError
 from .project import ProjectServer
 from .station import (
     DEFAULT_MAX_CONCURRENT,
+    SCHEME_STATION,
+    SCHEME_TAPE,
     EndpointSpec,
     StationConfig,
     StationDataHandler,
@@ -75,35 +82,11 @@ class DaemonAddrs:
 
 
 @dataclass
-class _StationSection:
-    name: str
-    role: str
-    listen: str
-    data_listen: str
-    cache_dir: str
-    cache_capacity_bytes: int
-    route_target: str | None
-    endpoints: list[tuple[str, str, int]]  # (name, access, max_concurrent)
-
-
-@dataclass
-class _StoreSection:
-    name: str
-    listen: str
-    data_listen: str
-    root_dir: str
-    capacity_bytes: int
-    volume_capacity_bytes: int
-    mount_latency_ms: int
-    access: dict[str, str]
-
-
-@dataclass
 class TopologyConfig:
     catalog: DaemonAddrs
     project: DaemonAddrs
-    stations: dict[str, _StationSection] = field(default_factory=dict)
-    stores: dict[str, _StoreSection] = field(default_factory=dict)
+    stations: dict[str, StationConfig] = field(default_factory=dict)
+    stores: dict[str, StoreConfig] = field(default_factory=dict)
     path: Path | None = None  # the file it was loaded from; None for flag defaults
 
     def endpoint_names(self) -> set[str]:
@@ -115,7 +98,7 @@ class TopologyConfig:
                 + [("station", name) for name in self.stations] + [("project", "project")])
 
     def section(self, role: str, name: str):
-        """One daemon's section; the catalog and the project have one each."""
+        """One daemon's config; the catalog and the project have one each."""
         if role in ("catalog", "project"):
             return getattr(self, role)
         sections = {"station": self.stations, "store": self.stores}[role]
@@ -130,39 +113,12 @@ class TopologyConfig:
             return self.stores[endpoint_name].data_listen
         raise ValidationError(f"unknown endpoint {endpoint_name!r}")
 
-    def scheme_of(self, endpoint_name: str) -> str:
-        return "stn" if endpoint_name in self.stations else "tape"
-
-    def station_config(self, name: str) -> StationConfig:
-        section = self.section("station", name)
-        endpoints = [
-            EndpointSpec(
-                name=ep_name,
-                scheme=self.scheme_of(ep_name),
-                access=access,
-                data_addr=self.data_addr(ep_name),
-                max_concurrent_transfers=slots,
-            )
-            for ep_name, access, slots in section.endpoints
-        ]
-        return StationConfig(
-            name=name,
-            cache_dir=section.cache_dir,
-            cache_capacity_bytes=section.cache_capacity_bytes,
-            role=section.role,
-            known_endpoints=endpoints,
-            route_target=section.route_target,
-        )
-
-    def store_config(self, name: str) -> StoreConfig:
-        section = self.section("store", name)
-        return StoreConfig(
-            name=name,
-            capacity_bytes=section.capacity_bytes,
-            volume_capacity_bytes=section.volume_capacity_bytes,
-            access_matrix=dict(section.access),
-            mount_latency_ms=section.mount_latency_ms,
-        )
+    def resolve_endpoints(self) -> None:
+        """Give every endpoint spec the scheme and data address of the section it names."""
+        for station in self.stations.values():
+            for spec in station.known_endpoints:
+                spec.scheme = SCHEME_STATION if spec.name in self.stations else SCHEME_TAPE
+                spec.data_addr = self.data_addr(spec.name)
 
 
 def load_topology(path: str | Path) -> TopologyConfig:
@@ -190,24 +146,37 @@ def load_topology(path: str | Path) -> TopologyConfig:
 
     topology = TopologyConfig(catalog=catalog, project=project, path=path)
     problems: list[str] = []
+    sections = {}  # section -> (kind, name) for every station and store
     for section in parser.sections():
         kind, _, name = section.partition(" ")
-        if kind == "station" and name:
-            topology.stations[name] = _station_section(parser, section, name, base, problems)
-        elif kind == "store" and name:
-            topology.stores[name] = _store_section(parser, section, name, base, problems)
+        if kind in ("station", "store") and name:
+            sections[section] = (kind, name)
         elif section not in ("catalog", "project"):
             problems.append(f"unrecognized section [{section}]")
-
-    _validate(topology, problems)
+    names = [name for _, name in sections.values()]
+    known = set(names)
+    if len(names) != len(known):
+        problems.append("station and store names must be unique")
+    for section, (kind, name) in sections.items():
+        try:
+            if kind == "station":
+                topology.stations[name] = _station(parser, section, name, base, known, problems)
+            else:
+                topology.stores[name] = _store(parser, section, name, base, problems)
+        except ValueError as e:  # a malformed number, or a rule of StationConfig
+            problems.append(f"{kind} {name}: {e}")
     if problems:
         raise ValidationError(problems)
+    topology.resolve_endpoints()
     return topology
 
 
-def _station_section(parser, section, name, base, problems) -> _StationSection:
+def _station(parser, section, name, base, known, problems) -> StationConfig:
     listen = parser.get(section, "listen", fallback=f"127.0.0.1:{DEFAULT_STATION_PORT}")
-    data_listen = parser.get(section, "data_listen", fallback=_bump_port(listen))
+    route_target = parser.get(section, "route_target", fallback=None)
+    # references are checked here: StationConfig may refuse to build the station
+    if route_target is not None and route_target not in known:
+        problems.append(f"station {name}: route_target {route_target!r} names no station or store")
     endpoints = []
     for line in parser.get(section, "endpoints", fallback="").splitlines():
         words = line.split()
@@ -216,21 +185,25 @@ def _station_section(parser, section, name, base, problems) -> _StationSection:
         if len(words) not in (2, 3) or words[1] not in ("read_only", "read_write"):
             problems.append(f"station {name}: bad endpoint line {line.strip()!r}")
             continue
+        if words[0] not in known:
+            problems.append(f"station {name}: endpoint {words[0]!r} names no station or store")
         slots = int(words[2]) if len(words) == 3 else DEFAULT_MAX_CONCURRENT
-        endpoints.append((words[0], words[1], slots))
-    return _StationSection(
+        # scheme and data address come from the named section, once all are read
+        endpoints.append(EndpointSpec(name=words[0], scheme="", access=words[1],
+                                      data_addr="", max_concurrent_transfers=slots))
+    return StationConfig(
         name=name,
         role=parser.get(section, "role", fallback="analysis"),
         listen=listen,
-        data_listen=data_listen,
+        data_listen=parser.get(section, "data_listen", fallback=_bump_port(listen)),
         cache_dir=_path(base, parser.get(section, "cache_dir", fallback=f"state/{name}")),
         cache_capacity_bytes=parser.getint(section, "cache_capacity_bytes", fallback=10**9),
-        route_target=parser.get(section, "route_target", fallback=None),
-        endpoints=endpoints,
+        route_target=route_target,
+        known_endpoints=endpoints,
     )
 
 
-def _store_section(parser, section, name, base, problems) -> _StoreSection:
+def _store(parser, section, name, base, problems) -> StoreConfig:
     listen = parser.get(section, "listen", fallback=f"127.0.0.1:{DEFAULT_STORE_PORT}")
     access = {}
     for line in parser.get(section, "access", fallback="").splitlines():
@@ -241,7 +214,7 @@ def _store_section(parser, section, name, base, problems) -> _StoreSection:
             problems.append(f"store {name}: bad access line {line.strip()!r}")
             continue
         access[words[0]] = words[1]
-    return _StoreSection(
+    return StoreConfig(
         name=name,
         listen=listen,
         data_listen=parser.get(section, "data_listen", fallback=_bump_port(listen)),
@@ -249,28 +222,8 @@ def _store_section(parser, section, name, base, problems) -> _StoreSection:
         capacity_bytes=parser.getint(section, "capacity_bytes", fallback=10**10),
         volume_capacity_bytes=parser.getint(section, "volume_capacity_bytes", fallback=10**7),
         mount_latency_ms=parser.getint(section, "mount_latency_ms", fallback=0),
-        access=access,
+        access_matrix=access,
     )
-
-
-def _validate(topology: TopologyConfig, problems: list[str]) -> None:
-    names = list(topology.stations) + list(topology.stores)
-    if len(names) != len(set(names)):
-        problems.append("station and store names must be unique")
-    known = topology.endpoint_names()
-    for station in topology.stations.values():
-        if station.role not in ("analysis", "router"):
-            problems.append(f"station {station.name}: unknown role {station.role!r}")
-        if station.route_target is not None and station.route_target not in known:
-            problems.append(
-                f"station {station.name}: route_target {station.route_target!r} "
-                "names no station or store")
-        if station.role == "router" and station.route_target is None:
-            problems.append(f"station {station.name}: routers need a route_target")
-        for ep_name, _access, _slots in station.endpoints:
-            if ep_name not in known:
-                problems.append(
-                    f"station {station.name}: endpoint {ep_name!r} names no station or store")
 
 
 def _path(base: Path, value: str) -> str:
@@ -306,8 +259,8 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
     """Start ``daemons``, (role, name) pairs, from ``topology``.
 
     Every control and data port is bound first and its address written back
-    into ``topology``; only then is each service built and served.  So a
-    port of 0 works, and peers see the real addresses.  If anything fails,
+    into ``topology``, endpoint specs included; only then is each service
+    built and served.  So a port of 0 works, and peers see the real addresses.  If anything fails,
     whatever was bound or built is closed and the error re-raised.
     """
     served: list[Daemon] = []
@@ -323,6 +276,7 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
                 data = Server(_DATA_HANDLERS[role], None, section.data_listen)
                 daemon.servers.append(data)
                 section.data_listen = format_addr(data.bound_addr)
+        topology.resolve_endpoints()
         for daemon in served:
             daemon.service = _build(topology, daemon.role, daemon.name)
             for server in daemon.servers:
@@ -343,5 +297,5 @@ def _build(topology: TopologyConfig, role: str, name: str):
     if role == "project":
         return ProjectServer(topology.project.journal, topology.catalog.listen)
     if role == "station":
-        return StationService(topology.station_config(name), topology.catalog.listen)
-    return StoreService(topology.store_config(name), topology.stores[name].root_dir)
+        return StationService(topology.stations[name], topology.catalog.listen)
+    return StoreService(topology.stores[name])

@@ -192,7 +192,7 @@ def _check_integrity(export: LegacyExport) -> None:
 
 # -- mapping ---------------------------------------------------------------
 
-def map_legacy_record(row: FileRow, export: LegacyExport, import_time: float,
+def map_legacy_record(row: FileRow, import_time: float,
                       content_dir: str | Path | None = None) -> tuple[FileRecord, dict]:
     """Total mapping of one export row; never refuses a row."""
     parts = parse_legacy_name(row.file_name)
@@ -262,7 +262,7 @@ def run_migration(export: LegacyExport, catalog, import_time: float,
             report.violations.append((row.file_name, "duplicate row in export"))
             continue
         seen_names.add(row.file_name)
-        record, notes = map_legacy_record(row, export, import_time, content_dir)
+        record, notes = map_legacy_record(row, import_time, content_dir)
         if notes["violation"]:
             report.violations.append((row.file_name, notes["violation"]))
         if not dry_run:

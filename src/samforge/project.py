@@ -17,6 +17,9 @@ the end) and surface the station's error to the asking consumer only.
 A failure names the journal sequence number of the hand-out it undoes,
 and counts only while that hand-out is current: a stale fetch that fails
 after its file was returned, released or handed out again changes nothing.
+A consumer that restarts mid-fetch starts a second fetch of the same
+hand-out; a failure undoes the hand-out only when it is the last fetch of
+it still running and none of them has succeeded.
 """
 
 from __future__ import annotations
@@ -91,6 +94,10 @@ class ProjectServer(Dispatcher):
         self.catalog = CatalogClient(catalog_addr)
         self.projects: dict[str, ProjectState] = {}
         self._station_clients: dict[str, Client] = {}
+        # Deliver seq -> fetches of that hand-out running, while none has succeeded;
+        # its own lock, so a fetch that succeeds does not wait out a journal fsync
+        self._fetches: dict[int, int] = {}
+        self._fetches_lock = threading.Lock()
         self._seq = 0  # sequence number of the journal entry being applied
         self.journal = Journal(journal_path, self._apply)
 
@@ -136,6 +143,7 @@ class ProjectServer(Dispatcher):
             project.handouts.pop(payload["file_id"], None)
         elif kind == "Drain":
             project.state = STATE_DRAINING
+            project.register(payload["consumer_id"], None)
             project.saw_end.add(payload["consumer_id"])
         elif kind == "StopProject":
             project.state = STATE_ENDED
@@ -168,11 +176,11 @@ class ProjectServer(Dispatcher):
                   station: str | None = None) -> dict:
         with self._lock:
             project = self._live(project_name)
-            project.register(consumer_id, station)
-            station_addr = project.stations.get(consumer_id)
+            station_addr = station or project.stations.get(consumer_id)
             if station_addr is None:
                 raise ValidationError(
                     f"consumer {consumer_id!r} never told the server its station")
+            project.register(consumer_id, station_addr)
             held = [f for f, c in project.held.items() if c == consumer_id]
             if held:
                 file_id = min(held)  # resume: redeliver what they already hold
@@ -199,21 +207,30 @@ class ProjectServer(Dispatcher):
                     "station": station_addr,
                 })
             file_name = project.names[file_id]
+            with self._fetches_lock:
+                self._fetches[deliver_seq] = self._fetches.get(deliver_seq, 0) + 1
         # the transfer happens outside the project lock: it may be slow
         try:
             path = self._station(consumer_id, station_addr).call(
                 "fetch", file_name=file_name, requesting_project=project_name,
                 prefetch=prefetch)
         except SamError as e:
-            with self._lock:
-                self.journal.commit("DeliveryFailed", {
-                    "project_name": project_name,
-                    "file_id": file_id,
-                    "consumer_id": consumer_id,
-                    "deliver_seq": deliver_seq,
-                    "reason": f"{e.code}: {e.msg}",
-                })
+            with self._lock:  # no fetch of this hand-out can start meanwhile
+                with self._fetches_lock:
+                    running = self._fetches.pop(deliver_seq, 0) - 1  # -1: one succeeded
+                    if running > 0:
+                        self._fetches[deliver_seq] = running
+                if running == 0:
+                    self.journal.commit("DeliveryFailed", {
+                        "project_name": project_name,
+                        "file_id": file_id,
+                        "consumer_id": consumer_id,
+                        "deliver_seq": deliver_seq,
+                        "reason": f"{e.code}: {e.msg}",
+                    })
             raise
+        with self._fetches_lock:
+            self._fetches.pop(deliver_seq, None)  # the consumer has the file
         return {"file_id": file_id, "file_name": file_name, "path": path}
 
     def release_file(self, project_name: str, consumer_id: str, file_id: int,

@@ -110,6 +110,8 @@ class StationConfig:
     role: str = ROLE_ANALYSIS
     known_endpoints: list[EndpointSpec] = field(default_factory=list)
     route_target: str | None = None
+    listen: str = "127.0.0.1:0"  # control and data addresses, bound by config.serve
+    data_listen: str = "127.0.0.1:0"
 
     def __post_init__(self):
         if self.cache_capacity_bytes <= 0:
@@ -119,8 +121,10 @@ class StationConfig:
         names = [e.name for e in self.known_endpoints]
         if len(names) != len(set(names)):
             raise ValueError("duplicate endpoint names")
+        if any(e.max_concurrent_transfers < 1 for e in self.known_endpoints):
+            raise ValueError("an endpoint needs at least 1 transfer slot")
         if self.role == ROLE_ROUTER and self.route_target not in names:
-            raise ValueError("router stations need a route_target among known endpoints")
+            raise ValueError("routers need a route_target among their endpoints")
 
 
 @dataclass

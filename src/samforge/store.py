@@ -71,10 +71,13 @@ DEFAULT_MOUNT_LATENCY_MS = 2000
 @dataclass
 class StoreConfig:
     name: str
+    root_dir: str
     capacity_bytes: int
     volume_capacity_bytes: int
     access_matrix: dict[str, str] = field(default_factory=dict)
     mount_latency_ms: int = DEFAULT_MOUNT_LATENCY_MS
+    listen: str = "127.0.0.1:0"  # control and data addresses, bound by config.serve
+    data_listen: str = "127.0.0.1:0"
 
 
 @dataclass
@@ -102,9 +105,9 @@ class StoreService(Dispatcher):
         "status": "status",
     }
 
-    def __init__(self, config: StoreConfig, root_dir):
+    def __init__(self, config: StoreConfig):
         self.config = config
-        self.root = Path(root_dir)
+        self.root = Path(config.root_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self._drive = FairLock()
         self._state_lock = threading.RLock()

@@ -49,12 +49,12 @@ class LoopbackRig:
         service = StoreService(
             StoreConfig(
                 name=name,
+                root_dir=str(self.root / name),
                 capacity_bytes=capacity,
                 volume_capacity_bytes=volume_capacity,
                 access_matrix=dict(access),
                 mount_latency_ms=mount_latency_ms,
             ),
-            self.root / name,
         )
         self.stores[name] = service
         self._services.append(service)
@@ -181,6 +181,27 @@ def read_stored(store, client, file_name) -> bytes:
     body, _size, _crc = store.open_file(client, file_name)
     with body:
         return body.read()
+
+
+# station sections that each break one rule of StationConfig, with its reason
+BAD_STATIONS = {
+    "zero-capacity": ("cache_capacity_bytes = 0\n", "cache_capacity_bytes must be positive"),
+    "duplicate-endpoint": ("endpoints =\n    s1 read_only\n    s1 read_write\n",
+                           "duplicate endpoint names"),
+    "no-transfer-slots": ("endpoints =\n    s1 read_only 0\n",
+                          "an endpoint needs at least 1 transfer slot"),
+    "route-target-not-an-endpoint": (
+        "role = router\nroute_target = s2\nendpoints =\n    s1 read_write\n",
+        "routers need a route_target among their endpoints"),
+}
+
+
+def write_bad_station(directory, case):
+    """A topology whose station `bad` breaks the rule BAD_STATIONS[case] names."""
+    path = directory / "bad.ini"
+    path.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n[store s1]\n\n[store s2]\n\n"
+                    "[station bad]\n" + BAD_STATIONS[case][0])
+    return path
 
 
 def run_threads(n, target):

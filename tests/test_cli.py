@@ -9,7 +9,7 @@ import pytest
 
 from samforge.cli import main
 
-from conftest import spawn_daemon, stop_daemon
+from conftest import BAD_STATIONS, spawn_daemon, stop_daemon, write_bad_station
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +92,14 @@ def test_daemon_name_missing_from_the_topology_file(capsys, tmp_path, command):
     config.write_text("[catalog]\n")
     code, out, err = run_cli(capsys, command, "nosuch", "--config", str(config))
     assert (code, err[-1]) == (3, "E_VALIDATION")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATIONS))
+def test_stationd_refuses_a_station_that_breaks_a_rule(capsys, tmp_path, case):
+    config = write_bad_station(tmp_path, case)
+    code, out, err = run_cli(capsys, "stationd", "bad", "--config", str(config))
+    assert (code, err[-1]) == (3, "E_VALIDATION")
+    assert any(BAD_STATIONS[case][1] in line for line in err)
 
 
 def test_stored_and_stationd_start_from_a_topology_file(capsys, tmp_path):

@@ -15,6 +15,8 @@ from samforge.errors import JournalCorrupt, ValidationError
 from samforge.wire import parse_addr
 from samforge.station import DEFAULT_MAX_CONCURRENT
 
+from conftest import BAD_STATIONS, write_bad_station
+
 FULL = """
 [catalog]
 listen = 127.0.0.1:5750
@@ -66,6 +68,10 @@ def topology(tmp_path):
     return tmp_path, load_topology(config_file)
 
 
+def endpoint_lines(station):
+    return [(s.name, s.access, s.max_concurrent_transfers) for s in station.known_endpoints]
+
+
 def test_daemon_sections_and_relative_journal_paths(topology):
     base, config = topology
     assert config.catalog.listen == "127.0.0.1:5750"
@@ -81,14 +87,14 @@ def test_station_sections(topology):
     assert router.route_target == "stken-sim"
     assert router.cache_dir == str(base / "cache/router")
     assert router.cache_capacity_bytes == 50_000_000
-    assert router.endpoints == [("stken-sim", "read_write", 4),
-                                ("cdfen-sim", "read_only", 2)]
+    assert endpoint_lines(router) == [("stken-sim", "read_write", 4),
+                                      ("cdfen-sim", "read_only", 2)]
     assert router.data_listen == "127.0.0.1:6751"  # listen port + 1000
 
     analysis = config.stations["cdfa-1"]
     assert analysis.role == "analysis"
     assert analysis.data_listen == "127.0.0.1:6761"  # explicit wins
-    assert analysis.endpoints == [
+    assert endpoint_lines(analysis) == [
         ("stken-sim", "read_only", DEFAULT_MAX_CONCURRENT),
         ("fcdf-router", "read_only", DEFAULT_MAX_CONCURRENT),
     ]
@@ -100,8 +106,8 @@ def test_store_sections(topology):
     assert stken.root_dir == str(base / "vaults/stken")
     assert (stken.capacity_bytes, stken.volume_capacity_bytes) == (1_000_000, 8000)
     assert stken.mount_latency_ms == 25
-    assert stken.access == {"fcdf-router": "read_write", "cdfa-1": "read_only",
-                            "outsider": "none"}
+    assert stken.access_matrix == {"fcdf-router": "read_write", "cdfa-1": "read_only",
+                                   "outsider": "none"}
     assert stken.data_listen == "127.0.0.1:6752"
     assert config.stores["cdfen-sim"].root_dir == str(base / "state/cdfen-sim")
 
@@ -109,8 +115,9 @@ def test_store_sections(topology):
 def test_endpoint_lookups(topology):
     _, config = topology
     assert config.endpoint_names() == {"fcdf-router", "cdfa-1", "stken-sim", "cdfen-sim"}
-    assert config.scheme_of("cdfa-1") == "stn"
-    assert config.scheme_of("stken-sim") == "tape"
+    schemes = {spec.name: spec.scheme for spec in config.stations["cdfa-1"].known_endpoints}
+    assert schemes["fcdf-router"] == "stn"
+    assert schemes["stken-sim"] == "tape"
     assert config.data_addr("stken-sim") == "127.0.0.1:6752"
     with pytest.raises(ValidationError):
         config.data_addr("nosuch")
@@ -118,7 +125,7 @@ def test_endpoint_lookups(topology):
 
 def test_station_config_materializes_endpoint_specs(topology):
     _, config = topology
-    station = config.station_config("fcdf-router")
+    station = config.stations["fcdf-router"]
     assert station.name == "fcdf-router"
     assert station.role == "router"
     assert station.route_target == "stken-sim"
@@ -128,25 +135,25 @@ def test_station_config_materializes_endpoint_specs(topology):
     assert by_name["stken-sim"].max_concurrent_transfers == 4
     assert by_name["cdfen-sim"].access == "read_only"
 
-    peer = config.station_config("cdfa-1")
+    peer = config.stations["cdfa-1"]
     router_spec = {s.name: s for s in peer.known_endpoints}["fcdf-router"]
     assert router_spec.scheme == "stn"
     assert router_spec.data_addr == "127.0.0.1:6751"
 
     with pytest.raises(ValidationError):
-        config.station_config("nosuch")
+        config.section("station", "nosuch")
 
 
 def test_store_config_materialization(topology):
     _, config = topology
-    store = config.store_config("stken-sim")
+    store = config.stores["stken-sim"]
     assert store.name == "stken-sim"
     assert store.capacity_bytes == 1_000_000
     assert store.volume_capacity_bytes == 8000
     assert store.mount_latency_ms == 25
     assert store.access_matrix["cdfa-1"] == "read_only"
     with pytest.raises(ValidationError):
-        config.store_config("stken")  # exact names only
+        config.section("store", "stken")  # exact names only
 
 
 def test_missing_daemon_sections_fall_back_to_defaults(tmp_path):
@@ -156,7 +163,7 @@ def test_missing_daemon_sections_fall_back_to_defaults(tmp_path):
     assert config.catalog.listen == f"127.0.0.1:{DEFAULT_CATALOG_PORT}"
     assert config.catalog.journal == str(tmp_path / "state/catalog.journal")
     assert config.project.listen == f"127.0.0.1:{DEFAULT_PROJECT_PORT}"
-    assert config.stores["s1"].access == {}
+    assert config.stores["s1"].access_matrix == {}
 
 
 def test_default_keys_reach_absent_catalog_and_project_sections(tmp_path):
@@ -196,6 +203,22 @@ x = 1
     assert any("unknown role 'shipping'" in p for p in problems)
     assert any("unrecognized section [typo section]" in p for p in problems)
     assert len(problems) >= 5
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATIONS))
+def test_a_station_rule_fails_at_load_naming_the_station(tmp_path, case):
+    with pytest.raises(ValidationError) as excinfo:
+        load_topology(write_bad_station(tmp_path, case))
+    assert excinfo.value.problems == [f"station bad: {BAD_STATIONS[case][1]}"]
+
+
+def test_a_malformed_number_is_a_problem_not_a_crash(tmp_path):
+    config_file = tmp_path / "numbers.ini"
+    config_file.write_text("[station a1]\ncache_capacity_bytes = lots\n\n"
+                           "[store s1]\nlisten = 127.0.0.1:many\n")
+    with pytest.raises(ValidationError) as excinfo:
+        load_topology(config_file)
+    assert [p.split(":")[0] for p in excinfo.value.problems] == ["station a1", "store s1"]
 
 
 def test_route_target_must_exist(tmp_path):
@@ -281,3 +304,20 @@ def test_serve_closes_what_it_built_when_a_later_daemon_fails(tmp_path):
              topology.stores["s1"].data_listen, topology.project.listen]
     assert not any(addr.endswith(":0") for addr in addrs)
     assert [_refuses(addr) for addr in addrs] == [True] * 4
+
+
+def test_serve_points_endpoint_specs_at_the_bound_data_ports(tmp_path):
+    config_file = tmp_path / "ephemeral.ini"
+    config_file.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n[store s1]\n\n"
+                           "[station a1]\nendpoints =\n    s1 read_only\n")
+    topology = load_topology(config_file)
+    served = serve(topology, [("store", "s1"), ("station", "a1")])
+    try:
+        station = served[1].service
+        assert station.config is topology.stations["a1"]
+        [spec] = station.config.known_endpoints
+        assert spec.data_addr == topology.stores["s1"].data_listen
+        assert not spec.data_addr.endswith(":0")
+    finally:
+        for daemon in reversed(served):
+            daemon.close()

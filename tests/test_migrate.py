@@ -91,7 +91,7 @@ def test_referential_problems_are_diagnostics_not_errors(tmp_path):
 
 def test_mapping_well_formed_row(tmp_path):
     export = load_export(write_export(tmp_path / "exp", BASIC_FILES))
-    record, notes = map_legacy_record(export.files[0], export, import_time=777.0)
+    record, notes = map_legacy_record(export.files[0], import_time=777.0)
     assert record.event_type == "phy"
     assert record.program_version == 4
     assert record.calibration_set == 12
@@ -111,7 +111,7 @@ def test_mapping_well_formed_row(tmp_path):
 
 def test_mapping_violating_row_still_total(tmp_path):
     export = load_export(write_export(tmp_path / "exp", BASIC_FILES))
-    record, notes = map_legacy_record(export.files[3], export, import_time=777.0)
+    record, notes = map_legacy_record(export.files[3], import_time=777.0)
     assert record.convention_violation is True
     assert record.event_type == "unk"
     assert record.program_version == 0
@@ -128,8 +128,8 @@ def test_mapping_reads_content_for_checksums(tmp_path):
     content = tmp_path / "content"
     content.mkdir()
     (content / "bphy0412_fs0007_0042.raw").write_bytes(b"123456789")
-    with_content, _ = map_legacy_record(export.files[0], export, 0.0, content_dir=content)
-    without, _ = map_legacy_record(export.files[1], export, 0.0, content_dir=content)
+    with_content, _ = map_legacy_record(export.files[0], 0.0, content_dir=content)
+    without, _ = map_legacy_record(export.files[1], 0.0, content_dir=content)
     assert with_content.crc32 == 0xCBF43926
     assert without.crc32 == 0
 

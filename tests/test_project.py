@@ -12,6 +12,7 @@ from samforge.errors import (
     ProjectEnded,
     RemoteError,
     SourceUnavailable,
+    ValidationError,
 )
 from samforge.project import ProjectServer
 from samforge.query import Atom
@@ -387,63 +388,143 @@ def test_pool_stays_lowest_first_across_failure_exhaustion_and_reopen(rig):
         server.close()
 
 
-def test_a_stale_failure_leaves_the_next_hand_out_alone(project_rig):
-    # c1's fetch of file 0 stalls; c1 restarts on another port of the station
-    # and its resumed fetch stalls too.  The first then fails, file 0 goes
-    # back to the pool and on to c2, and only then the resumed fetch fails.
-    rig, project, station, station_addr = project_rig
-    ids = declare_files(rig, 3)
-    project.start_project("p", "all")
-    second = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
+def stall_two_fetches(station, second_fails):
+    """The station's first two fetches stall until let go, then fail; the
+    second succeeds instead unless second_fails.  Returns (stalled, go)."""
     stalled = [threading.Event(), threading.Event()]
     go = [threading.Event(), threading.Event()]
     calls = itertools.count()
     fetch = station.fetch
 
-    def stall_then_fail(file_name, **kwargs):
+    def stall(file_name, **kwargs):
         n = next(calls)
-        if n >= 2:
-            return fetch(file_name, **kwargs)
-        stalled[n].set()
-        go[n].wait(10)
-        raise SourceUnavailable(f"fetch {n} of {file_name} failed late")
+        if n < 2:
+            stalled[n].set()
+            go[n].wait(10)
+            if n == 0 or second_fails:
+                raise SourceUnavailable(f"fetch {n} of {file_name} failed late")
+        return fetch(file_name, **kwargs)
 
-    station.fetch = stall_then_fail
-    errors = []
+    station.fetch = stall
+    return stalled, go
 
-    def next_for_c1(addr):
+
+def next_in_thread(project, consumer, addr, outcomes):
+    """Run consumer's next in a thread; its file id or error code goes to outcomes."""
+    def run():
         try:
-            project.next_file("p", "c1", station=addr)
+            outcomes.append(project.next_file("p", consumer, station=addr)["file_id"])
         except RemoteError as e:
-            errors.append(e.code)
+            outcomes.append(e.code)
 
-    first = threading.Thread(target=next_for_c1, args=(station_addr,))
-    resumed = threading.Thread(target=next_for_c1, args=(format_addr(second.bound_addr),))
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def restart_mid_fetch(project, station, station_addr, second_fails, meanwhile,
+                      resumed_ends_first=False):
+    """c1's fetch of its first file stalls; c1 restarts on another port of the
+    station and its resumed fetch stalls too.  One of them ends (the first
+    unless resumed_ends_first), meanwhile() runs, and then the other ends.
+    Returns c1's two outcomes, the first fetch's first."""
+    second = Server(ControlHandler, station, ("127.0.0.1", 0)).start()
+    stalled, go = stall_two_fetches(station, second_fails)
+    first_out, resumed_out = [], []
     try:
-        first.start()
+        first = next_in_thread(project, "c1", station_addr, first_out)
         assert stalled[0].wait(10)
-        resumed.start()
+        resumed = next_in_thread(project, "c1", format_addr(second.bound_addr), resumed_out)
         assert stalled[1].wait(10)
-        go[0].set()
-        first.join(10)
-        assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[0]
-        go[1].set()
-        resumed.join(10)
+        ends = [(go[0], first), (go[1], resumed)]
+        for n, (event, thread) in enumerate(ends[::-1] if resumed_ends_first else ends):
+            if n:
+                meanwhile()
+            event.set()
+            thread.join(10)
     finally:
         for event in go:
             event.set()
         second.close()
     assert not first.is_alive() and not resumed.is_alive()
-    assert errors == ["SOURCE_UNAVAILABLE"] * 2
+    return first_out + resumed_out
+
+
+def test_a_stale_failure_leaves_the_next_hand_out_alone(project_rig):
+    # The first failure comes while the resumed fetch of the same hand-out
+    # still runs, so it changes nothing and c2 gets the next file.  When the
+    # resumed fetch fails too, file 0 goes back to the pool once.
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 3)
+    project.start_project("p", "all")
+
+    def c2_asks():
+        assert project.next_file("p", "c2", station=station_addr)["file_id"] == ids[1]
+
+    outcomes = restart_mid_fetch(project, station, station_addr, True, c2_asks)
+    assert outcomes == ["SOURCE_UNAVAILABLE"] * 2
     state = project.projects["p"]
-    assert state.held == {ids[0]: "c2"} and state.attempts == {ids[0]: 1}
-    assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[1]
+    assert state.held == {ids[1]: "c2"} and state.attempts == {ids[0]: 1}
+    assert project._fetches == {}  # every fetch that ended was forgotten
+    assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[0]
     project.close()
 
     reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     try:
         again = reborn.projects["p"]
         assert (again.pool, again.held, again.attempts) == \
-            ([ids[2]], {ids[0]: "c2", ids[1]: "c3"}, {ids[0]: 1})
+            ([ids[2]], {ids[1]: "c2", ids[0]: "c3"}, {ids[0]: 1})
+    finally:
+        reborn.close()
+
+
+@pytest.mark.parametrize("resumed_ends_first", [False, True])
+def test_a_failure_does_not_undo_a_hand_out_whose_resumed_fetch_succeeds(
+        project_rig, resumed_ends_first):
+    # The first fetch fails and the resumed one succeeds, in either order:
+    # c1 has file 0, and no one else may be handed it.
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 3)
+    project.start_project("p", "all")
+    got = []
+
+    def c2_asks():
+        got.append(project.next_file("p", "c2", station=station_addr)["file_id"])
+
+    outcomes = restart_mid_fetch(project, station, station_addr, False, c2_asks,
+                                 resumed_ends_first)
+    assert outcomes == ["SOURCE_UNAVAILABLE", ids[0]]
+    assert got == [ids[1]]
+    state = project.projects["p"]
+    assert state.held == {ids[0]: "c1", ids[1]: "c2"} and state.attempts == {}
+    assert project._fetches == {}
+    project.close()
+
+    reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        again = reborn.projects["p"]
+        assert (again.pool, again.held, again.attempts) == ([ids[2]], state.held, {})
+    finally:
+        reborn.close()
+
+
+def test_a_refused_next_registers_no_consumer(project_rig):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 1)
+    project.start_project("p", "all")
+    with pytest.raises(ValidationError):
+        project.next_file("p", "ghost")  # never named its station
+    assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
+    assert project.next_file("p", "c2", station=station_addr) == {"end": True}
+    project.release_file("p", "c1", ids[0])
+    assert project.next_file("p", "c1") == {"end": True}
+    status = project.status("p")
+    assert status["state"] == "ended"  # no consumer is left waiting for END
+    assert status["per_consumer_counts"] == {"c1": 1, "c2": 0}
+    project.close()
+
+    reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        assert reborn.status("p") == status  # replay registers whom live did
     finally:
         reborn.close()

@@ -34,12 +34,12 @@ def make_store(tmp_path, name="stken-sim", capacity=10**6, volume_capacity=100,
     return StoreService(
         StoreConfig(
             name=name,
+            root_dir=str(tmp_path / name),
             capacity_bytes=capacity,
             volume_capacity_bytes=volume_capacity,
             access_matrix=dict(ACCESS),
             mount_latency_ms=mount_latency_ms,
         ),
-        tmp_path / name,
     )
 
 
