@@ -32,7 +32,7 @@ from .consumer import AdaptorConfig, adaptor_run
 from .demo import check_demo_results, run_demo
 from .errors import NotFound, SamError, ValidationError
 from .migrate import load_export, run_migration, verify_migration
-from .naming import parse_legacy_name
+from .naming import ConventionViolation, name_dimensions, parse_legacy_name
 from .query import parse_expr, validate_expr
 from .records import FileRecord
 from .transfer import crc32_file
@@ -297,7 +297,10 @@ def cmd_dataset_snapshot(args) -> int:
 def _record_from_args(args, path: Path) -> FileRecord:
     name = args.name or path.name
     parts = parse_legacy_name(name)
-    parsed = not hasattr(parts, "reason")
+    dimensions = name_dimensions(parts)
+    for key in dimensions:  # a flag beats the name
+        if getattr(args, key) is not None:
+            dimensions[key] = getattr(args, key)
     parameters = {}
     for item in args.param:
         key, sep, value = item.partition("=")
@@ -308,15 +311,10 @@ def _record_from_args(args, path: Path) -> FileRecord:
         file_name=name,
         size_bytes=path.stat().st_size,
         crc32=crc32_file(path),
-        data_tier=args.data_tier or (parts.data_tier if parsed else "raw"),
-        event_type=args.event_type or (parts.event_type if parsed else "unk"),
-        program_version=(args.program_version if args.program_version is not None
-                         else (parts.program_version if parsed else 0)),
-        calibration_set=(args.calibration_set if args.calibration_set is not None
-                         else (parts.calibration_set if parsed else 0)),
+        **dimensions,
         parents=list(getattr(args, "parent", [])),
         parameters=parameters,
-        convention_violation=not parsed,
+        convention_violation=isinstance(parts, ConventionViolation),
         created_at=time.time(),
     )
 

@@ -139,11 +139,16 @@ def adaptor_run(lines_in, out, config: AdaptorConfig, client_factory=None) -> in
     """Drive the FSM from a line stream until END, BYE, or an error.
 
     Returns the process exit status: 0 after END or BYE, nonzero after
-    any ERR.  client_factory(addr) may inject a fake server for tests.
+    any ERR.  client_factory(addr) may inject a client; its caller closes it.
     """
-    factory = client_factory or Client
+    if client_factory is not None:
+        return _converse(lines_in, out, config, client_factory(config.project_addr))
+    with Client(config.project_addr) as server:
+        return _converse(lines_in, out, config, server)
+
+
+def _converse(lines_in, out, config: AdaptorConfig, server) -> int:
     fsm = ConsumerFsm()
-    server = factory(config.project_addr)
     consumer_id = config.resolved_consumer_id()
     project: str | None = None
 

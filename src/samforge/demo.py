@@ -6,8 +6,8 @@ convention-violating names), writes the deployment's topology file to
 on ephemeral loopback ports - catalog, router station, two analysis
 stations, two stores, project server - migrates the corpus, seeds both
 stores with the file bytes, then drives a project over the 100-file
-dataset with lockstep consumers, verifying every delivered path against
-the catalog checksum.
+dataset with lockstep consumers, each one running the consumer adaptor,
+verifying every delivered path against the catalog checksum.
 
 Only the corpus is seeded.  Which consumer receives which file, and in
 what order, follows thread scheduling, so transcripts differ between runs.
@@ -20,14 +20,17 @@ acceptance harness.
 from __future__ import annotations
 
 import csv
+import itertools
 import random
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 from .catalog import CatalogClient
 from .config import TopologyConfig, load_topology, serve
+from .consumer import AdaptorConfig, adaptor_run
 from .migrate import load_export, run_migration, verify_migration
 from .naming import ConventionViolation, parse_legacy_name
 from .transfer import crc32_bytes, crc32_file, put_to_store
@@ -227,7 +230,7 @@ def seed_stores(topology: TopologyConfig, corpus: Corpus) -> int:
 
 def run_lockstep_consumers(topology: TopologyConfig, project_name: str,
                            n_consumers: int = 4) -> list[dict]:
-    """Pull a whole project dry with equal-rate consumers; returns transcript."""
+    """Pull a whole project dry with equal-rate consumer adaptors; returns transcript."""
     stations = [name for name, station in topology.stations.items()
                 if station.role == "analysis"]
     assignments = [(f"consumer-{i + 1}", stations[i % len(stations)])
@@ -235,48 +238,46 @@ def run_lockstep_consumers(topology: TopologyConfig, project_name: str,
     barrier = threading.Barrier(n_consumers)
     transcript: list[dict] = []
     transcript_lock = threading.Lock()
-    failures: list[BaseException] = []
+    failures: list[Exception] = []
 
     def consume(consumer_id: str, station_name: str) -> None:
-        client = Client(topology.project.listen)
+        config = AdaptorConfig(project_addr=topology.project.listen,
+                               station_addr=topology.stations[station_name].listen,
+                               project=project_name, consumer_id=consumer_id)
+        said: list[str] = []  # each line the adaptor writes
+        out = SimpleNamespace(write=said.append, flush=lambda: None)
         catalog = CatalogClient(topology.catalog.listen)
-        rounds = 0
-        try:
-            while True:
+
+        def lines():
+            yield "CONFIGURE"
+            for rounds in itertools.count(1):
                 try:
                     barrier.wait(timeout=120)
                 except threading.BrokenBarrierError:
                     pass  # peers finished; run the tail unsynchronized
-                result = client.call("next", project_name=project_name,
-                                     consumer_id=consumer_id,
-                                     station=topology.stations[station_name].listen)
-                if result.get("end"):
-                    break
-                rounds += 1
-                record = catalog.get_file(result["file_id"])
-                crc_ok = crc32_file(result["path"]) == record.crc32
+                yield "GETFILE"
+                # the adaptor reads on only after a FILE line; END or ERR ends it
+                path = said[-1].removeprefix("FILE ").rstrip("\n")
+                record = catalog.get_file(Path(path).name)
                 with transcript_lock:
                     transcript.append({
-                        "file_id": result["file_id"],
-                        "file_name": result["file_name"],
+                        "file_id": record.file_id,
+                        "file_name": record.file_name,
                         "consumer": consumer_id,
                         "station": station_name,
-                        "path": result["path"],
-                        "crc_ok": crc_ok,
+                        "path": path,
+                        "crc_ok": crc32_file(path) == record.crc32,
                         "round": rounds,
                     })
-                client.call("release", project_name=project_name,
-                            consumer_id=consumer_id,
-                            file_id=result["file_id"], status="consumed")
-        except BaseException as e:  # noqa: BLE001 - surfaced to the caller
+                yield "RELEASE"
+
+        try:
+            if adaptor_run(lines(), out, config) != 0:
+                raise RuntimeError(f"{consumer_id}: adaptor ended with {said[-1].rstrip()!r}")
+        except Exception as e:  # noqa: BLE001 - surfaced to the caller
             failures.append(e)
-            barrier.abort()
         finally:
-            try:
-                barrier.abort()
-            except Exception:  # noqa: BLE001
-                pass
-            client.close()
+            barrier.abort()
             catalog.close()
 
     threads = [threading.Thread(target=consume, args=pair, daemon=True)

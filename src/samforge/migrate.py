@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedRow, MissingTable, RemoteError
-from .naming import ConventionViolation, parse_legacy_name, tier_from_extension
+from .naming import ConventionViolation, name_dimensions, parse_legacy_name
 from .query import Atom
 from .records import FileRecord
 from .transfer import crc32_file
@@ -206,14 +206,8 @@ def map_legacy_record(row: FileRow, import_time: float,
         "violation": None,
     }
     if violation:
-        event_type, program_version, calibration_set = "unk", 0, 0
-        data_tier = tier_from_extension(row.file_name) or "raw"
         notes["violation"] = f"{parts.token}: {parts.reason}"
     else:
-        event_type = parts.event_type
-        program_version = parts.program_version
-        calibration_set = parts.calibration_set
-        data_tier = parts.data_tier
         parameters["legacy.fileset"] = str(parts.fileset_number)
         parameters["legacy.sequence"] = str(parts.sequence)
         # four first-class fields plus the two retained parameters
@@ -237,10 +231,7 @@ def map_legacy_record(row: FileRow, import_time: float,
         file_name=row.file_name,
         size_bytes=row.size_bytes,
         crc32=crc,
-        data_tier=data_tier,
-        event_type=event_type,
-        program_version=program_version,
-        calibration_set=calibration_set,
+        **name_dimensions(parts),
         parents=[],
         parameters=parameters,
         legacy_hook=(HOOK_TABLE, row.dfc_row_key),

@@ -128,6 +128,16 @@ def format_legacy_name(parts: LegacyNameParts) -> str:
     )
 
 
+def name_dimensions(parts: LegacyNameParts | ConventionViolation) -> dict[str, str | int]:
+    """The catalog dimensions a parsed name sets; a name that breaks the
+    convention sets ``unk``, 0 and 0, and its extension's tier or ``raw``."""
+    if isinstance(parts, ConventionViolation):
+        return {"event_type": "unk", "data_tier": tier_from_extension(parts.name) or "raw",
+                "program_version": 0, "calibration_set": 0}
+    return {"event_type": parts.event_type, "data_tier": parts.data_tier,
+            "program_version": parts.program_version, "calibration_set": parts.calibration_set}
+
+
 def tier_from_extension(name: str) -> str | None:
     """Recognize a trailing .raw/.prd/.ntp extension on an arbitrary name."""
     dot = name.rfind(".")

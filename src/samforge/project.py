@@ -19,7 +19,9 @@ and counts only while that hand-out is current: a stale fetch that fails
 after its file was returned, released or handed out again changes nothing.
 A consumer that restarts mid-fetch starts a second fetch of the same
 hand-out; a failure undoes the hand-out only when it is the last fetch of
-it still running and none of them has succeeded.
+it still running and none of them has succeeded.  A consumer that resumes
+at another station has that station journaled too, and the release unpins
+the file at every station the hand-out was fetched at.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import bisect
 import operator
 import threading
+from dataclasses import dataclass
 
 from .catalog import CatalogClient
 from .errors import (
@@ -51,6 +54,15 @@ STATE_ENDED = "ended"
 RELEASE_STATUSES = ("consumed", "skipped")
 
 
+@dataclass
+class Handout:
+    """A delivered file its consumer has not yet released."""
+
+    consumer: str
+    seq: int  # journal seq of its Deliver
+    stations: list[str]  # each station it was fetched at, so each can be unpinned
+
+
 class ProjectState:
     def __init__(self, snapshot: DatasetSnapshot):
         self.project_name = None  # set by the server
@@ -60,8 +72,7 @@ class ProjectState:
         # undelivered ids not exhausted, highest first: the next hand-out is pool[-1]
         self.pool: list[int] = sorted(self.undelivered, reverse=True)
         self.delivered: dict[int, str] = {}
-        self.held: dict[int, str] = {}  # delivered but not yet released
-        self.handouts: dict[int, int] = {}  # held id -> journal seq of its Deliver
+        self.held: dict[int, Handout] = {}
         self.per_consumer_counts: dict[str, int] = {}
         self.stations: dict[str, str] = {}  # consumer -> station control addr
         self.attempts: dict[int, int] = {}  # redelivery attempts per file
@@ -119,17 +130,16 @@ class ProjectServer(Dispatcher):
             lowest = project.pool.pop()
             assert lowest == file_id, "a Deliver hands out the lowest deliverable id"
             project.delivered[file_id] = consumer
-            project.held[file_id] = consumer
-            project.handouts[file_id] = self._seq
-            project.register(consumer, payload.get("station"))
+            project.held[file_id] = Handout(consumer, self._seq, [payload["station"]])
+            project.register(consumer, payload["station"])
             project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 0) + 1
         elif kind == "DeliveryFailed":
             file_id, consumer = payload["file_id"], payload["consumer_id"]
-            if project.handouts.get(file_id) != payload["deliver_seq"]:
+            handout = project.held.get(file_id)
+            if handout is None or handout.seq != payload["deliver_seq"]:
                 return  # a stale fetch: its hand-out was undone or released already
-            del project.handouts[file_id]
+            del project.held[file_id]
             project.delivered.pop(file_id, None)
-            project.held.pop(file_id, None)
             project.undelivered.add(file_id)
             project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 1) - 1
             attempts = project.attempts.get(file_id, 0) + 1
@@ -138,9 +148,11 @@ class ProjectServer(Dispatcher):
                 project.exhausted.add(file_id)
             else:
                 bisect.insort(project.pool, file_id, key=operator.neg)
+        elif kind == "Resume":  # a held file fetched again, at another station
+            project.held[payload["file_id"]].stations.append(payload["station"])
+            project.register(payload["consumer_id"], payload["station"])
         elif kind == "Release":
             project.held.pop(payload["file_id"], None)
-            project.handouts.pop(payload["file_id"], None)
         elif kind == "Drain":
             project.state = STATE_DRAINING
             project.register(payload["consumer_id"], None)
@@ -181,11 +193,20 @@ class ProjectServer(Dispatcher):
                 raise ValidationError(
                     f"consumer {consumer_id!r} never told the server its station")
             project.register(consumer_id, station_addr)
-            held = [f for f, c in project.held.items() if c == consumer_id]
+            held = [f for f, h in project.held.items() if h.consumer == consumer_id]
             if held:
                 file_id = min(held)  # resume: redeliver what they already hold
-                deliver_seq = project.handouts[file_id]
+                handout = project.held[file_id]
+                deliver_seq = handout.seq
                 prefetch = []
+                if station_addr not in handout.stations:
+                    # not unpinned here: the fetch there may still be running
+                    self.journal.commit("Resume", {
+                        "project_name": project_name,
+                        "file_id": file_id,
+                        "consumer_id": consumer_id,
+                        "station": station_addr,
+                    })
             else:
                 upcoming = project.upcoming(1 + PREFETCH_DEPTH)
                 if not upcoming:
@@ -239,9 +260,9 @@ class ProjectServer(Dispatcher):
             raise ValidationError(f"release status must be one of {RELEASE_STATUSES}")
         with self._lock:
             project = self._project(project_name)
-            if project.held.get(file_id) != consumer_id:
+            handout = project.held.get(file_id)
+            if handout is None or handout.consumer != consumer_id:
                 raise NotHeld(f"consumer {consumer_id!r} does not hold file {file_id}")
-            station_addr = project.stations.get(consumer_id)
             self.journal.commit("Release", {
                 "project_name": project_name,
                 "file_id": file_id,
@@ -249,7 +270,7 @@ class ProjectServer(Dispatcher):
                 "status": status,
             })
             self._maybe_finish(project)
-        self._unpin_quietly(consumer_id, station_addr, file_id, project_name)
+        self._unpin_quietly(project_name, file_id, handout)
         return True
 
     def stop_project(self, project_name: str) -> dict:
@@ -258,13 +279,13 @@ class ProjectServer(Dispatcher):
             if project.state == STATE_ENDED and project.summary is not None:
                 return project.summary
             summary = self._summarize(project)
-            outstanding = [(f, c, project.stations.get(c)) for f, c in project.held.items()]
+            outstanding = list(project.held.items())
             self.journal.commit("StopProject", {
                 "project_name": project_name,
                 "summary": summary,
             })
-        for file_id, consumer_id, station_addr in outstanding:
-            self._unpin_quietly(consumer_id, station_addr, file_id, project_name)
+        for file_id, handout in outstanding:
+            self._unpin_quietly(project_name, file_id, handout)
         return summary
 
     def status(self, project_name: str | None = None) -> dict:
@@ -330,16 +351,17 @@ class ProjectServer(Dispatcher):
                 client = self._station_clients[key] = Client(addr)
             return client
 
-    def _unpin_quietly(self, consumer_id: str, station_addr: str | None, file_id: int,
-                       project_name: str) -> None:
-        """Bookkeeping already released the file; a lost pin must not undo that."""
-        if station_addr is None:
-            return
-        try:
-            self._station(consumer_id, station_addr).call(
-                "unpin", file_id=file_id, project=project_name)
-        except SamError:
-            pass
+    def _unpin_quietly(self, project_name: str, file_id: int, handout: Handout) -> None:
+        """Unpin wherever it was fetched; a lost pin must not undo the bookkeeping.
+
+        Each goes on the consumer's own client, after any fetch still running there.
+        """
+        for station_addr in handout.stations:
+            try:
+                self._station(handout.consumer, station_addr).call(
+                    "unpin", file_id=file_id, project=project_name)
+            except SamError:
+                pass
 
     def close(self) -> None:
         self.catalog.close()

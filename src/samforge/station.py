@@ -134,18 +134,13 @@ class CacheEntry:
     local_path: Path
     size_bytes: int
     crc32: int  # verified when the file was admitted; served as the SEND header CRC
-    pins: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def pin_count(self) -> int:
-        return sum(self.pins.values())
+    pins: set[str] = field(default_factory=set)  # projects holding it; a redelivery adds none
 
 
 class StationService(Dispatcher):
     ops = {
         "fetch": "fetch_file",
         "store": "store_file",
-        "pin": "pin_file",
         "unpin": "unpin_file",
         "status": "station_status",
     }
@@ -232,8 +227,7 @@ class StationService(Dispatcher):
                 entry = self._entries[file_id]
                 self._entries.move_to_end(file_id)
                 if requesting_project:
-                    # idempotent: redelivery of a held file must not stack pins
-                    entry.pins.setdefault(requesting_project, 1)
+                    entry.pins.add(requesting_project)
                 self.counters["cache_hits"] += 1
                 return str(entry.local_path)
             self._in_flight.add(file_name)
@@ -366,7 +360,7 @@ class StationService(Dispatcher):
                 for entry in self._entries.values():
                     if free >= size:
                         break
-                    if entry.pin_count == 0:
+                    if not entry.pins:
                         victims.append(entry)
                         free += entry.size_bytes
                 if free >= size:
@@ -414,7 +408,7 @@ class StationService(Dispatcher):
                 crc32=record.crc32,
             )
             if requesting_project:
-                entry.pins[requesting_project] = 1
+                entry.pins.add(requesting_project)
             self._entries[record.file_id] = entry
             self._resident += record.size_bytes
             self._by_name[record.file_name] = record.file_id
@@ -428,26 +422,14 @@ class StationService(Dispatcher):
 
     # -- eviction / pinning ------------------------------------------------
 
-    def pin_file(self, file_id: int, project: str) -> bool:
-        with self._lock:
-            entry = self._entries.get(file_id)
-            if entry is None:
-                raise NotResident(f"file {file_id} not in cache on {self.config.name}")
-            entry.pins[project] = entry.pins.get(project, 0) + 1
-        return True
-
     def unpin_file(self, file_id: int, project: str) -> bool:
         with self._lock:
             entry = self._entries.get(file_id)
             if entry is None:
                 raise NotResident(f"file {file_id} not in cache on {self.config.name}")
-            held = entry.pins.get(project, 0)
-            if held == 0:
+            if project not in entry.pins:
                 raise NotPinned(f"project {project!r} holds no pin on file {file_id}")
-            if held == 1:
-                del entry.pins[project]
-            else:
-                entry.pins[project] = held - 1
+            entry.pins.remove(project)
         return True
 
     # -- store path --------------------------------------------------------
@@ -508,17 +490,15 @@ class StationService(Dispatcher):
         last = None
         limiter = self._limits[route.name]
         for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
-            limiter.acquire()
             try:
-                return put_to_store(route.data_addr, self.config.name,
-                                    rec.file_name, fileset, body, rec.crc32)
+                with limiter:
+                    return put_to_store(route.data_addr, self.config.name,
+                                        rec.file_name, fileset, body, rec.crc32)
             except SamError as e:
                 if isinstance(e, RemoteError) and e.code in ("ACCESS_DENIED", "STORE_FULL",
                                                              "FILE_TOO_LARGE", "DUPLICATE_NAME"):
                     raise  # retrying cannot help these
                 last = e
-            finally:
-                limiter.release()
         raise TransferExhausted(
             f"{rec.file_name}: store to {route.name} failed after "
             f"{MAX_TRANSFER_ATTEMPTS} attempts ({last})")
@@ -558,7 +538,7 @@ class StationService(Dispatcher):
                     "file_id": e.file_id,
                     "file_name": e.file_name,
                     "size_bytes": e.size_bytes,
-                    "pin_count": e.pin_count,
+                    "pin_count": len(e.pins),
                 }
                 for e in self._entries.values()
             ]

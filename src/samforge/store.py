@@ -49,7 +49,7 @@ from .errors import (
 )
 from .journal import Journal
 from .records import file_name_problem
-from .sync import FairLock
+from .sync import FairSemaphore
 from .transfer import (
     discard_body,
     parse_put_args,
@@ -109,7 +109,7 @@ class StoreService(Dispatcher):
         self.config = config
         self.root = Path(config.root_dir)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._drive = FairLock()
+        self._drive = FairSemaphore(1)  # one tape drive, granted in arrival order
         self._state_lock = threading.RLock()
         self.volumes: dict[str, Volume] = {}
         # name -> (volume_id, size, crc32 recorded at put time)

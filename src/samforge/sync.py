@@ -24,21 +24,15 @@ class FairSemaphore:
         self._in_flight = 0
         self._high_water = 0
 
-    def acquire(self, timeout: float | None = None) -> bool:
+    def acquire(self) -> None:
         with self._lock:
             if self._in_flight < self.slots and not self._waiters:
                 self._in_flight += 1
                 self._high_water = max(self._high_water, self._in_flight)
-                return True
+                return
             event = threading.Event()
             self._waiters.append(event)
-        if not event.wait(timeout):
-            with self._lock:
-                if event in self._waiters:
-                    self._waiters.remove(event)
-                    return False
-            # granted between timeout and removal: keep the slot
-        return True
+        event.wait()
 
     def release(self) -> None:
         with self._lock:
@@ -66,10 +60,3 @@ class FairSemaphore:
 
     def __exit__(self, *exc):
         self.release()
-
-
-class FairLock(FairSemaphore):
-    """Mutual exclusion with FIFO queuing (single tape drive semantics)."""
-
-    def __init__(self):
-        super().__init__(1)

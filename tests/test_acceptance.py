@@ -447,7 +447,7 @@ def test_criterion_7_cache_discipline(rig):
     # pin everything, then ask for one more: a prompt CacheFull, no deadlock
     for entry in cache.values():
         if entry["pin_count"] == 0:
-            station.pin_file(entry["file_id"], "hold")
+            station.fetch_file(entry["file_name"], requesting_project="hold")
     started = time.monotonic()
     with pytest.raises(CacheFull):
         station.fetch_file("u3.raw")

@@ -1,11 +1,16 @@
 """adaptor_run: line protocol in, project-server calls out."""
 
+import gc
 import io
+import warnings
 
 import pytest
 
 from samforge.consumer import AdaptorConfig, adaptor_run
 from samforge.errors import RemoteError
+from samforge.project import ProjectServer
+from samforge.query import Atom
+from samforge.wire import ControlHandler, Server, format_addr
 
 
 class StubServer:
@@ -157,3 +162,23 @@ def test_default_consumer_id_names_host_and_pid():
     assert config.resolved_consumer_id() == f"{socket.gethostname()}-{os.getpid()}"
     assert AdaptorConfig(project_addr="a", station_addr="b",
                          consumer_id="me").resolved_consumer_id() == "me"
+
+
+def test_the_client_made_without_a_factory_is_closed(rig):
+    with rig.catalog_client() as catalog:
+        catalog.define_dataset("none", Atom("event_type", "=", "nosuch"))
+    project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    server = Server(ControlHandler, project, ("127.0.0.1", 0)).start()
+    config = AdaptorConfig(project_addr=format_addr(server.bound_addr),
+                           station_addr="127.0.0.1:1", consumer_id="c-test")
+    out = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            status = adaptor_run(iter(["CONFIGURE p none\n", "GETFILE\n"]), out, config)
+            gc.collect()
+    finally:
+        server.close()
+        project.close()
+    assert (status, out.getvalue().splitlines()) == (0, ["OK", "END"])
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from samforge.catalog import CatalogClient
 from samforge.cli import main
 
 from conftest import BAD_STATIONS, spawn_daemon, stop_daemon, write_bad_station
@@ -174,6 +175,19 @@ def test_declare_locate_dataset_round_trip(capsys, tmp_path, catalogd):
                            "--catalog", catalogd)
     assert code == 0
     assert "1 files" in out[0] or "files" in out[0]
+
+
+def test_declare_maps_a_name_as_migration_does(capsys, tmp_path, catalogd):
+    # a name that breaks the convention keeps the tier of its extension
+    for name, flags in (("oops.ntp", ()), ("bphy0411_fs9001_004.prd", ("--event-type", "phy"))):
+        target = tmp_path / name
+        target.write_bytes(b"x")
+        assert run_cli(capsys, "declare", str(target), "--catalog", catalogd, *flags)[0] == 0
+    with CatalogClient(catalogd) as catalog:
+        oops = catalog.get_file("oops.ntp")
+        flagged = catalog.get_file("bphy0411_fs9001_004.prd")
+    assert (oops.data_tier, oops.event_type, oops.convention_violation) == ("ntp", "unk", True)
+    assert (flagged.data_tier, flagged.event_type) == ("prd", "phy")  # a flag beats the name
 
 
 def test_status_queries_any_daemon(capsys, catalogd):

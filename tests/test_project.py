@@ -60,6 +60,11 @@ def project_rig(rig):
     server.close()
 
 
+def holders(state):
+    """Each held file id -> the consumer holding it."""
+    return {file_id: handout.consumer for file_id, handout in state.held.items()}
+
+
 def declare_files(rig, n, dataset="all"):
     with rig.catalog_client() as catalog:
         ids = []
@@ -142,6 +147,30 @@ def test_release_unpins_at_the_consumers_station(project_rig):
     result = project.next_file("p", "c1", station=station_addr)
     project.release_file("p", "c1", result["file_id"], "skipped")
     assert station.unpins == [(result["file_id"], "p")]
+
+
+@pytest.mark.parametrize("restart", [False, True])
+def test_a_resume_at_another_station_is_unpinned_at_both(project_rig, restart):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 2)
+    other = FakeStation()
+    server = Server(ControlHandler, other, ("127.0.0.1", 0)).start()
+    try:
+        project.start_project("p", "all")
+        first = project.next_file("p", "c1", station=station_addr)
+        resumed = project.next_file("p", "c1", station=format_addr(server.bound_addr))
+        assert resumed == first
+        assert other.fetches == ["file-000.raw"]  # the file is pinned at both
+        if restart:
+            project.close()
+            project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+        project.release_file("p", "c1", ids[0])
+    finally:
+        if restart:
+            project.close()
+        server.close()
+    assert station.unpins == [(ids[0], "p")]
+    assert other.unpins == [(ids[0], "p")]
 
 
 def test_consumer_resume_redelivers_held_file(project_rig):
@@ -324,7 +353,7 @@ def test_a_hand_out_failed_twice_returns_to_the_pool_once(project_rig):
     state = project.projects["p"]
 
     def fail(file_id, consumer, times):  # a resumed fetch and the one it resumed both fail
-        deliver_seq = state.handouts[file_id]
+        deliver_seq = state.held[file_id].seq
         for _ in range(times):
             with project._lock:
                 project.journal.commit("DeliveryFailed", {
@@ -345,7 +374,7 @@ def test_a_hand_out_failed_twice_returns_to_the_pool_once(project_rig):
     assert state.pool == [ids[2]] and state.exhausted == {ids[1]}
     assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[2]
     assert project.next_file("p", "c4", station=station_addr) == {"end": True}
-    assert state.held == {ids[0]: "c1", ids[2]: "c3"}
+    assert holders(state) == {ids[0]: "c1", ids[2]: "c3"}
     project.close()
 
     reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
@@ -464,7 +493,7 @@ def test_a_stale_failure_leaves_the_next_hand_out_alone(project_rig):
     outcomes = restart_mid_fetch(project, station, station_addr, True, c2_asks)
     assert outcomes == ["SOURCE_UNAVAILABLE"] * 2
     state = project.projects["p"]
-    assert state.held == {ids[1]: "c2"} and state.attempts == {ids[0]: 1}
+    assert holders(state) == {ids[1]: "c2"} and state.attempts == {ids[0]: 1}
     assert project._fetches == {}  # every fetch that ended was forgotten
     assert project.next_file("p", "c3", station=station_addr)["file_id"] == ids[0]
     project.close()
@@ -472,7 +501,7 @@ def test_a_stale_failure_leaves_the_next_hand_out_alone(project_rig):
     reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     try:
         again = reborn.projects["p"]
-        assert (again.pool, again.held, again.attempts) == \
+        assert (again.pool, holders(again), again.attempts) == \
             ([ids[2]], {ids[1]: "c2", ids[0]: "c3"}, {ids[0]: 1})
     finally:
         reborn.close()
@@ -496,7 +525,7 @@ def test_a_failure_does_not_undo_a_hand_out_whose_resumed_fetch_succeeds(
     assert outcomes == ["SOURCE_UNAVAILABLE", ids[0]]
     assert got == [ids[1]]
     state = project.projects["p"]
-    assert state.held == {ids[0]: "c1", ids[1]: "c2"} and state.attempts == {}
+    assert holders(state) == {ids[0]: "c1", ids[1]: "c2"} and state.attempts == {}
     assert project._fetches == {}
     project.close()
 

@@ -288,15 +288,14 @@ def test_broken_peer_frames_leak_neither_files_nor_capacity(rig, reply):
 def test_pin_unpin_lifecycle(rig):
     station = simple_rig(rig)
     file_id = rig.seed_file("a", b"x", stores=["stken-sim"])
-    station.fetch_file("a")
-    station.pin_file(file_id, "proj")
-    station.pin_file(file_id, "proj")
-    station.unpin_file(file_id, "proj")
+    station.fetch_file("a", requesting_project="proj")
+    station.fetch_file("a", requesting_project="other")
     station.unpin_file(file_id, "proj")
     with pytest.raises(NotPinned):
         station.unpin_file(file_id, "proj")
+    station.unpin_file(file_id, "other")
     with pytest.raises(NotResident):
-        station.pin_file(999, "proj")
+        station.unpin_file(999, "proj")
 
 
 def test_project_fetch_pin_is_idempotent(rig):
