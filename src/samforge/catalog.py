@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .journal import Journal
-from .query import eval_query, expr_from_wire, expr_to_wire, validate_expr
+from .query import eval_query, expr_from_wire, expr_to_wire
 from .records import (
     DatasetDefinition,
     DatasetSnapshot,
@@ -138,7 +138,6 @@ class CatalogService(Dispatcher):
 
     def define_dataset(self, name: str, expr: dict) -> bool:
         parsed = expr_from_wire(expr)
-        validate_expr(parsed)
         with self._lock:
             if name in self.state.datasets:
                 raise DuplicateName(f"dataset {name!r} already defined")
@@ -149,16 +148,22 @@ class CatalogService(Dispatcher):
             })
         return True
 
-    def resolve_dataset(self, name: str) -> list[int]:
+    def resolve_dataset(self, name: str) -> dict:
+        """The matching files now: parallel id and name lists, ascending id."""
         with self._lock:
-            definition = self.state.datasets.get(name)
-            if definition is None:
-                raise NotFound(f"no dataset {name!r}")
-            return [
-                file_id
-                for file_id in sorted(self.state.files)
-                if eval_query(definition.expr, self.state.files[file_id])
-            ]
+            file_ids = self._matching(name)
+            return {"file_ids": file_ids,
+                    "file_names": [self.state.files[i].file_name for i in file_ids]}
+
+    def _matching(self, name: str) -> list[int]:
+        definition = self.state.datasets.get(name)
+        if definition is None:
+            raise NotFound(f"no dataset {name!r}")
+        return [
+            file_id
+            for file_id in sorted(self.state.files)
+            if eval_query(definition.expr, self.state.files[file_id])
+        ]
 
     def take_snapshot(self, dataset_name: str) -> dict:
         with self._lock:
@@ -166,7 +171,7 @@ class CatalogService(Dispatcher):
             self.journal.commit(OP_TAKE_SNAPSHOT, {
                 "snapshot_id": snapshot_id,
                 "dataset_name": dataset_name,
-                "file_ids": self.resolve_dataset(dataset_name),
+                "file_ids": self._matching(dataset_name),
                 "created_at": time.time(),
             })
             return self.state.snapshots[snapshot_id].to_wire()
@@ -249,57 +254,24 @@ class CatalogService(Dispatcher):
         self.journal.close()
 
 
-class CatalogClient:
-    """Typed convenience wrapper over the wire client."""
-
-    def __init__(self, addr, timeout: float = 30.0):
-        self._client = Client(addr, timeout=timeout)
+class CatalogClient(Client):
+    """The catalog's connection; these methods convert records, every other op is a call."""
 
     def declare_file(self, record: FileRecord) -> int:
         wire = record.to_wire()
         wire.pop("file_id", None)
-        return self._client.call("declare_file", record=wire)
+        return self.call("declare_file", record=wire)
 
     def get_file(self, name_or_id) -> FileRecord:
-        return FileRecord.from_wire(self._client.call("get_file", name_or_id=name_or_id))
+        return FileRecord.from_wire(self.call("get_file", name_or_id=name_or_id))
 
     def define_dataset(self, name: str, expr) -> None:
-        self._client.call("define_dataset", name=name, expr=expr_to_wire(expr))
-
-    def resolve_dataset(self, name: str) -> list[int]:
-        return self._client.call("resolve_dataset", name=name)
-
-    def take_snapshot(self, dataset_name: str) -> DatasetSnapshot:
-        return DatasetSnapshot.from_wire(
-            self._client.call("take_snapshot", dataset_name=dataset_name))
-
-    def get_snapshot(self, snapshot_id: int) -> DatasetSnapshot:
-        return DatasetSnapshot.from_wire(
-            self._client.call("get_snapshot", snapshot_id=snapshot_id))
-
-    def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str,
-                     verified_at: float | None = None) -> None:
-        self._client.call("add_location", file_id=file_id, endpoint_name=endpoint_name,
-                          path_or_volume=path_or_volume, verified_at=verified_at)
-
-    def remove_location(self, file_id: int, endpoint_name: str) -> None:
-        self._client.call("remove_location", file_id=file_id, endpoint_name=endpoint_name)
+        self.call("define_dataset", name=name, expr=expr_to_wire(expr))
 
     def get_locations(self, file_id: int) -> list[ReplicaLocation]:
-        rows = self._client.call("get_locations", file_id=file_id)
-        return [ReplicaLocation.from_wire(row) for row in rows]
+        return [ReplicaLocation.from_wire(r) for r in self.call("get_locations", file_id=file_id)]
 
-    def get_lineage(self, file_id: int, depth: int) -> list[int]:
-        return self._client.call("get_lineage", file_id=file_id, depth=depth)
-
-    def status(self) -> dict:
-        return self._client.call("status")
-
-    def close(self) -> None:
-        self._client.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+    # kept because bench/workloads.py passes the path positionally
+    def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str) -> None:
+        self.call("add_location", file_id=file_id, endpoint_name=endpoint_name,
+                  path_or_volume=path_or_volume)

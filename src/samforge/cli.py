@@ -33,7 +33,7 @@ from .demo import check_demo_results, run_demo
 from .errors import NotFound, SamError, ValidationError
 from .migrate import load_export, run_migration, verify_migration
 from .naming import ConventionViolation, name_dimensions, parse_legacy_name
-from .query import parse_expr, validate_expr
+from .query import parse_expr
 from .records import FileRecord
 from .transfer import crc32_file
 from .wire import Client
@@ -271,7 +271,6 @@ def cmd_migrate(args) -> int:
 
 def cmd_dataset_define(args) -> int:
     expr = parse_expr(args.expr)
-    validate_expr(expr)
     with CatalogClient(args.catalog) as catalog:
         catalog.define_dataset(args.name, expr)
     _emit(args, {"defined": args.name}, [f"defined {args.name}"])
@@ -279,18 +278,17 @@ def cmd_dataset_define(args) -> int:
 
 
 def cmd_dataset_resolve(args) -> int:
-    with CatalogClient(args.catalog) as catalog:
-        file_ids = catalog.resolve_dataset(args.name)
-        names = [catalog.get_file(fid).file_name for fid in file_ids]
-    _emit(args, {"dataset": args.name, "file_ids": file_ids, "file_names": names}, names)
+    with Client(args.catalog) as catalog:
+        files = catalog.call("resolve_dataset", name=args.name)
+    _emit(args, {"dataset": args.name, **files}, files["file_names"])
     return 0
 
 
 def cmd_dataset_snapshot(args) -> int:
-    with CatalogClient(args.catalog) as catalog:
-        snapshot = catalog.take_snapshot(args.name)
-    _emit(args, snapshot.to_wire(),
-          [f"snapshot {snapshot.snapshot_id}: {len(snapshot.file_ids)} files"])
+    with Client(args.catalog) as catalog:
+        snapshot = catalog.call("take_snapshot", dataset_name=args.name)
+    _emit(args, snapshot,
+          [f"snapshot {snapshot['snapshot_id']}: {len(snapshot['file_ids'])} files"])
     return 0
 
 

@@ -19,6 +19,7 @@ import socket
 from dataclasses import dataclass
 
 from .errors import SamError
+from .project import RELEASE_STATUSES
 from .wire import Client
 
 S_START = "Start"
@@ -34,8 +35,6 @@ COMMANDS = ("CONFIGURE", "GETFILE", "RELEASE", "BYE")
 E_STATE = "E_STATE"
 E_INPUT = "E_INPUT"
 E_CONFIG = "E_CONFIG"
-
-RELEASE_STATUSES = ("consumed", "skipped")
 
 # Framework-input transition table: (state, command) -> action tag or
 # (error code, diagnostic).  Total over STATES x COMMANDS; unknown verbs

@@ -291,7 +291,7 @@ def verify_migration(export: LegacyExport, catalog) -> list[dict]:
     for dataset_id in export.dataset_ids():
         expected = set(export.members_of(dataset_id))
         try:
-            file_ids = catalog.resolve_dataset(f"{DATASET_PREFIX}{dataset_id}")
+            resolved = catalog.call("resolve_dataset", name=f"{DATASET_PREFIX}{dataset_id}")
         except RemoteError as e:
             if e.code != "NOT_FOUND":
                 raise
@@ -301,7 +301,7 @@ def verify_migration(export: LegacyExport, catalog) -> list[dict]:
                 "extra": [],
             })
             continue
-        actual = {catalog.get_file(file_id).file_name for file_id in file_ids}
+        actual = set(resolved["file_names"])
         if actual != expected:
             divergences.append({
                 "dataset": f"{DATASET_PREFIX}{dataset_id}",

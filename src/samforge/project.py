@@ -31,7 +31,6 @@ import operator
 import threading
 from dataclasses import dataclass
 
-from .catalog import CatalogClient
 from .errors import (
     DuplicateProject,
     NotFound,
@@ -80,6 +79,9 @@ class ProjectState:
         self.saw_end: set[str] = set()
         self.state = STATE_RUNNING
         self.summary: dict | None = None
+        # live connections, not journaled: (consumer, station) -> client
+        self.clients: dict[tuple[str, str], Client] = {}
+        self.calls = 0  # station calls running on them
 
     def upcoming(self, n: int) -> list[int]:
         """The next n ids to hand out, lowest first."""
@@ -102,9 +104,9 @@ class ProjectServer(Dispatcher):
 
     def __init__(self, journal_path, catalog_addr):
         self._lock = threading.RLock()
-        self.catalog = CatalogClient(catalog_addr)
+        self.catalog = Client(catalog_addr)
         self.projects: dict[str, ProjectState] = {}
-        self._station_clients: dict[str, Client] = {}
+        self._clients_lock = threading.Lock()  # each project's clients and calls
         # Deliver seq -> fetches of that hand-out running, while none has succeeded;
         # its own lock, so a fetch that succeeds does not wait out a journal fsync
         self._fetches: dict[int, int] = {}
@@ -172,15 +174,15 @@ class ProjectServer(Dispatcher):
             live = self.projects.get(project_name)
             if live is not None and live.state != STATE_ENDED:
                 raise DuplicateProject(f"project {project_name!r} is live")
-            snapshot = self.catalog.take_snapshot(dataset_name)  # NOT_FOUND propagates
             self.journal.commit("StartProject", {
                 "project_name": project_name,
-                "snapshot": snapshot.to_wire(),
+                # NOT_FOUND propagates
+                "snapshot": self.catalog.call("take_snapshot", dataset_name=dataset_name),
             })
             project = self.projects[project_name]
             return {
                 "project_name": project_name,
-                "snapshot_id": snapshot.snapshot_id,
+                "snapshot_id": project.snapshot.snapshot_id,
                 "files": len(project.undelivered),
             }
 
@@ -215,6 +217,7 @@ class ProjectServer(Dispatcher):
                         "consumer_id": consumer_id,
                     })
                     self._maybe_finish(project)
+                    self._close_if_ended(project)  # nothing is held, so no unpin is due
                     return {"end": True}
                 file_id = upcoming[0]
                 # prefetch only when every consumer of the project uses this
@@ -232,9 +235,9 @@ class ProjectServer(Dispatcher):
                 self._fetches[deliver_seq] = self._fetches.get(deliver_seq, 0) + 1
         # the transfer happens outside the project lock: it may be slow
         try:
-            path = self._station(consumer_id, station_addr).call(
-                "fetch", file_name=file_name, requesting_project=project_name,
-                prefetch=prefetch)
+            path = self._call_station(project, consumer_id, station_addr, "fetch",
+                                      file_name=file_name, requesting_project=project_name,
+                                      prefetch=prefetch)
         except SamError as e:
             with self._lock:  # no fetch of this hand-out can start meanwhile
                 with self._fetches_lock:
@@ -270,7 +273,7 @@ class ProjectServer(Dispatcher):
                 "status": status,
             })
             self._maybe_finish(project)
-        self._unpin_quietly(project_name, file_id, handout)
+        self._unpin_quietly(project, file_id, handout)
         return True
 
     def stop_project(self, project_name: str) -> dict:
@@ -285,7 +288,8 @@ class ProjectServer(Dispatcher):
                 "summary": summary,
             })
         for file_id, handout in outstanding:
-            self._unpin_quietly(project_name, file_id, handout)
+            self._unpin_quietly(project, file_id, handout)
+        self._close_if_ended(project)
         return summary
 
     def status(self, project_name: str | None = None) -> dict:
@@ -343,28 +347,44 @@ class ProjectServer(Dispatcher):
             "per_consumer_counts": dict(project.per_consumer_counts),
         }
 
-    def _station(self, consumer_id: str, addr: str) -> Client:
-        with self._lock:
-            key = f"{consumer_id}@{addr}"
-            client = self._station_clients.get(key)
+    def _call_station(self, project: ProjectState, consumer: str, addr: str, op: str, /, **args):
+        """One call on the project's client for this consumer and station."""
+        with self._clients_lock:
+            client = project.clients.get((consumer, addr))
             if client is None:
-                client = self._station_clients[key] = Client(addr)
-            return client
+                client = project.clients[consumer, addr] = Client(addr)
+            project.calls += 1
+        try:
+            return client.call(op, **args)
+        finally:
+            with self._clients_lock:
+                project.calls -= 1
+            self._close_if_ended(project)
 
-    def _unpin_quietly(self, project_name: str, file_id: int, handout: Handout) -> None:
+    def _close_if_ended(self, project: ProjectState) -> None:
+        """Close an ended project's clients once none of its station calls is running."""
+        with self._clients_lock:
+            if project.state != STATE_ENDED or project.calls:
+                return
+            clients, project.clients = project.clients, {}
+        for client in clients.values():
+            client.close()
+
+    def _unpin_quietly(self, project: ProjectState, file_id: int, handout: Handout) -> None:
         """Unpin wherever it was fetched; a lost pin must not undo the bookkeeping.
 
         Each goes on the consumer's own client, after any fetch still running there.
         """
         for station_addr in handout.stations:
             try:
-                self._station(handout.consumer, station_addr).call(
-                    "unpin", file_id=file_id, project=project_name)
+                self._call_station(project, handout.consumer, station_addr, "unpin",
+                                   file_id=file_id, project=project.project_name)
             except SamError:
                 pass
 
     def close(self) -> None:
         self.catalog.close()
-        for client in self._station_clients.values():
-            client.close()
+        for project in self.projects.values():
+            for client in project.clients.values():
+                client.close()
         self.journal.close()

@@ -5,7 +5,8 @@ pin exemption), fetches files from replicas with CRC verification and
 bounded retry, and routes newly produced files toward the permanent
 store.  Router stations buffer stores on a permanent area and forward to
 their route target; analysis stations hand stores to the router over the
-framed data plane.  Either way the route target must be ``read_write``.
+framed data plane, and refuse a STORE frame themselves (``ACCESS_DENIED``).
+Either way the route target must be ``read_write``.
 
 Replica selection prefers another station's cache (stn) over tape, with
 lexicographic endpoint-name tie-breaks.  A retry re-runs selection but
@@ -65,9 +66,11 @@ from .sync import FairSemaphore
 from .transfer import (
     FaultInjector,
     crc32_stream,
+    discard_body,
     put_to_store,
     read_send_header,
     receive_verified,
+    reply_err,
     send_header,
     send_request,
     serve_frame,
@@ -385,7 +388,8 @@ class StationService(Dispatcher):
         for victim in victims:
             self._event("evict", victim.file_name, self.config.name, 0, "")
             try:
-                catalog.remove_location(victim.file_id, self.config.name)
+                catalog.call("remove_location", file_id=victim.file_id,
+                             endpoint_name=self.config.name)
             except RemoteError as e:
                 if e.code != "NOT_FOUND":
                     raise
@@ -470,7 +474,7 @@ class StationService(Dispatcher):
         self.catalog.add_location(file_id, route.name, volume_id)
         # tape has it; release the buffer copy and its catalog location
         buffered.unlink(missing_ok=True)
-        self.catalog.remove_location(file_id, self.config.name)
+        self.catalog.call("remove_location", file_id=file_id, endpoint_name=self.config.name)
         with self._lock:
             self.counters["stores_ok"] += 1
         return file_id
@@ -616,6 +620,10 @@ class StationDataHandler(socketserver.StreamRequestHandler):
     def _store(self, payload: str) -> None:
         service: StationService = self.server.service
         name, size, declared_crc = read_send_header(self.rfile)
+        if service.config.role != ROLE_ROUTER:  # nothing would forward what it buffered
+            reply_err(self.wfile, AccessDenied.code, f"{service.config.name} is not a router")
+            discard_body(self.rfile, size)
+            return
 
         def admit(staged: Path, crc: int) -> int:
             # the record is parsed once the body is in, so a bad one is answered, not reset

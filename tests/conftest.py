@@ -204,6 +204,19 @@ def write_bad_station(directory, case):
     return path
 
 
+def record_ops(service, monkeypatch) -> list[str]:
+    """The ops service dispatches from now on, in order."""
+    ops = []
+    dispatch = service.dispatch
+
+    def recording(op, args):
+        ops.append(op)
+        return dispatch(op, args)
+
+    monkeypatch.setattr(service, "dispatch", recording)
+    return ops
+
+
 def run_threads(n, target):
     """Run target(i) in n threads started together; re-raise the first error."""
     errors = []

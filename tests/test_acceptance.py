@@ -164,8 +164,8 @@ def test_criterion_4_migration_oracle(rig, tmp_path):
         assert report.declared == 1000
 
         for dataset_id, expected in sorted(by_dataset.items()):
-            resolved = {catalog.get_file(fid).file_name
-                        for fid in catalog.resolve_dataset(f"dfc-{dataset_id}")}
+            resolved = set(catalog.call("resolve_dataset",
+                                        name=f"dfc-{dataset_id}")["file_names"])
             assert resolved == expected  # set equality, per dataset
 
         rerun = run_migration(export, catalog, import_time=time.time(),
@@ -324,8 +324,8 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
                     data_tier="raw", event_type="phy", program_version=6,
                     calibration_set=6))
             catalog.define_dataset("accept6", Atom("event_type", "=", "phy"))
-            baseline = catalog.resolve_dataset("accept6")
-        assert len(baseline) == n_files
+            baseline = catalog.call("resolve_dataset", name="accept6")
+        assert len(baseline["file_ids"]) == n_files
 
         def retrying(op, **kwargs):
             # one ConnectFailed per restart is expected: the client's socket
@@ -359,7 +359,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
             # after every restart and journal replay, the catalog answers
             # the dataset exactly as before
             with CatalogClient(catalog_addr) as catalog:
-                assert catalog.resolve_dataset("accept6") == baseline
+                assert catalog.call("resolve_dataset", name="accept6") == baseline
 
         released = []
         ended = set()
@@ -390,7 +390,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
                 maybe_kill(None)
 
         # every file released exactly once: nothing lost, nothing repeated
-        assert sorted(released) == baseline
+        assert sorted(released) == baseline["file_ids"]
         assert len(released) == n_files
 
         summary = retrying("stop", project_name="p6")
@@ -399,7 +399,7 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
         assert killed_while_held >= 2  # crashes landed mid-delivery too
 
         with CatalogClient(catalog_addr) as catalog:
-            assert catalog.resolve_dataset("accept6") == baseline
+            assert catalog.call("resolve_dataset", name="accept6") == baseline
     finally:
         project_client.close()
         for proc in daemons.values():

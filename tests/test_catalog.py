@@ -92,9 +92,11 @@ def test_resolve_matches_brute_force_scan(catalog):
              Atom("param.skim", "=", "gold"))),
     ))
     catalog.define_dataset("mixed", expr)
-    resolved = catalog.resolve_dataset("mixed")
+    resolved = catalog.call("resolve_dataset", name="mixed")
     expected = sorted(ids[r.file_name] for r in records if eval_query(expr, r))
-    assert resolved == expected
+    assert resolved["file_ids"] == expected
+    names = {file_id: name for name, file_id in ids.items()}
+    assert resolved["file_names"] == [names[i] for i in expected]
     assert expected  # the scan found something, so the comparison meant something
 
 
@@ -104,7 +106,7 @@ def test_dataset_duplicate_and_missing(catalog):
         catalog.define_dataset("d", Atom("event_type", "=", "min"))
     assert excinfo.value.code == "DUPLICATE_NAME"
     with pytest.raises(RemoteError) as excinfo:
-        catalog.resolve_dataset("ghost")
+        catalog.call("resolve_dataset", name="ghost")
     assert excinfo.value.code == "NOT_FOUND"
 
 
@@ -117,12 +119,14 @@ def test_malformed_expression_rejected_at_definition(catalog):
 def test_snapshot_freezes_membership(catalog):
     catalog.declare_file(make_record("a.raw"))
     catalog.define_dataset("phys", Atom("event_type", "=", "phy"))
-    snapshot = catalog.take_snapshot("phys")
-    assert (snapshot.file_ids, snapshot.file_names) == ([1], ["a.raw"])
+    snapshot = catalog.call("take_snapshot", dataset_name="phys")
+    assert (snapshot["file_ids"], snapshot["file_names"]) == ([1], ["a.raw"])
 
     catalog.declare_file(make_record("b.raw"))
-    assert catalog.resolve_dataset("phys") == [1, 2]  # live resolve moved on
-    assert catalog.get_snapshot(snapshot.snapshot_id) == snapshot  # snapshot did not
+    # live resolve moved on
+    assert catalog.call("resolve_dataset", name="phys")["file_ids"] == [1, 2]
+    # snapshot did not
+    assert catalog.call("get_snapshot", snapshot_id=snapshot["snapshot_id"]) == snapshot
 
 
 def test_locations_lifecycle(catalog):
@@ -136,10 +140,10 @@ def test_locations_lifecycle(catalog):
         catalog.add_location(file_id, "stken-sim", "elsewhere")
     assert excinfo.value.code == "DUPLICATE_LOCATION"
 
-    catalog.remove_location(file_id, "cdfa-1")
+    catalog.call("remove_location", file_id=file_id, endpoint_name="cdfa-1")
     assert [loc.endpoint_name for loc in catalog.get_locations(file_id)] == ["stken-sim"]
     with pytest.raises(RemoteError) as excinfo:
-        catalog.remove_location(file_id, "cdfa-1")
+        catalog.call("remove_location", file_id=file_id, endpoint_name="cdfa-1")
     assert excinfo.value.code == "NOT_FOUND"
 
 
@@ -165,10 +169,10 @@ def test_lineage_walks_ancestors_to_depth(catalog):
     p2 = catalog.declare_file(make_record("p2.prd", data_tier="prd", parents=[g2]))
     child = catalog.declare_file(make_record("c.ntp", data_tier="ntp", parents=[p1, p2]))
 
-    assert catalog.get_lineage(child, depth=1) == sorted([p1, p2])
-    assert catalog.get_lineage(child, depth=2) == sorted([p1, p2, g1, g2])
-    assert catalog.get_lineage(child, depth=9) == sorted([p1, p2, g1, g2])
-    assert catalog.get_lineage(g1, depth=3) == []
+    assert catalog.call("get_lineage", file_id=child, depth=1) == sorted([p1, p2])
+    assert catalog.call("get_lineage", file_id=child, depth=2) == sorted([p1, p2, g1, g2])
+    assert catalog.call("get_lineage", file_id=child, depth=9) == sorted([p1, p2, g1, g2])
+    assert catalog.call("get_lineage", file_id=g1, depth=3) == []
 
 
 def test_restart_replays_identical_state(tmp_path):
@@ -179,27 +183,28 @@ def test_restart_replays_identical_state(tmp_path):
         for record in _random_records(40):
             catalog.declare_file(record)
         catalog.define_dataset("phys", Atom("event_type", "=", "phy"))
-        snapshot = catalog.take_snapshot("phys")
-        assert snapshot.file_names == [catalog.get_file(i).file_name for i in snapshot.file_ids]
+        snapshot = catalog.call("take_snapshot", dataset_name="phys")
+        assert snapshot["file_names"] == [catalog.get_file(i).file_name
+                                          for i in snapshot["file_ids"]]
         catalog.add_location(1, "stken-sim", "vol-1")
         catalog.add_location(2, "stken-sim", "vol-1")
-        catalog.remove_location(2, "stken-sim")
-        before_resolve = catalog.resolve_dataset("phys")
-        before_status = catalog.status()
+        catalog.call("remove_location", file_id=2, endpoint_name="stken-sim")
+        before_resolve = catalog.call("resolve_dataset", name="phys")
+        before_status = catalog.call("status")
     server.close()
     service.close()
     # the journal keeps ids only; names are filled from the records on replay
     [taken] = [entry["payload"] for entry in map(json.loads, journal.read_text().splitlines())
                if entry["kind"] == "TakeSnapshot"]
-    assert "file_names" not in taken and taken["file_ids"] == snapshot.file_ids
+    assert "file_names" not in taken and taken["file_ids"] == snapshot["file_ids"]
 
     reborn = CatalogService(journal)
     server = Server(ControlHandler, reborn, ("127.0.0.1", 0)).start()
     try:
         with CatalogClient(format_addr(server.bound_addr)) as catalog:
-            assert catalog.resolve_dataset("phys") == before_resolve
-            assert catalog.status() == before_status
-            assert catalog.get_snapshot(snapshot.snapshot_id) == snapshot
+            assert catalog.call("resolve_dataset", name="phys") == before_resolve
+            assert catalog.call("status") == before_status
+            assert catalog.call("get_snapshot", snapshot_id=snapshot["snapshot_id"]) == snapshot
             assert [loc.endpoint_name for loc in catalog.get_locations(1)] == ["stken-sim"]
             assert catalog.get_locations(2) == []
             # new ids continue after the replayed ones, no reuse

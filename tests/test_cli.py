@@ -9,8 +9,9 @@ import pytest
 
 from samforge.catalog import CatalogClient
 from samforge.cli import main
+from samforge.query import Atom
 
-from conftest import BAD_STATIONS, spawn_daemon, stop_daemon, write_bad_station
+from conftest import BAD_STATIONS, record_ops, spawn_daemon, stop_daemon, write_bad_station
 
 
 def run_cli(capsys, *argv):
@@ -175,6 +176,21 @@ def test_declare_locate_dataset_round_trip(capsys, tmp_path, catalogd):
                            "--catalog", catalogd)
     assert code == 0
     assert "1 files" in out[0] or "files" in out[0]
+
+
+def test_dataset_resolve_is_one_request(capsys, rig, monkeypatch):
+    names = [f"one-{i:02d}.raw" for i in range(20)]
+    ids = [rig.seed_file(name, b"x") for name in names]
+    with rig.catalog_client() as catalog:
+        catalog.define_dataset("one", Atom("event_type", "=", "phy"))
+    ops = record_ops(rig.catalog_service, monkeypatch)
+    code, out, _ = run_cli(capsys, "dataset", "resolve", "one", "--catalog", rig.catalog_addr)
+    assert (code, out) == (0, names)
+    code, out, _ = run_cli(capsys, "--json", "dataset", "resolve", "one",
+                           "--catalog", rig.catalog_addr)
+    assert code == 0
+    assert json.loads("\n".join(out)) == {"dataset": "one", "file_ids": ids, "file_names": names}
+    assert ops == ["resolve_dataset", "resolve_dataset"]
 
 
 def test_declare_maps_a_name_as_migration_does(capsys, tmp_path, catalogd):

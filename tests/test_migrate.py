@@ -13,6 +13,8 @@ from samforge.migrate import (
     verify_migration,
 )
 
+from conftest import record_ops
+
 
 def write_export(directory, files, filesets=None, datasets=None):
     directory.mkdir(parents=True, exist_ok=True)
@@ -148,8 +150,7 @@ def test_migration_end_to_end_counts_and_datasets(rig, tmp_path):
         assert [v[0] for v in report.violations] == ["NOT_A_VALID_NAME.raw"]
         assert report.datasets_created == ["dfc-101", "dfc-102"]
 
-        assert sorted(catalog.get_file(i).file_name
-                      for i in catalog.resolve_dataset("dfc-101")) == sorted(
+        assert sorted(catalog.call("resolve_dataset", name="dfc-101")["file_names"]) == sorted(
             ["bphy0412_fs0007_0042.raw", "bphy0412_fs0007_0043.raw",
              "NOT_A_VALID_NAME.raw"])
         violator = catalog.get_file("NOT_A_VALID_NAME.raw")
@@ -160,13 +161,22 @@ def test_migration_rerun_is_idempotent(rig, tmp_path):
     export = load_export(write_export(tmp_path / "exp", BASIC_FILES))
     with rig.catalog_client() as catalog:
         run_migration(export, catalog, import_time=time.time())
-        before = catalog.status()
+        before = catalog.call("status")
         report = run_migration(export, catalog, import_time=time.time())
         assert report.declared == 0
         assert report.duplicates == 4
         assert report.datasets_created == []
-        assert catalog.status() == before
+        assert catalog.call("status") == before
         assert verify_migration(export, catalog) == []
+
+
+def test_verify_makes_one_resolve_per_dataset(rig, tmp_path, monkeypatch):
+    export = load_export(write_export(tmp_path / "exp", BASIC_FILES))
+    with rig.catalog_client() as catalog:
+        run_migration(export, catalog, import_time=time.time())
+        ops = record_ops(rig.catalog_service, monkeypatch)
+        assert verify_migration(export, catalog) == []
+    assert ops == ["resolve_dataset"] * len(export.dataset_ids())
 
 
 def test_duplicate_export_rows_declared_once(rig, tmp_path):
@@ -184,8 +194,8 @@ def test_dry_run_touches_nothing(rig, tmp_path):
     with rig.catalog_client() as catalog:
         report = run_migration(export, catalog, import_time=time.time(), dry_run=True)
         assert report.declared == 4
-        assert catalog.status()["files"] == 0
-        assert catalog.status()["datasets"] == 0
+        assert catalog.call("status")["files"] == 0
+        assert catalog.call("status")["datasets"] == 0
 
 
 def test_verify_reports_divergence(rig, tmp_path):

@@ -2,10 +2,11 @@
 
 import itertools
 import threading
+import time
 
 import pytest
 
-from samforge.catalog import CatalogClient
+from samforge.catalog import CatalogService
 from samforge.errors import (
     DuplicateProject,
     NotHeld,
@@ -260,7 +261,7 @@ def test_restart_replays_held_and_delivered_state(rig, monkeypatch):
             raise AssertionError("a hand-out asked the catalog for a name")
 
         # the names were journaled with the snapshot
-        monkeypatch.setattr(CatalogClient, "get_file", no_lookup)
+        monkeypatch.setattr(CatalogService, "get_file", no_lookup)
         reborn = ProjectServer(journal, rig.catalog_addr)
         assert reborn.status("p") == before
         resumed = reborn.next_file("p", "c1", station=station_addr)
@@ -280,6 +281,30 @@ def test_restart_replays_held_and_delivered_state(rig, monkeypatch):
         reborn.close()
     finally:
         server.close()
+
+
+def test_ended_projects_leave_no_station_connection_open(project_rig):
+    rig, project, station, station_addr = project_rig
+    declare_files(rig, 2)
+    threads = threading.active_count()
+    for i in range(5):  # each ends when its only consumer sees END
+        name, consumer = f"p{i}", f"c{i}"
+        project.start_project(name, "all")
+        while "end" not in (got := project.next_file(name, consumer, station=station_addr)):
+            project.release_file(name, consumer, got["file_id"])
+    # stopped while a consumer, named as one of an ended project, holds a file;
+    # its release after the stop unpins on a client that closes again
+    project.start_project("stopped", "all")
+    held = project.next_file("stopped", "c0", station=station_addr)
+    project.stop_project("stopped")
+    project.release_file("stopped", "c0", held["file_id"])
+    assert [p.state for p in project.projects.values()] == ["ended"] * 6
+    assert project._fetches == {}
+    project.catalog.close()  # the one connection every project shares
+    deadline = time.monotonic() + 10
+    while threading.active_count() > threads and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= threads  # no station serving thread is left
 
 
 def test_concurrent_consumers_receive_each_file_exactly_once(project_rig):
@@ -305,6 +330,8 @@ def test_concurrent_consumers_receive_each_file_exactly_once(project_rig):
     status = project.status("p")
     assert status["state"] == "ended"
     assert sum(status["per_consumer_counts"].values()) == n_files
+    # the consumers' last calls raced the end; whichever came last closed every client
+    assert (project.projects["p"].calls, project.projects["p"].clients) == (0, {})
 
 
 def test_fetch_names_the_next_two_ids_in_hand_out_order(project_rig):

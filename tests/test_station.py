@@ -532,6 +532,34 @@ def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
         assert excinfo.value.code == "NOT_FOUND"
 
 
+def test_an_analysis_station_refuses_a_store_frame(rig):
+    # a STORE belongs at a router; an analysis station that took one would
+    # buffer it where nothing forwards it.  The 8 MiB body outlasts the
+    # socket buffers, so only a refusal that drains it reaches the sender.
+    rig.add_store("stken-sim", STORE_ACCESS)
+    rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
+                    role="router", route_target="stken-sim", with_data_server=True)
+    analysis = rig.add_station("cdfa-1", [("fcdf-router", "read_write", 4)],
+                               route_target="fcdf-router", with_data_server=True)
+    record = {
+        "file_name": "bphy0412_fs0007_0046.raw", "size_bytes": 0, "crc32": 0,
+        "data_tier": "raw", "event_type": "phy", "program_version": 4,
+        "calibration_set": 12,
+    }
+    data = bytes(8 * MiB)
+    head = "STORE " + json.dumps(record) + "\n" + send_header(record["file_name"], len(data),
+                                                              crc32_bytes(data))
+    with pytest.raises(RemoteError) as excinfo:
+        send_request(rig.station_data["cdfa-1"], head, io.BytesIO(data), len(data))
+    assert excinfo.value.code == "ACCESS_DENIED"
+    assert list(analysis.incoming_dir.iterdir()) == []
+    assert list(analysis.buffer_dir.iterdir()) == []
+    with rig.catalog_client() as catalog:
+        with pytest.raises(RemoteError) as excinfo:
+            catalog.get_file(record["file_name"])  # nothing was declared
+        assert excinfo.value.code == "NOT_FOUND"
+
+
 def test_store_to_read_only_route_is_denied_before_any_mutation(rig):
     rig.add_store("cdfen-sim", {"fcdf-router": "read_only"})
     router = rig.add_station("fcdf-router", [("cdfen-sim", "read_only", 4)],
