@@ -127,9 +127,11 @@ class CatalogService(Dispatcher):
     def _find(self, name_or_id) -> FileRecord:
         if isinstance(name_or_id, int):
             record = self.state.files.get(name_or_id)
-        else:
+        elif isinstance(name_or_id, str):
             file_id = self.state.by_name.get(name_or_id)
             record = self.state.files.get(file_id) if file_id else None
+        else:
+            raise ValidationError(f"name_or_id {name_or_id!r} is neither a file name nor an id")
         if record is None:
             raise NotFound(f"no file {name_or_id!r}")
         return record

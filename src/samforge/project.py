@@ -22,6 +22,10 @@ hand-out; a failure undoes the hand-out only when it is the last fetch of
 it still running and none of them has succeeded.  A consumer that resumes
 at another station has that station journaled too, and the release unpins
 the file at every station the hand-out was fetched at.
+
+A project's state is what its journal entries fold to through one apply,
+so a restarted server holds exactly what the old one did.  An ended project
+keeps its summary and counters but drops its file names.
 """
 
 from __future__ import annotations
@@ -40,8 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .journal import Journal
-from .records import DatasetSnapshot
-from .wire import Client, Dispatcher
+from .wire import Client, Dispatcher, parse_addr
 
 REDELIVERY_CAP = 3
 PREFETCH_DEPTH = 2  # files after the one handed out that the station may prefetch
@@ -63,22 +66,23 @@ class Handout:
 
 
 class ProjectState:
-    def __init__(self, snapshot: DatasetSnapshot):
-        self.project_name = None  # set by the server
-        self.snapshot = snapshot
-        self.names: dict[int, str] = dict(zip(snapshot.file_ids, snapshot.file_names))
-        self.undelivered: set[int] = set(snapshot.file_ids)
-        # undelivered ids not exhausted, highest first: the next hand-out is pool[-1]
-        self.pool: list[int] = sorted(self.undelivered, reverse=True)
-        self.delivered: dict[int, str] = {}
+    """A project as its journal entries fold to, plus its live station connections."""
+
+    def __init__(self, project_name: str, snapshot: dict):
+        self.project_name = project_name
+        self.snapshot_id: int = snapshot["snapshot_id"]
+        self.snapshot_files = len(snapshot["file_ids"])
+        self.names: dict[int, str] = dict(zip(snapshot["file_ids"], snapshot["file_names"]))
+        # ids neither handed out nor exhausted, highest first: the next hand-out is pool[-1]
+        self.pool: list[int] = sorted(self.names, reverse=True)
         self.held: dict[int, Handout] = {}
-        self.per_consumer_counts: dict[str, int] = {}
-        self.stations: dict[str, str] = {}  # consumer -> station control addr
+        self.per_consumer_counts: dict[str, int] = {}  # files handed out and not failed
+        self.stations: dict[str, str] = {}  # consumer -> station its last entry named
         self.attempts: dict[int, int] = {}  # redelivery attempts per file
         self.exhausted: set[int] = set()
         self.saw_end: set[str] = set()
         self.state = STATE_RUNNING
-        self.summary: dict | None = None
+        self.summary: dict | None = None  # set when the project ends
         # live connections, not journaled: (consumer, station) -> client
         self.clients: dict[tuple[str, str], Client] = {}
         self.calls = 0  # station calls running on them
@@ -87,9 +91,8 @@ class ProjectState:
         """The next n ids to hand out, lowest first."""
         return self.pool[:-n - 1:-1]
 
-    def register(self, consumer_id: str, station: str | None) -> None:
-        if station:
-            self.stations[consumer_id] = station
+    def register(self, consumer_id: str, station: str) -> None:
+        self.stations[consumer_id] = station
         self.per_consumer_counts.setdefault(consumer_id, 0)
 
 
@@ -106,11 +109,11 @@ class ProjectServer(Dispatcher):
         self._lock = threading.RLock()
         self.catalog = Client(catalog_addr)
         self.projects: dict[str, ProjectState] = {}
-        self._clients_lock = threading.Lock()  # each project's clients and calls
-        # Deliver seq -> fetches of that hand-out running, while none has succeeded;
-        # its own lock, so a fetch that succeeds does not wait out a journal fsync
+        # what is not journaled: each project's clients and calls, and _fetches;
+        # never held across a station call or a journal commit
+        self._live_lock = threading.Lock()
+        # Deliver seq -> fetches of that hand-out running, while none has succeeded
         self._fetches: dict[int, int] = {}
-        self._fetches_lock = threading.Lock()
         self._seq = 0  # sequence number of the journal entry being applied
         self.journal = Journal(journal_path, self._apply)
 
@@ -119,31 +122,25 @@ class ProjectServer(Dispatcher):
     def _apply(self, kind: str, payload: dict) -> None:
         self._seq += 1  # the journal applies every entry once, in order, from 1
         if kind == "StartProject":
-            state = ProjectState(DatasetSnapshot.from_wire(payload["snapshot"]))
-            state.project_name = payload["project_name"]
-            self.projects[state.project_name] = state
+            name = payload["project_name"]
+            self.projects[name] = ProjectState(name, payload["snapshot"])
             return
         project = self.projects.get(payload["project_name"])
         if project is None:
             return  # entry for a project whose start we never saw; impossible unless trimmed
+        file_id, consumer = payload.get("file_id"), payload.get("consumer_id")
         if kind == "Deliver":
-            file_id, consumer = payload["file_id"], payload["consumer_id"]
-            project.undelivered.discard(file_id)
             lowest = project.pool.pop()
             assert lowest == file_id, "a Deliver hands out the lowest deliverable id"
-            project.delivered[file_id] = consumer
             project.held[file_id] = Handout(consumer, self._seq, [payload["station"]])
             project.register(consumer, payload["station"])
-            project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 0) + 1
+            project.per_consumer_counts[consumer] += 1
         elif kind == "DeliveryFailed":
-            file_id, consumer = payload["file_id"], payload["consumer_id"]
             handout = project.held.get(file_id)
             if handout is None or handout.seq != payload["deliver_seq"]:
                 return  # a stale fetch: its hand-out was undone or released already
             del project.held[file_id]
-            project.delivered.pop(file_id, None)
-            project.undelivered.add(file_id)
-            project.per_consumer_counts[consumer] = project.per_consumer_counts.get(consumer, 1) - 1
+            project.per_consumer_counts[consumer] -= 1
             attempts = project.attempts.get(file_id, 0) + 1
             project.attempts[file_id] = attempts
             if attempts >= REDELIVERY_CAP:
@@ -151,17 +148,18 @@ class ProjectServer(Dispatcher):
             else:
                 bisect.insort(project.pool, file_id, key=operator.neg)
         elif kind == "Resume":  # a held file fetched again, at another station
-            project.held[payload["file_id"]].stations.append(payload["station"])
-            project.register(payload["consumer_id"], payload["station"])
+            project.held[file_id].stations.append(payload["station"])
+            project.register(consumer, payload["station"])
         elif kind == "Release":
-            project.held.pop(payload["file_id"], None)
+            del project.held[file_id]
         elif kind == "Drain":
             project.state = STATE_DRAINING
-            project.register(payload["consumer_id"], None)
-            project.saw_end.add(payload["consumer_id"])
+            project.register(consumer, payload["station"])
+            project.saw_end.add(consumer)
         elif kind == "StopProject":
             project.state = STATE_ENDED
-            project.summary = payload.get("summary")
+            project.summary = self._summarize(project)
+            project.names = {}  # nothing is handed out any more
         else:
             raise ValueError(f"unknown journal kind {kind!r}")
 
@@ -182,32 +180,30 @@ class ProjectServer(Dispatcher):
             project = self.projects[project_name]
             return {
                 "project_name": project_name,
-                "snapshot_id": project.snapshot.snapshot_id,
-                "files": len(project.undelivered),
+                "snapshot_id": project.snapshot_id,
+                "files": project.snapshot_files,
             }
 
-    def next_file(self, project_name: str, consumer_id: str,
-                  station: str | None = None) -> dict:
+    def next_file(self, project_name: str, consumer_id: str, station: str) -> dict:
+        try:  # refused before anything is journaled, so no hand-out names it
+            parse_addr(station if isinstance(station, str) else "")
+        except ValueError:
+            raise ValidationError(f"station {station!r} is not HOST:PORT") from None
         with self._lock:
             project = self._live(project_name)
-            station_addr = station or project.stations.get(consumer_id)
-            if station_addr is None:
-                raise ValidationError(
-                    f"consumer {consumer_id!r} never told the server its station")
-            project.register(consumer_id, station_addr)
             held = [f for f, h in project.held.items() if h.consumer == consumer_id]
             if held:
                 file_id = min(held)  # resume: redeliver what they already hold
                 handout = project.held[file_id]
                 deliver_seq = handout.seq
                 prefetch = []
-                if station_addr not in handout.stations:
+                if station not in handout.stations:
                     # not unpinned here: the fetch there may still be running
                     self.journal.commit("Resume", {
                         "project_name": project_name,
                         "file_id": file_id,
                         "consumer_id": consumer_id,
-                        "station": station_addr,
+                        "station": station,
                     })
             else:
                 upcoming = project.upcoming(1 + PREFETCH_DEPTH)
@@ -215,32 +211,34 @@ class ProjectServer(Dispatcher):
                     self.journal.commit("Drain", {
                         "project_name": project_name,
                         "consumer_id": consumer_id,
+                        "station": station,
                     })
                     self._maybe_finish(project)
                     self._close_if_ended(project)  # nothing is held, so no unpin is due
                     return {"end": True}
                 file_id = upcoming[0]
-                # prefetch only when every consumer of the project uses this
-                # station: the next ids go to whichever consumer asks next
-                one_station = all(s == station_addr for s in project.stations.values())
+                # prefetch only when every other consumer of the project uses this
+                # station too: the next ids go to whichever consumer asks next
+                one_station = all(s == station for c, s in project.stations.items()
+                                  if c != consumer_id)
                 prefetch = [project.names[i] for i in upcoming[1:]] if one_station else []
                 deliver_seq = self.journal.commit("Deliver", {
                     "project_name": project_name,
                     "file_id": file_id,
                     "consumer_id": consumer_id,
-                    "station": station_addr,
+                    "station": station,
                 })
             file_name = project.names[file_id]
-            with self._fetches_lock:
+            with self._live_lock:
                 self._fetches[deliver_seq] = self._fetches.get(deliver_seq, 0) + 1
         # the transfer happens outside the project lock: it may be slow
         try:
-            path = self._call_station(project, consumer_id, station_addr, "fetch",
+            path = self._call_station(project, consumer_id, station, "fetch",
                                       file_name=file_name, requesting_project=project_name,
                                       prefetch=prefetch)
         except SamError as e:
             with self._lock:  # no fetch of this hand-out can start meanwhile
-                with self._fetches_lock:
+                with self._live_lock:
                     running = self._fetches.pop(deliver_seq, 0) - 1  # -1: one succeeded
                     if running > 0:
                         self._fetches[deliver_seq] = running
@@ -253,7 +251,7 @@ class ProjectServer(Dispatcher):
                         "reason": f"{e.code}: {e.msg}",
                     })
             raise
-        with self._fetches_lock:
+        with self._live_lock:
             self._fetches.pop(deliver_seq, None)  # the consumer has the file
         return {"file_id": file_id, "file_name": file_name, "path": path}
 
@@ -279,18 +277,14 @@ class ProjectServer(Dispatcher):
     def stop_project(self, project_name: str) -> dict:
         with self._lock:
             project = self._project(project_name)
-            if project.state == STATE_ENDED and project.summary is not None:
+            if project.state == STATE_ENDED:
                 return project.summary
-            summary = self._summarize(project)
             outstanding = list(project.held.items())
-            self.journal.commit("StopProject", {
-                "project_name": project_name,
-                "summary": summary,
-            })
+            self.journal.commit("StopProject", {"project_name": project_name})
         for file_id, handout in outstanding:
             self._unpin_quietly(project, file_id, handout)
         self._close_if_ended(project)
-        return summary
+        return project.summary
 
     def status(self, project_name: str | None = None) -> dict:
         with self._lock:
@@ -321,27 +315,24 @@ class ProjectServer(Dispatcher):
                 and not project.held
                 and not project.pool
                 and project.saw_end >= set(project.per_consumer_counts)):
-            self.journal.commit("StopProject", {
-                "project_name": project.project_name,
-                "summary": self._summarize(project),
-            })
+            self.journal.commit("StopProject", {"project_name": project.project_name})
 
     def _summarize(self, project: ProjectState) -> dict:
         return {
             "project_name": project.project_name,
             "delivered_counts": dict(project.per_consumer_counts),
-            "delivered_total": len(project.delivered),
-            "undelivered": sorted(project.undelivered),
-            "snapshot_files": len(project.snapshot.file_ids),
+            "delivered_total": sum(project.per_consumer_counts.values()),
+            "undelivered": sorted([*project.pool, *project.exhausted]),
+            "snapshot_files": project.snapshot_files,
         }
 
     def _one_status(self, project: ProjectState) -> dict:
         return {
             "project_name": project.project_name,
             "state": project.state,
-            "snapshot_id": project.snapshot.snapshot_id,
-            "undelivered": len(project.undelivered),
-            "delivered": len(project.delivered),
+            "snapshot_id": project.snapshot_id,
+            "undelivered": len(project.pool) + len(project.exhausted),
+            "delivered": sum(project.per_consumer_counts.values()),
             "held": len(project.held),
             "exhausted": sorted(project.exhausted),
             "per_consumer_counts": dict(project.per_consumer_counts),
@@ -349,7 +340,7 @@ class ProjectServer(Dispatcher):
 
     def _call_station(self, project: ProjectState, consumer: str, addr: str, op: str, /, **args):
         """One call on the project's client for this consumer and station."""
-        with self._clients_lock:
+        with self._live_lock:
             client = project.clients.get((consumer, addr))
             if client is None:
                 client = project.clients[consumer, addr] = Client(addr)
@@ -357,13 +348,13 @@ class ProjectServer(Dispatcher):
         try:
             return client.call(op, **args)
         finally:
-            with self._clients_lock:
+            with self._live_lock:
                 project.calls -= 1
             self._close_if_ended(project)
 
     def _close_if_ended(self, project: ProjectState) -> None:
         """Close an ended project's clients once none of its station calls is running."""
-        with self._clients_lock:
+        with self._live_lock:
             if project.state != STATE_ENDED or project.calls:
                 return
             clients, project.clients = project.clients, {}

@@ -12,10 +12,13 @@ import re
 from collections.abc import Container
 from dataclasses import dataclass, field
 
+from .errors import ValidationError
 from .naming import DATA_TIERS
 
 _CRC32_MAX = 2**32 - 1
 _NAME_FORBIDDEN = re.compile(r"[\s/]")
+_REQUIRED = ("file_name", "size_bytes", "crc32", "data_tier", "event_type",
+             "program_version", "calibration_set")
 
 
 @dataclass
@@ -53,7 +56,28 @@ class FileRecord:
 
     @classmethod
     def from_wire(cls, obj: dict) -> "FileRecord":
+        """The record obj describes; ValidationError names each field that cannot be read.
+
+        Values are checked by validate_file_record; this checks only shapes.
+        """
+        if not isinstance(obj, dict):
+            raise ValidationError(f"a file record is an object, not {type(obj).__name__}")
+        problems = [f"{key} is missing" for key in _REQUIRED if key not in obj]
+        if not isinstance(obj.get("file_name", ""), str):
+            problems.append(f"file_name {obj['file_name']!r} must be a string")
+        parents = obj.get("parents") or []
+        if not isinstance(parents, list) or not all(type(p) is int for p in parents):
+            problems.append(f"parents {parents!r} must be a list of file ids")
+        if not isinstance(obj.get("parameters") or {}, dict):
+            problems.append(f"parameters {obj['parameters']!r} must be an object")
         hook = obj.get("legacy_hook")
+        if hook and not (isinstance(hook, list) and len(hook) == 2
+                         and all(isinstance(part, str) for part in hook)):
+            problems.append(f"legacy_hook {hook!r} must be a [table, key] pair of strings")
+        if not isinstance(obj.get("created_at") or 0.0, (int, float)):
+            problems.append(f"created_at {obj['created_at']!r} must be a number")
+        if problems:
+            raise ValidationError(problems)
         return cls(
             file_name=obj["file_name"],
             size_bytes=obj["size_bytes"],
@@ -62,7 +86,7 @@ class FileRecord:
             event_type=obj["event_type"],
             program_version=obj["program_version"],
             calibration_set=obj["calibration_set"],
-            parents=list(obj.get("parents") or []),
+            parents=list(parents),
             parameters=dict(obj.get("parameters") or {}),
             legacy_hook=(hook[0], hook[1]) if hook else None,
             convention_violation=bool(obj.get("convention_violation", False)),

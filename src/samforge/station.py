@@ -50,6 +50,7 @@ from pathlib import Path
 from .catalog import CatalogClient
 from .errors import (
     AccessDenied,
+    BadRequest,
     CacheFull,
     NoReplica,
     NotFound,
@@ -202,9 +203,6 @@ class StationService(Dispatcher):
             raise KeyError(endpoint_name)
         injector = self._faults[endpoint_name] = FaultInjector(seed, corrupt_every_nth)
         return injector
-
-    def clear_faults(self, endpoint_name: str) -> None:
-        self._faults.pop(endpoint_name, None)
 
     # -- fetch path --------------------------------------------------------
 
@@ -442,7 +440,8 @@ class StationService(Dispatcher):
         if local_path is None or not Path(local_path).is_file():
             raise ValidationError(f"store needs local_path, a file; got {local_path!r}")
         with open(local_path, "rb") as body:
-            rec = FileRecord.from_wire({**record, "file_id": None})
+            rec = FileRecord.from_wire(record)
+            rec.file_id = None
             rec.size_bytes = body.seek(0, os.SEEK_END)
             body.seek(0)
             rec.crc32 = crc32_stream(body)
@@ -627,7 +626,12 @@ class StationDataHandler(socketserver.StreamRequestHandler):
 
         def admit(staged: Path, crc: int) -> int:
             # the record is parsed once the body is in, so a bad one is answered, not reset
-            rec = FileRecord.from_wire({**json.loads(payload), "file_id": None})
+            try:
+                wire = json.loads(payload)
+            except ValueError:
+                raise BadRequest(f"STORE record is not JSON: {payload[:80]!r}") from None
+            rec = FileRecord.from_wire(wire)
+            rec.file_id = None
             rec.size_bytes = size
             rec.crc32 = crc
             return service.store_local(rec, staged)

@@ -1,13 +1,24 @@
 """Project server: exactly-once delivery, fairness, failures, replay."""
 
 import itertools
+import json
 import threading
 import time
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from samforge.catalog import CatalogService
 from samforge.errors import (
+    BadRequest,
     DuplicateProject,
     NotHeld,
     ProjectEnded,
@@ -66,6 +77,22 @@ def holders(state):
     return {file_id: handout.consumer for file_id, handout in state.held.items()}
 
 
+def journaled(server):
+    """Each project's state, without its live connections."""
+    return {name: {k: v for k, v in vars(state).items() if k not in ("clients", "calls")}
+            for name, state in server.projects.items()}
+
+
+def assert_replays_to(server, journal, catalog_addr):
+    """A server replayed from the journal holds and answers what the live one does."""
+    reborn = ProjectServer(journal, catalog_addr)
+    try:
+        assert journaled(reborn) == journaled(server)
+        assert json.dumps(reborn.status()) == json.dumps(server.status())
+    finally:
+        reborn.close()
+
+
 def declare_files(rig, n, dataset="all"):
     with rig.catalog_client() as catalog:
         ids = []
@@ -93,8 +120,8 @@ def test_lockstep_consumers_split_evenly(project_rig):
     # strict alternation of the lowest undelivered id
     assert got["c1"] == [ids[0], ids[2], ids[4], ids[6], ids[8]]
     assert got["c2"] == [ids[1], ids[3], ids[5], ids[7], ids[9]]
-    assert project.next_file("p", "c1") == {"end": True}
-    assert project.next_file("p", "c2") == {"end": True}
+    assert project.next_file("p", "c1", station=station_addr) == {"end": True}
+    assert project.next_file("p", "c2", station=station_addr) == {"end": True}
     status = project.status("p")
     assert status["state"] == "ended"  # drained, all held released, all saw END
     assert status["per_consumer_counts"] == {"c1": 5, "c2": 5}
@@ -568,12 +595,15 @@ def test_a_refused_next_registers_no_consumer(project_rig):
     rig, project, station, station_addr = project_rig
     ids = declare_files(rig, 1)
     project.start_project("p", "all")
-    with pytest.raises(ValidationError):
-        project.next_file("p", "ghost")  # never named its station
+    with pytest.raises(BadRequest):
+        project.dispatch("next", {"project_name": "p", "consumer_id": "ghost"})  # no station
+    for bad in (None, "", "nohost", "h:port", ["127.0.0.1", 1]):
+        with pytest.raises(ValidationError):
+            project.next_file("p", "ghost", station=bad)
     assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]
     assert project.next_file("p", "c2", station=station_addr) == {"end": True}
     project.release_file("p", "c1", ids[0])
-    assert project.next_file("p", "c1") == {"end": True}
+    assert project.next_file("p", "c1", station=station_addr) == {"end": True}
     status = project.status("p")
     assert status["state"] == "ended"  # no consumer is left waiting for END
     assert status["per_consumer_counts"] == {"c1": 1, "c2": 0}
@@ -584,3 +614,147 @@ def test_a_refused_next_registers_no_consumer(project_rig):
         assert reborn.status("p") == status  # replay registers whom live did
     finally:
         reborn.close()
+
+
+@pytest.mark.parametrize("case", ["end_at_another_station", "back_at_the_first_station"])
+def test_the_replayed_state_is_the_live_state(project_rig, case):
+    rig, project, station, station_addr = project_rig
+    other = Server(ControlHandler, FakeStation(), ("127.0.0.1", 0)).start()
+    other_addr = format_addr(other.bound_addr)
+    try:
+        declare_files(rig, 1)
+        project.start_project("p", "all")
+        project.next_file("p", "c1", station=station_addr)  # c1 holds the only file
+        if case == "end_at_another_station":
+            assert project.next_file("p", "c2", station=other_addr) == {"end": True}
+        else:
+            project.next_file("p", "c1", station=other_addr)  # resumed at the other
+            project.next_file("p", "c1", station=station_addr)  # and at the first again
+        assert_replays_to(project, rig.root / "project.journal", rig.catalog_addr)
+    finally:
+        other.close()
+
+
+def test_an_ended_project_keeps_its_answers_but_not_its_file_names(project_rig):
+    rig, project, station, station_addr = project_rig
+    ids = declare_files(rig, 3)
+    project.start_project("drained", "all")
+    while "end" not in (got := project.next_file("drained", "c1", station=station_addr)):
+        project.release_file("drained", "c1", got["file_id"])
+    project.start_project("stopped", "all")
+    project.next_file("stopped", "c1", station=station_addr)  # held at the stop
+    stops = json.dumps([project.stop_project(name) for name in ("drained", "stopped")])
+    status = json.dumps(project.status())
+    assert [p.names for p in project.projects.values()] == [{}, {}]
+    assert project.projects["drained"].pool == []
+    assert project.projects["stopped"].pool == [ids[2], ids[1]]
+    project.close()
+
+    reborn = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    try:
+        assert [p.names for p in reborn.projects.values()] == [{}, {}]
+        assert json.dumps(reborn.status()) == status
+        assert json.dumps([reborn.stop_project(name) for name in ("drained", "stopped")]) == stops
+    finally:
+        reborn.close()
+
+
+def test_every_step_replays_to_the_live_state(rig):
+    """A model of one project's hand-outs, run against a live server and its replay."""
+    ids = declare_files(rig, 3)
+    consumers = ("c1", "c2")
+    stations = [FakeStation(), FakeStation()]
+    servers = [Server(ControlHandler, s, ("127.0.0.1", 0)).start() for s in stations]
+    addrs = [format_addr(server.bound_addr) for server in servers]
+    journals = (rig.root / f"machine-{n}.journal" for n in itertools.count())
+
+    class ProjectMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            for station in stations:
+                station.fail_names.clear()
+            self.journal = next(journals)
+            self.server = ProjectServer(self.journal, rig.catalog_addr)
+            self.got = {}  # file id -> consumer, for each hand-out not undone
+            self.released = set()
+
+        @property
+        def state(self):
+            return self.server.projects["p"]
+
+        @initialize()
+        def first_start(self):
+            self.start()
+
+        @precondition(lambda self: self.state.state == "ended")
+        @rule()
+        def start(self):
+            self.server.start_project("p", "all")
+            self.got, self.released = {}, set()
+
+        @rule(consumer=st.sampled_from(consumers), at=st.sampled_from([0, 1]))
+        def next(self, consumer, at):
+            mine = [f for f, c in self.got.items() if c == consumer]
+            lowest = self.state.pool[-1] if self.state.pool else None
+            try:
+                result = self.server.next_file("p", consumer, station=addrs[at])
+            except ProjectEnded:
+                assert self.state.state == "ended"
+                return
+            except RemoteError:  # the fetch failed: what it was for is undone
+                self.got = {f: c for f, c in self.got.items() if c != consumer}
+                return
+            if "end" in result:
+                assert not mine and not self.state.pool
+                return
+            assert [result["file_id"]] == (mine or [lowest])  # a resume, or the lowest
+            self.got[result["file_id"]] = consumer
+
+        @rule(consumer=st.sampled_from(consumers))
+        def release(self, consumer):
+            mine = [f for f, c in self.got.items() if c == consumer]
+            if not mine:
+                with pytest.raises(NotHeld):
+                    self.server.release_file("p", consumer, ids[0])
+                return
+            self.server.release_file("p", consumer, mine[0])
+            del self.got[mine[0]]
+            self.released.add(mine[0])
+
+        @rule(at=st.sampled_from([0, 1]), index=st.integers(0, len(ids) - 1),
+              times=st.integers(1, 3))
+        def fail_next_fetches(self, at, index, times):
+            name = f"file-{index:03d}.raw"
+            stations[at].fail_names[name] = stations[at].fail_names.get(name, 0) + times
+
+        @rule()
+        def stop(self):
+            assert self.server.stop_project("p") == self.server.stop_project("p")
+
+        @rule()
+        def restart(self):
+            self.server.close()
+            self.server = ProjectServer(self.journal, rig.catalog_addr)
+
+        @invariant()
+        def each_file_is_in_one_place_and_held_once(self):
+            places = [set(self.state.pool), set(self.state.held), self.released,
+                      self.state.exhausted]
+            assert sum(map(len, places)) == len(ids)
+            assert set().union(*places) == set(ids)
+            assert holders(self.state) == self.got
+
+        @invariant()
+        def the_replay_is_the_live_state(self):
+            assert_replays_to(self.server, self.journal, rig.catalog_addr)
+
+        def teardown(self):
+            self.server.close()
+
+    try:
+        run_state_machine_as_test(ProjectMachine, settings=settings(
+            max_examples=80, stateful_step_count=40, derandomize=True, database=None,
+            deadline=None))
+    finally:
+        for server in servers:
+            server.close()

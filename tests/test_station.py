@@ -342,7 +342,7 @@ def test_exhausts_after_max_attempts_when_only_source_is_corrupt(rig):
     assert station.station_status()["cache"]["entries"] == []
 
     # the failure must not leak reserved capacity
-    station.clear_faults("cdfen-sim")
+    station.inject_faults("cdfen-sim", seed=3, corrupt_every_nth=2)  # the next pull is clean
     assert station.fetch_file("a.raw")
 
 
@@ -504,7 +504,7 @@ def test_analysis_store_route_needs_read_write_and_takes_a_slot(rig):
 
 @pytest.mark.parametrize("corrupt, code", [
     ("crc", "CRC_MISMATCH"),
-    ("record", "INTERNAL"),
+    ("record", "BAD_REQUEST"),
 ])
 def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
     # an 8 MiB body outlasts the socket buffers, so a refusal that left it
@@ -530,6 +530,48 @@ def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
         with pytest.raises(RemoteError) as excinfo:
             catalog.get_file(record["file_name"])  # nothing was declared
         assert excinfo.value.code == "NOT_FOUND"
+
+
+GOOD_RECORD = {
+    "file_name": "bphy0412_fs0007_0047.raw", "size_bytes": 0, "crc32": 0,
+    "data_tier": "raw", "event_type": "phy", "program_version": 4, "calibration_set": 12,
+}
+MALFORMED_RECORDS = {  # case -> (record, what the refusal names)
+    "missing_size": ({k: v for k, v in GOOD_RECORD.items() if k != "size_bytes"},
+                     "size_bytes is missing"),
+    "a_list": ([GOOD_RECORD], "a file record is an object, not list"),
+    "nested_parents": ({**GOOD_RECORD, "parents": [[1]]}, "parents [[1]]"),
+    "hook_not_a_pair": ({**GOOD_RECORD, "legacy_hook": "x"}, "legacy_hook 'x'"),
+}
+
+
+@pytest.mark.parametrize("path", ["declare_file", "store", "STORE"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_a_malformed_record_is_refused_naming_its_field(rig, path, case):
+    record, named = MALFORMED_RECORDS[case]
+    rig.add_store("stken-sim", STORE_ACCESS)
+    rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], role="router",
+                    route_target="stken-sim", with_data_server=True, with_control_server=True)
+    data = b"results"
+    with pytest.raises(RemoteError) as excinfo:
+        if path == "declare_file":
+            with Client(rig.catalog_addr) as catalog:
+                catalog.call("declare_file", record=record)
+        elif path == "store":
+            with Client(rig.station_control["fcdf-router"]) as station:
+                station.call("store", record=record, local_path=local_file(rig, "bad", data))
+        else:
+            head = "STORE " + json.dumps(record) + "\n" + send_header(
+                GOOD_RECORD["file_name"], len(data), crc32_bytes(data))
+            send_request(rig.station_data["fcdf-router"], head, io.BytesIO(data), len(data))
+    assert (excinfo.value.code, named in excinfo.value.msg) == ("VALIDATION", True)
+
+
+def test_get_file_refuses_an_id_that_is_neither_a_name_nor_a_number(rig):
+    with Client(rig.catalog_addr) as catalog:
+        with pytest.raises(RemoteError) as excinfo:
+            catalog.call("get_file", name_or_id=[1])
+    assert excinfo.value.code == "VALIDATION"
 
 
 def test_an_analysis_station_refuses_a_store_frame(rig):
