@@ -19,6 +19,7 @@ from .errors import (
     NotFound,
     UnknownEndpoint,
     ValidationError,
+    require_type,
 )
 from .journal import Journal
 from .query import eval_query, expr_from_wire, expr_to_wire
@@ -158,6 +159,7 @@ class CatalogService(Dispatcher):
                     "file_names": [self.state.files[i].file_name for i in file_ids]}
 
     def _matching(self, name: str) -> list[int]:
+        require_type("dataset_name", name, str)
         definition = self.state.datasets.get(name)
         if definition is None:
             raise NotFound(f"no dataset {name!r}")
@@ -179,6 +181,7 @@ class CatalogService(Dispatcher):
             return self.state.snapshots[snapshot_id].to_wire()
 
     def get_snapshot(self, snapshot_id: int) -> dict:
+        require_type("snapshot_id", snapshot_id, int)
         with self._lock:
             snapshot = self.state.snapshots.get(snapshot_id)
             if snapshot is None:
@@ -189,6 +192,8 @@ class CatalogService(Dispatcher):
 
     def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str,
                      verified_at: float | None = None) -> bool:
+        require_type("endpoint_name", endpoint_name, str)
+        require_type("path_or_volume", path_or_volume, str)
         with self._lock:
             self._require_file(file_id)
             if self.known_endpoints is not None and endpoint_name not in self.known_endpoints:
@@ -200,6 +205,7 @@ class CatalogService(Dispatcher):
         return True
 
     def remove_location(self, file_id: int, endpoint_name: str) -> bool:
+        require_type("endpoint_name", endpoint_name, str)
         with self._lock:
             self._require_file(file_id)
             if endpoint_name not in self.state.locations.get(file_id, {}):
@@ -217,6 +223,7 @@ class CatalogService(Dispatcher):
             return [locations[name].to_wire() for name in sorted(locations)]
 
     def _require_file(self, file_id: int) -> None:
+        require_type("file_id", file_id, int)
         if file_id not in self.state.files:
             raise NotFound(f"no file with id {file_id}")
 
@@ -224,6 +231,7 @@ class CatalogService(Dispatcher):
 
     def get_lineage(self, file_id: int, depth: int) -> list[int]:
         """Distinct ancestor ids within `depth` hops, ascending."""
+        require_type("depth", depth, int)
         with self._lock:
             self._require_file(file_id)
             seen: set[int] = set()

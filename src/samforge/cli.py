@@ -1,9 +1,11 @@
 """Single command-line entry point for daemons, tools, and the demo.
 
-Every subcommand is a thin adapter over a module operation.  Operational
-failures print ``E_<code>`` as the last line of standard error and exit
-3; usage problems exit 2; success exits 0.  The global ``--json`` flag
-makes each client command emit exactly one JSON object on stdout.
+Every subcommand is a thin adapter over a module operation, and imports
+that module when it runs, so a daemon loads only its own role's code.
+Operational failures print ``E_<code>`` as the last line of standard
+error and exit 3; usage problems exit 2; success exits 0.  The global
+``--json`` flag makes each client command emit exactly one JSON object
+on stdout.
 """
 
 from __future__ import annotations
@@ -12,13 +14,11 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
 
 from . import __version__
-from .catalog import CatalogClient
 from .config import (
     CONFIG_ENV_VAR,
     DEFAULT_CATALOG_PORT,
@@ -28,14 +28,7 @@ from .config import (
     load_topology,
     serve,
 )
-from .consumer import AdaptorConfig, adaptor_run
-from .demo import check_demo_results, run_demo
 from .errors import NotFound, SamError, ValidationError
-from .migrate import load_export, run_migration, verify_migration
-from .naming import ConventionViolation, name_dimensions, parse_legacy_name
-from .query import parse_expr
-from .records import FileRecord
-from .transfer import crc32_file
 from .wire import Client
 
 DEFAULT_CATALOG_ADDR = f"127.0.0.1:{DEFAULT_CATALOG_PORT}"
@@ -243,6 +236,9 @@ def _emit(args, obj, text_lines) -> None:
 
 
 def cmd_migrate(args) -> int:
+    from .catalog import CatalogClient
+    from .migrate import load_export, run_migration, verify_migration
+
     export = load_export(args.export)
     with CatalogClient(args.catalog) as catalog:
         report = run_migration(export, catalog, import_time=time.time(),
@@ -270,6 +266,9 @@ def cmd_migrate(args) -> int:
 
 
 def cmd_dataset_define(args) -> int:
+    from .catalog import CatalogClient
+    from .query import parse_expr
+
     expr = parse_expr(args.expr)
     with CatalogClient(args.catalog) as catalog:
         catalog.define_dataset(args.name, expr)
@@ -292,7 +291,12 @@ def cmd_dataset_snapshot(args) -> int:
     return 0
 
 
-def _record_from_args(args, path: Path) -> FileRecord:
+def _record_from_args(args, path: Path):
+    """The FileRecord of a local file, its dimensions from its name and the flags."""
+    from .naming import ConventionViolation, name_dimensions, parse_legacy_name
+    from .records import FileRecord
+    from .transfer import crc32_file
+
     name = args.name or path.name
     parts = parse_legacy_name(name)
     dimensions = name_dimensions(parts)
@@ -318,6 +322,8 @@ def _record_from_args(args, path: Path) -> FileRecord:
 
 
 def cmd_declare(args) -> int:
+    from .catalog import CatalogClient
+
     path = Path(args.path)
     if not path.is_file():
         raise NotFound(f"no such file: {path}")
@@ -330,6 +336,8 @@ def cmd_declare(args) -> int:
 
 
 def cmd_locate(args) -> int:
+    from .catalog import CatalogClient
+
     with CatalogClient(args.catalog) as catalog:
         record = catalog.get_file(args.name)
         locations = catalog.get_locations(record.file_id)
@@ -402,6 +410,8 @@ def cmd_project_stop(args) -> int:
 
 
 def cmd_consume(args) -> int:
+    from .consumer import AdaptorConfig, adaptor_run
+
     config = AdaptorConfig(
         project_addr=args.project_server,
         station_addr=args.station,
@@ -422,6 +432,10 @@ def cmd_status(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    import tempfile
+
+    from .demo import check_demo_results, run_demo
+
     root = args.root or tempfile.mkdtemp(prefix="samforge-demo-")
     kwargs = {"n_consumers": args.consumers, "mount_latency_ms": args.mount_latency_ms,
               "n_files": args.files}

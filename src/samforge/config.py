@@ -41,9 +41,12 @@ to every section; port 0 asks the kernel for a free port.  :func:`serve`
 starts daemons from a topology.
 
 Each station section loads straight into the :class:`StationConfig` its
-service takes, and each store section into a :class:`StoreConfig`.  A
-daemon's own rules are its config's; the loader adds only the checks that
-span sections, and reports every problem at once.
+service takes, and each store section into a :class:`StoreConfig`; both
+types live here, so loading a topology imports no service.  A daemon's own
+rules are its config's; the loader adds only the checks that span sections,
+and reports every problem at once.  :func:`serve` imports a role's service
+and data handler only when it serves that role, so each daemon process
+loads its own role's code and no other.
 """
 
 from __future__ import annotations
@@ -52,19 +55,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import CatalogService
 from .errors import ValidationError
-from .project import ProjectServer
-from .station import (
-    DEFAULT_MAX_CONCURRENT,
-    SCHEME_STATION,
-    SCHEME_TAPE,
-    EndpointSpec,
-    StationConfig,
-    StationDataHandler,
-    StationService,
-)
-from .store import ACCESS_LEVELS, StoreConfig, StoreDataHandler, StoreService
 from .wire import ControlHandler, Server, format_addr
 
 DEFAULT_CATALOG_PORT = 4750
@@ -73,6 +64,69 @@ DEFAULT_STORE_PORT = 4752
 DEFAULT_PROJECT_PORT = 4753
 
 CONFIG_ENV_VAR = "SAMFORGE_CONFIG"
+
+ROLE_ANALYSIS = "analysis"
+ROLE_ROUTER = "router"
+
+SCHEME_STATION = "stn"  # another station's cache: FETCH <file>
+SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <file>
+
+DEFAULT_MAX_CONCURRENT = 4
+
+ACCESS_NONE = "none"
+ACCESS_READ_ONLY = "read_only"
+ACCESS_READ_WRITE = "read_write"
+ACCESS_LEVELS = (ACCESS_NONE, ACCESS_READ_ONLY, ACCESS_READ_WRITE)
+
+DEFAULT_MOUNT_LATENCY_MS = 2000
+
+
+@dataclass
+class EndpointSpec:
+    """A peer a station may move bytes to or from."""
+
+    name: str
+    scheme: str  # stn | tape
+    access: str  # read_only | read_write
+    data_addr: str  # host:port of the peer's data plane
+    max_concurrent_transfers: int = DEFAULT_MAX_CONCURRENT
+
+
+@dataclass
+class StationConfig:
+    name: str
+    cache_dir: str
+    cache_capacity_bytes: int
+    role: str = ROLE_ANALYSIS
+    known_endpoints: list[EndpointSpec] = field(default_factory=list)
+    route_target: str | None = None
+    listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
+    data_listen: str = "127.0.0.1:0"
+
+    def __post_init__(self):
+        if self.cache_capacity_bytes <= 0:
+            raise ValueError("cache_capacity_bytes must be positive")
+        if self.role not in (ROLE_ANALYSIS, ROLE_ROUTER):
+            raise ValueError(f"unknown role {self.role!r}")
+        names = [e.name for e in self.known_endpoints]
+        if len(names) != len(set(names)):
+            raise ValueError("duplicate endpoint names")
+        if any(e.max_concurrent_transfers < 1 for e in self.known_endpoints):
+            raise ValueError("an endpoint needs at least 1 transfer slot")
+        if self.role == ROLE_ROUTER and self.route_target not in names:
+            raise ValueError("routers need a route_target among their endpoints")
+
+
+@dataclass
+class StoreConfig:
+    name: str
+    root_dir: str
+    capacity_bytes: int
+    volume_capacity_bytes: int
+    access_matrix: dict[str, str] = field(default_factory=dict)
+    mount_latency_ms: int = DEFAULT_MOUNT_LATENCY_MS
+    listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
+    data_listen: str = "127.0.0.1:0"
 
 
 @dataclass
@@ -252,9 +306,6 @@ class Daemon:
             self.service.close()
 
 
-_DATA_HANDLERS = {"station": StationDataHandler, "store": StoreDataHandler}
-
-
 def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
     """Start ``daemons``, (role, name) pairs, from ``topology``.
 
@@ -272,8 +323,9 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
             control = Server(ControlHandler, None, section.listen)
             daemon.servers.append(control)
             section.listen = format_addr(control.bound_addr)
-            if role in _DATA_HANDLERS:
-                data = Server(_DATA_HANDLERS[role], None, section.data_listen)
+            _, data_handler = _code(role)
+            if data_handler is not None:
+                data = Server(data_handler, None, section.data_listen)
                 daemon.servers.append(data)
                 section.data_listen = format_addr(data.bound_addr)
         topology.resolve_endpoints()
@@ -289,13 +341,32 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
     return served
 
 
+def _code(role: str):
+    """A role's service class and data handler (None without a data plane).
+
+    Imported here, not at the top, so a daemon loads only its own role's modules.
+    """
+    if role == "catalog":
+        from .catalog import CatalogService
+        return CatalogService, None
+    if role == "project":
+        from .project import ProjectServer
+        return ProjectServer, None
+    if role == "station":
+        from .station import StationDataHandler, StationService
+        return StationService, StationDataHandler
+    from .store import StoreDataHandler, StoreService
+    return StoreService, StoreDataHandler
+
+
 def _build(topology: TopologyConfig, role: str, name: str):
+    service, _ = _code(role)
     if role == "catalog":
         # without a file (flag defaults) the catalog accepts any endpoint name
         known = topology.endpoint_names() if topology.path is not None else None
-        return CatalogService(topology.catalog.journal, known_endpoints=known)
+        return service(topology.catalog.journal, known_endpoints=known)
     if role == "project":
-        return ProjectServer(topology.project.journal, topology.catalog.listen)
+        return service(topology.project.journal, topology.catalog.listen)
     if role == "station":
-        return StationService(topology.stations[name], topology.catalog.listen)
-    return StoreService(topology.stores[name])
+        return service(topology.stations[name], topology.catalog.listen)
+    return service(topology.stores[name])

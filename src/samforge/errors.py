@@ -34,6 +34,13 @@ class ValidationError(SamError):
         super().__init__("; ".join(self.problems))
 
 
+def require_type(field: str, value, kind: type) -> None:
+    """Refuse a request argument that is not of its kind, int or str, naming its field."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{field} {value!r} must be {'an integer' if kind is int else 'a string'}")
+
+
 class MalformedQuery(SamError):
     code = "MALFORMED_QUERY"
 

@@ -42,6 +42,7 @@ from .errors import (
     ProjectEnded,
     SamError,
     ValidationError,
+    require_type,
 )
 from .journal import Journal
 from .wire import Client, Dispatcher, parse_addr
@@ -166,6 +167,7 @@ class ProjectServer(Dispatcher):
     # -- operations --------------------------------------------------------
 
     def start_project(self, project_name: str, dataset_name: str) -> dict:
+        require_type("project_name", project_name, str)
         if not project_name:
             raise ValidationError("project name must be non-empty")
         with self._lock:
@@ -185,7 +187,9 @@ class ProjectServer(Dispatcher):
             }
 
     def next_file(self, project_name: str, consumer_id: str, station: str) -> dict:
-        try:  # refused before anything is journaled, so no hand-out names it
+        # refused before anything is journaled, so no hand-out names them
+        require_type("consumer_id", consumer_id, str)
+        try:
             parse_addr(station if isinstance(station, str) else "")
         except ValueError:
             raise ValidationError(f"station {station!r} is not HOST:PORT") from None
@@ -259,6 +263,7 @@ class ProjectServer(Dispatcher):
                      status: str = "consumed") -> bool:
         if status not in RELEASE_STATUSES:
             raise ValidationError(f"release status must be one of {RELEASE_STATUSES}")
+        require_type("file_id", file_id, int)
         with self._lock:
             project = self._project(project_name)
             handout = project.held.get(file_id)
@@ -298,6 +303,7 @@ class ProjectServer(Dispatcher):
     # -- helpers -----------------------------------------------------------
 
     def _project(self, project_name: str) -> ProjectState:
+        require_type("project_name", project_name, str)
         project = self.projects.get(project_name)
         if project is None:
             raise NotFound(f"no project {project_name!r}")

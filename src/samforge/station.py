@@ -42,12 +42,11 @@ import queue
 import shutil
 import socketserver
 import threading
-import uuid
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import CatalogClient
+from .config import ROLE_ROUTER, SCHEME_STATION, SCHEME_TAPE, EndpointSpec, StationConfig
 from .errors import (
     AccessDenied,
     BadRequest,
@@ -60,6 +59,7 @@ from .errors import (
     SamError,
     TransferExhausted,
     ValidationError,
+    require_type,
 )
 from .naming import parse_legacy_name
 from .records import FileRecord
@@ -78,57 +78,14 @@ from .transfer import (
     serve_request,
     transfer_with,
 )
-from .wire import Dispatcher
+from .wire import Client, Dispatcher
 
 log = logging.getLogger(__name__)
 
-ROLE_ANALYSIS = "analysis"
-ROLE_ROUTER = "router"
-
-SCHEME_STATION = "stn"  # another station's cache: FETCH <file>
-SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <file>
-
 MAX_TRANSFER_ATTEMPTS = 3
-DEFAULT_MAX_CONCURRENT = 4
 PREFETCH_QUEUE_LIMIT = 64  # names past this are dropped, not waited for
 # one worker cannot pull as fast as the consumers of a tape-backed project read
 PREFETCH_WORKERS = 2
-
-
-@dataclass
-class EndpointSpec:
-    """A peer the station may move bytes to or from."""
-
-    name: str
-    scheme: str  # stn | tape
-    access: str  # read_only | read_write
-    data_addr: str  # host:port of the peer's data plane
-    max_concurrent_transfers: int = DEFAULT_MAX_CONCURRENT
-
-
-@dataclass
-class StationConfig:
-    name: str
-    cache_dir: str
-    cache_capacity_bytes: int
-    role: str = ROLE_ANALYSIS
-    known_endpoints: list[EndpointSpec] = field(default_factory=list)
-    route_target: str | None = None
-    listen: str = "127.0.0.1:0"  # control and data addresses, bound by config.serve
-    data_listen: str = "127.0.0.1:0"
-
-    def __post_init__(self):
-        if self.cache_capacity_bytes <= 0:
-            raise ValueError("cache_capacity_bytes must be positive")
-        if self.role not in (ROLE_ANALYSIS, ROLE_ROUTER):
-            raise ValueError(f"unknown role {self.role!r}")
-        names = [e.name for e in self.known_endpoints]
-        if len(names) != len(set(names)):
-            raise ValueError("duplicate endpoint names")
-        if any(e.max_concurrent_transfers < 1 for e in self.known_endpoints):
-            raise ValueError("an endpoint needs at least 1 transfer slot")
-        if self.role == ROLE_ROUTER and self.route_target not in names:
-            raise ValueError("routers need a route_target among their endpoints")
 
 
 @dataclass
@@ -151,7 +108,7 @@ class StationService(Dispatcher):
 
     def __init__(self, config: StationConfig, catalog_addr):
         self.config = config
-        self.catalog = CatalogClient(catalog_addr)
+        self.catalog = Client(catalog_addr)
         self.cache_dir = Path(config.cache_dir)
         self.files_dir = self.cache_dir / "files"
         self.incoming_dir = self.cache_dir / "incoming"
@@ -208,6 +165,9 @@ class StationService(Dispatcher):
 
     def fetch_file(self, file_name: str, requesting_project: str | None = None,
                    prefetch: list[str] | tuple[str, ...] = ()) -> str:
+        require_type("file_name", file_name, str)
+        if requesting_project is not None:
+            require_type("requesting_project", requesting_project, str)
         if not isinstance(prefetch, (list, tuple)) or \
                 not all(type(name) is str for name in prefetch):
             raise ValidationError(f"prefetch must be a list of file names, not {prefetch!r}")
@@ -233,7 +193,7 @@ class StationService(Dispatcher):
                 return str(entry.local_path)
             self._in_flight.add(file_name)
         try:
-            record = self.catalog.get_file(file_name)
+            record = _get_file(self.catalog, file_name)
             return str(self._fetch_miss(record, requesting_project, self.catalog))
         finally:
             self._settle(file_name)
@@ -245,7 +205,7 @@ class StationService(Dispatcher):
             self._settled.notify_all()
 
     def _prefetch_loop(self, catalog_addr) -> None:
-        catalog = CatalogClient(catalog_addr)  # connects on first use
+        catalog = Client(catalog_addr)  # connects on first use
         try:
             while True:
                 name = self._prefetch_queue.get()
@@ -256,7 +216,7 @@ class StationService(Dispatcher):
         finally:
             catalog.close()
 
-    def _prefetch(self, name: str, catalog: CatalogClient) -> None:
+    def _prefetch(self, name: str, catalog: Client) -> None:
         """Pull one file into the cache unpinned, unless it is there or on its way."""
         with self._lock:
             if name in self._by_name or name in self._in_flight:
@@ -264,7 +224,7 @@ class StationService(Dispatcher):
             self._in_flight.add(name)
             self._prefetching.add(name)
         try:
-            self._fetch_miss(catalog.get_file(name), None, catalog, prefetch=True)
+            self._fetch_miss(_get_file(catalog, name), None, catalog, prefetch=True)
         except Exception as e:  # noqa: BLE001 - a prefetch is advice; its failure is no one's error
             if not isinstance(e, SamError):
                 log.exception("prefetch of %s failed", name)
@@ -278,7 +238,7 @@ class StationService(Dispatcher):
             self.counters["prefetches"] += 1
 
     def _fetch_miss(self, record: FileRecord, requesting_project: str | None,
-                    catalog: CatalogClient, prefetch: bool = False) -> Path:
+                    catalog: Client, prefetch: bool = False) -> Path:
         candidates = self._candidates(record.file_id, catalog)
         if not candidates:
             raise NoReplica(f"no reachable replica for {record.file_name}")
@@ -291,10 +251,10 @@ class StationService(Dispatcher):
             raise
         return self._admit(record, staging, requesting_project, catalog)
 
-    def _candidates(self, file_id: int, catalog: CatalogClient) -> list[EndpointSpec]:
+    def _candidates(self, file_id: int, catalog: Client) -> list[EndpointSpec]:
         specs = []
-        for location in catalog.get_locations(file_id):
-            spec = self._endpoints.get(location.endpoint_name)
+        for location in catalog.call("get_locations", file_id=file_id):
+            spec = self._endpoints.get(location["endpoint_name"])
             if spec is not None and spec.name != self.config.name:
                 specs.append(spec)
         # another station's cache beats a tape mount; names break ties
@@ -314,7 +274,7 @@ class StationService(Dispatcher):
             if attempt > 1:
                 with self._lock:
                     self.counters["retries"] += 1
-            staging = self.incoming_dir / f"{record.file_name}.{uuid.uuid4().hex}"
+            staging = self.incoming_dir / f"{record.file_name}.{os.urandom(16).hex()}"
             client = f"{self.config.name} " if choice.scheme == SCHEME_TAPE else ""
             try:
                 with self._limits[choice.name]:
@@ -382,7 +342,7 @@ class StationService(Dispatcher):
         entry.local_path.unlink(missing_ok=True)
         self.counters["evictions"] += 1
 
-    def _forget_locations(self, victims: list[CacheEntry], catalog: CatalogClient) -> None:
+    def _forget_locations(self, victims: list[CacheEntry], catalog: Client) -> None:
         for victim in victims:
             self._event("evict", victim.file_name, self.config.name, 0, "")
             try:
@@ -397,7 +357,7 @@ class StationService(Dispatcher):
             self._reserved -= size
 
     def _admit(self, record: FileRecord, staging: Path, requesting_project: str | None,
-               catalog: CatalogClient) -> Path:
+               catalog: Client) -> Path:
         final = self.files_dir / record.file_name
         os.replace(staging, final)
         with self._lock:
@@ -416,7 +376,8 @@ class StationService(Dispatcher):
             self._by_name[record.file_name] = record.file_id
             self.counters["transfers_ok"] += 1
         try:
-            catalog.add_location(record.file_id, self.config.name, str(final))
+            catalog.call("add_location", file_id=record.file_id,
+                         endpoint_name=self.config.name, path_or_volume=str(final))
         except RemoteError as e:
             if e.code != "DUPLICATE_LOCATION":  # stale location from a prior life
                 raise
@@ -425,6 +386,8 @@ class StationService(Dispatcher):
     # -- eviction / pinning ------------------------------------------------
 
     def unpin_file(self, file_id: int, project: str) -> bool:
+        require_type("file_id", file_id, int)
+        require_type("project", project, str)
         with self._lock:
             entry = self._entries.get(file_id)
             if entry is None:
@@ -447,7 +410,7 @@ class StationService(Dispatcher):
             rec.crc32 = crc32_stream(body)
             if self.config.role != ROLE_ROUTER:
                 return self._forward_store(rec, body)
-            staged = self.incoming_dir / uuid.uuid4().hex
+            staged = self.incoming_dir / os.urandom(16).hex()
             try:
                 body.seek(0)
                 with open(staged, "wb") as out:
@@ -463,14 +426,17 @@ class StationService(Dispatcher):
         it moves into the permanent buffer and is forwarded from there.
         """
         route = self._route()
-        file_id = self.catalog.declare_file(rec)  # DuplicateName/Validation stop us here
+        # DuplicateName/Validation stop us here; the catalog assigns the id
+        file_id = self.catalog.call("declare_file", record=rec.to_wire())
         buffered = self.buffer_dir / rec.file_name
         os.replace(staged, buffered)
-        self.catalog.add_location(file_id, self.config.name, str(buffered))
+        self.catalog.call("add_location", file_id=file_id, endpoint_name=self.config.name,
+                          path_or_volume=str(buffered))
         fileset = _fileset_of(rec)
         with open(buffered, "rb") as body:
             volume_id = self._put_with_retry(route, rec, body, fileset)
-        self.catalog.add_location(file_id, route.name, volume_id)
+        self.catalog.call("add_location", file_id=file_id, endpoint_name=route.name,
+                          path_or_volume=volume_id)
         # tape has it; release the buffer copy and its catalog location
         buffered.unlink(missing_ok=True)
         self.catalog.call("remove_location", file_id=file_id, endpoint_name=self.config.name)
@@ -528,7 +494,7 @@ class StationService(Dispatcher):
         buffered = self.buffer_dir / file_name
         if buffered.is_file():
             # a router's upload waiting for tape: its CRC was verified at declare
-            record = self.catalog.get_file(file_name)
+            record = _get_file(self.catalog, file_name)
             return open(buffered, "rb"), record.size_bytes, record.crc32
         raise NotFound(f"{file_name} not resident on {self.config.name}")
 
@@ -588,6 +554,10 @@ class StationService(Dispatcher):
         self.catalog.close()
 
 
+def _get_file(catalog: Client, file_name: str) -> FileRecord:
+    return FileRecord.from_wire(catalog.call("get_file", name_or_id=file_name))
+
+
 def _fileset_of(rec: FileRecord) -> int:
     raw = rec.parameters.get("legacy.fileset")
     if raw is not None and raw.isdigit():
@@ -636,6 +606,6 @@ class StationDataHandler(socketserver.StreamRequestHandler):
             rec.crc32 = crc
             return service.store_local(rec, staged)
 
-        file_id = receive_verified(self.rfile, service.incoming_dir / uuid.uuid4().hex,
+        file_id = receive_verified(self.rfile, service.incoming_dir / os.urandom(16).hex(),
                                    name, size, declared_crc, admit)
         self.wfile.write(f"OK {file_id}\n".encode())

@@ -33,10 +33,10 @@ import os
 import socketserver
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .config import ACCESS_NONE, ACCESS_READ_ONLY, ACCESS_READ_WRITE, StoreConfig
 from .errors import (
     AccessDenied,
     BadRequest,
@@ -59,26 +59,6 @@ from .transfer import (
     serve_request,
 )
 from .wire import Dispatcher
-
-ACCESS_NONE = "none"
-ACCESS_READ_ONLY = "read_only"
-ACCESS_READ_WRITE = "read_write"
-ACCESS_LEVELS = (ACCESS_NONE, ACCESS_READ_ONLY, ACCESS_READ_WRITE)
-
-DEFAULT_MOUNT_LATENCY_MS = 2000
-
-
-@dataclass
-class StoreConfig:
-    name: str
-    root_dir: str
-    capacity_bytes: int
-    volume_capacity_bytes: int
-    access_matrix: dict[str, str] = field(default_factory=dict)
-    mount_latency_ms: int = DEFAULT_MOUNT_LATENCY_MS
-    listen: str = "127.0.0.1:0"  # control and data addresses, bound by config.serve
-    data_listen: str = "127.0.0.1:0"
-
 
 @dataclass
 class Volume:
@@ -174,7 +154,7 @@ class StoreService(Dispatcher):
                 raise StoreFull(f"{self.config.name} is full")
 
     def staging_path(self) -> Path:
-        return self.incoming / uuid.uuid4().hex
+        return self.incoming / os.urandom(16).hex()
 
     def put_file(self, client: str, file_name: str, staged: Path, crc: int,
                  fileset_number: int) -> str:

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import samforge
 from samforge.catalog import CatalogClient
 from samforge.cli import main
 from samforge.query import Atom
@@ -129,6 +132,66 @@ def test_stored_and_stationd_start_from_a_topology_file(capsys, tmp_path):
     assert store["name"] == "stken-sim"
     assert "volumes" in store  # a store's status; stores have no role field
     assert (station["name"], station["role"]) == ("fcdf-router", "router")
+
+
+# Runs one daemon through cli.main; once it prints READY, and again after it
+# answers a status request, writes the samforge modules loaded as JSON lines.
+FOOTPRINT_PROBE = """
+import io, json, os, sys, threading
+from samforge import cli
+from samforge.wire import Client
+
+ready = threading.Event()
+
+class Tap(io.StringIO):
+    def write(self, text):
+        if text.startswith("READY "):
+            ready.set()
+        return super().write(text)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "samforge")
+
+sys.stdout = tap = Tap()
+threading.Thread(target=cli.main, args=(sys.argv[1:],), daemon=True).start()
+assert ready.wait(30), "the daemon never printed READY"
+sys.__stdout__.write(json.dumps(loaded()) + "\\n")
+with Client(tap.getvalue().split()[1]) as client:
+    client.call("status")
+sys.__stdout__.write(json.dumps(loaded()) + "\\n")
+sys.__stdout__.flush()
+os._exit(0)
+"""
+
+EVERY_DAEMON = {"samforge", "samforge.cli", "samforge.config", "samforge.errors",
+                "samforge.wire"}
+ROLE_MODULES = {
+    "catalogd": {"catalog", "journal", "query", "records", "naming"},
+    "stored": {"store", "journal", "records", "naming", "sync", "transfer"},
+    "stationd": {"station", "records", "naming", "sync", "transfer"},
+    "projectd": {"project", "journal"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROLE_MODULES))
+def test_each_daemon_loads_only_its_own_roles_modules(tmp_path, command):
+    config = tmp_path / "deploy.ini"
+    config.write_text(
+        "[DEFAULT]\nlisten = 127.0.0.1:0\n\n[catalog]\n\n[project]\n\n"
+        "[store stken-sim]\naccess =\n    fcdf-router read_write\n\n"
+        "[station fcdf-router]\nrole = router\nroute_target = stken-sim\n"
+        "endpoints =\n    stken-sim read_write 4\n")
+    name = {"stored": ["stken-sim"], "stationd": ["fcdf-router"]}.get(command, [])
+    src = str(Path(samforge.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("SAMFORGE_CONFIG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, command, *name, "--config", str(config)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    at_ready, after_status = (set(json.loads(line)) for line in done.stdout.splitlines())
+    assert at_ready == EVERY_DAEMON | {f"samforge.{m}" for m in ROLE_MODULES[command]}
+    assert after_status == at_ready
 
 
 def test_connection_refused_maps_to_e_conn(capsys):

@@ -7,13 +7,13 @@ import pytest
 
 from samforge.config import (
     DEFAULT_CATALOG_PORT,
+    DEFAULT_MAX_CONCURRENT,
     DEFAULT_PROJECT_PORT,
     load_topology,
     serve,
 )
 from samforge.errors import JournalCorrupt, ValidationError
 from samforge.wire import parse_addr
-from samforge.station import DEFAULT_MAX_CONCURRENT
 
 from conftest import BAD_STATIONS, write_bad_station
 

@@ -11,7 +11,6 @@ import tracemalloc
 
 import pytest
 
-from samforge.catalog import CatalogClient
 from samforge.errors import (
     AccessDenied,
     CacheFull,
@@ -705,7 +704,7 @@ def test_hit_makes_no_catalog_call(rig, monkeypatch):
     def no_catalog(*_args, **_kwargs):
         raise AssertionError("a cache hit asked the catalog")
 
-    monkeypatch.setattr(station.catalog, "get_file", no_catalog)
+    monkeypatch.setattr(station.catalog, "call", no_catalog)
     assert station.fetch_file("a", requesting_project="proj") == path
     assert station.counters["cache_hits"] == 1
     assert cached_pins(station) == {"a": 1}
@@ -809,13 +808,14 @@ def test_a_duplicate_prefetch_name_makes_no_catalog_call(rig, monkeypatch):
         rig.seed_file(name, b"x", stores=["stken-sim"])
     station.fetch_file("a")
     looked_up = []
-    get_file = CatalogClient.get_file
+    call = Client.call  # each prefetch worker has its own client
 
-    def counting_get_file(self, name_or_id):
-        looked_up.append(name_or_id)
-        return get_file(self, name_or_id)
+    def counting_call(self, op, **args):
+        if op == "get_file":
+            looked_up.append(args["name_or_id"])
+        return call(self, op, **args)
 
-    monkeypatch.setattr(CatalogClient, "get_file", counting_get_file)
+    monkeypatch.setattr(Client, "call", counting_call)
     # a is resident; of the three b, one is pulled and the others find it
     # in flight or resident
     station.fetch_file("a", prefetch=["a", "b", "b", "a", "b"])

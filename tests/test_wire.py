@@ -7,6 +7,7 @@ import pytest
 
 from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import ConnectFailed, NotFound, RemoteError
+from samforge.project import ProjectServer
 from samforge.query import Atom
 from samforge.wire import (
     Client,
@@ -128,3 +129,66 @@ def test_close_cuts_connections_already_open(tmp_path):
         service.close()
         with pytest.raises(ConnectFailed):
             catalog.define_dataset("after", Atom("event_type", "=", "phy"))
+
+
+# (daemon, op, args, field): a list where an id, a name or a number belongs
+WRONG_TYPES = [
+    ("catalog", "get_locations", {"file_id": [1]}, "file_id"),
+    ("catalog", "add_location", {"file_id": [1], "endpoint_name": "cdfa-1",
+                                 "path_or_volume": "p"}, "file_id"),
+    ("catalog", "add_location", {"file_id": 1, "endpoint_name": [1],
+                                 "path_or_volume": "p"}, "endpoint_name"),
+    ("catalog", "add_location", {"file_id": 1, "endpoint_name": "cdfa-1",
+                                 "path_or_volume": [1]}, "path_or_volume"),
+    ("catalog", "remove_location", {"file_id": [1], "endpoint_name": "stken-sim"}, "file_id"),
+    ("catalog", "remove_location", {"file_id": 1, "endpoint_name": [1]}, "endpoint_name"),
+    ("catalog", "get_lineage", {"file_id": [1], "depth": 1}, "file_id"),
+    ("catalog", "get_lineage", {"file_id": 1, "depth": [1]}, "depth"),
+    ("catalog", "get_snapshot", {"snapshot_id": [1]}, "snapshot_id"),
+    ("catalog", "resolve_dataset", {"name": [1]}, "name"),
+    ("catalog", "take_snapshot", {"dataset_name": [1]}, "dataset_name"),
+    ("project", "status", {"project_name": [1]}, "project_name"),
+    ("project", "start", {"project_name": [1], "dataset_name": "d"}, "project_name"),
+    ("project", "start", {"project_name": "q", "dataset_name": [1]}, "dataset_name"),
+    ("project", "next", {"project_name": [1], "consumer_id": "c",
+                         "station": "127.0.0.1:1"}, "project_name"),
+    ("project", "next", {"project_name": "p", "consumer_id": [1],
+                         "station": "127.0.0.1:1"}, "consumer_id"),
+    ("project", "release", {"project_name": [1], "consumer_id": "c", "file_id": 1},
+     "project_name"),
+    ("project", "release", {"project_name": "p", "consumer_id": "c", "file_id": [1]},
+     "file_id"),
+    ("station", "fetch", {"file_name": [1]}, "file_name"),
+    ("station", "fetch", {"file_name": "f", "requesting_project": [1]}, "requesting_project"),
+    ("station", "unpin", {"file_id": [1], "project": "p"}, "file_id"),
+    ("station", "unpin", {"file_id": 1, "project": [1]}, "project"),
+]
+
+
+@pytest.mark.parametrize("daemon,op,args,field", WRONG_TYPES,
+                         ids=[f"{d}.{op}.{f}" for d, op, _, f in WRONG_TYPES])
+def test_a_wrong_typed_argument_is_refused_naming_its_field(rig, daemon, op, args, field):
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
+                              with_control_server=True)
+    rig.seed_file("f", b"x", stores=["stken-sim"])
+    station.fetch_file("f", requesting_project="p")
+    project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    server = Server(ControlHandler, project, ("127.0.0.1", 0)).start()
+    addrs = {"catalog": rig.catalog_addr, "station": rig.station_control["cdfa-1"],
+             "project": format_addr(server.bound_addr)}
+    try:
+        with CatalogClient(rig.catalog_addr) as catalog:
+            catalog.define_dataset("d", Atom("event_type", "=", "phy"))
+        project.start_project("p", "d")
+        journals = (rig.catalog_service.journal, project.journal)
+        before = [journal.last_seq for journal in journals]
+        with Client(addrs[daemon]) as client:
+            with pytest.raises(RemoteError) as excinfo:
+                client.call(op, **args)
+        assert excinfo.value.code == "VALIDATION", excinfo.value.msg
+        assert field in excinfo.value.msg
+        assert [journal.last_seq for journal in journals] == before
+    finally:
+        server.close()
+        project.close()
