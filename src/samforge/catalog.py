@@ -140,6 +140,9 @@ class CatalogService(Dispatcher):
     # -- datasets ----------------------------------------------------------
 
     def define_dataset(self, name: str, expr: dict) -> bool:
+        require_type("name", name, str)
+        if not name:
+            raise ValidationError("name of a dataset must not be empty")
         parsed = expr_from_wire(expr)
         with self._lock:
             if name in self.state.datasets:
@@ -190,8 +193,7 @@ class CatalogService(Dispatcher):
 
     # -- replica locations -------------------------------------------------
 
-    def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str,
-                     verified_at: float | None = None) -> bool:
+    def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str) -> bool:
         require_type("endpoint_name", endpoint_name, str)
         require_type("path_or_volume", path_or_volume, str)
         with self._lock:
@@ -200,7 +202,7 @@ class CatalogService(Dispatcher):
                 raise UnknownEndpoint(f"endpoint {endpoint_name!r} not in topology")
             if endpoint_name in self.state.locations.get(file_id, {}):
                 raise DuplicateLocation(f"file {file_id} already at {endpoint_name}")
-            location = ReplicaLocation(file_id, endpoint_name, path_or_volume, verified_at)
+            location = ReplicaLocation(file_id, endpoint_name, path_or_volume)
             self.journal.commit(OP_ADD_LOCATION, location.to_wire())
         return True
 

@@ -78,8 +78,6 @@ ACCESS_READ_ONLY = "read_only"
 ACCESS_READ_WRITE = "read_write"
 ACCESS_LEVELS = (ACCESS_NONE, ACCESS_READ_ONLY, ACCESS_READ_WRITE)
 
-DEFAULT_MOUNT_LATENCY_MS = 2000
-
 
 @dataclass
 class EndpointSpec:
@@ -124,7 +122,7 @@ class StoreConfig:
     capacity_bytes: int
     volume_capacity_bytes: int
     access_matrix: dict[str, str] = field(default_factory=dict)
-    mount_latency_ms: int = DEFAULT_MOUNT_LATENCY_MS
+    mount_latency_ms: int = 0
     listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
     data_listen: str = "127.0.0.1:0"
 
@@ -275,7 +273,8 @@ def _store(parser, section, name, base, problems) -> StoreConfig:
         root_dir=_path(base, parser.get(section, "root_dir", fallback=f"state/{name}")),
         capacity_bytes=parser.getint(section, "capacity_bytes", fallback=10**10),
         volume_capacity_bytes=parser.getint(section, "volume_capacity_bytes", fallback=10**7),
-        mount_latency_ms=parser.getint(section, "mount_latency_ms", fallback=0),
+        mount_latency_ms=parser.getint(section, "mount_latency_ms",
+                                        fallback=StoreConfig.mount_latency_ms),
         access_matrix=access,
     )
 

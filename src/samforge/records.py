@@ -176,14 +176,12 @@ class ReplicaLocation:
     file_id: int
     endpoint_name: str
     path_or_volume: str
-    verified_at: float | None = None
 
     def to_wire(self) -> dict:
         return {
             "file_id": self.file_id,
             "endpoint_name": self.endpoint_name,
             "path_or_volume": self.path_or_volume,
-            "verified_at": self.verified_at,
         }
 
     @classmethod
@@ -192,5 +190,4 @@ class ReplicaLocation:
             file_id=obj["file_id"],
             endpoint_name=obj["endpoint_name"],
             path_or_volume=obj["path_or_volume"],
-            verified_at=obj.get("verified_at"),
         )

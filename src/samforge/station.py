@@ -67,14 +67,11 @@ from .sync import FairSemaphore
 from .transfer import (
     FaultInjector,
     crc32_stream,
-    discard_body,
     put_to_store,
-    read_send_header,
-    receive_verified,
-    reply_err,
+    send_frame,
     send_header,
     send_request,
-    serve_frame,
+    serve_push,
     serve_request,
     transfer_with,
 )
@@ -400,7 +397,7 @@ class StationService(Dispatcher):
     # -- store path --------------------------------------------------------
 
     def store_file(self, record: dict, local_path: str | None = None) -> int:
-        if local_path is None or not Path(local_path).is_file():
+        if not isinstance(local_path, str) or not Path(local_path).is_file():
             raise ValidationError(f"store needs local_path, a file; got {local_path!r}")
         with open(local_path, "rb") as body:
             rec = FileRecord.from_wire(record)
@@ -584,18 +581,16 @@ class StationDataHandler(socketserver.StreamRequestHandler):
     def _fetch(self, file_name: str) -> None:
         body, size, crc = self.server.service.open_for_read(file_name)
         with body:
-            serve_frame(self.connection, self.rfile, file_name, body, size, crc)
+            send_frame(self.connection, send_header(file_name, size, crc), body, size)
 
     def _store(self, payload: str) -> None:
         service: StationService = self.server.service
-        name, size, declared_crc = read_send_header(self.rfile)
-        if service.config.role != ROLE_ROUTER:  # nothing would forward what it buffered
-            reply_err(self.wfile, AccessDenied.code, f"{service.config.name} is not a router")
-            discard_body(self.rfile, size)
-            return
+        rec = None
 
-        def admit(staged: Path, crc: int) -> int:
-            # the record is parsed once the body is in, so a bad one is answered, not reset
+        def check(name: str, size: int) -> None:
+            nonlocal rec
+            if service.config.role != ROLE_ROUTER:  # nothing would forward what it buffered
+                raise AccessDenied(f"{service.config.name} is not a router")
             try:
                 wire = json.loads(payload)
             except ValueError:
@@ -603,9 +598,9 @@ class StationDataHandler(socketserver.StreamRequestHandler):
             rec = FileRecord.from_wire(wire)
             rec.file_id = None
             rec.size_bytes = size
+
+        def admit(name: str, staged: Path, crc: int) -> int:
             rec.crc32 = crc
             return service.store_local(rec, staged)
 
-        file_id = receive_verified(self.rfile, service.incoming_dir / os.urandom(16).hex(),
-                                   name, size, declared_crc, admit)
-        self.wfile.write(f"OK {file_id}\n".encode())
+        serve_push(self, service.incoming_dir / os.urandom(16).hex(), check, admit)

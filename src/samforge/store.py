@@ -8,23 +8,25 @@ of volume subdirectories plus an inventory journal replayed at startup,
 the same crash discipline as the catalog.
 
 Control plane: line-delimited JSON (list_volumes, status).  Data plane:
-one request line then framed bytes, streamed in constant memory —
+one request line, then a SEND frame (see ``transfer``), streamed in
+constant memory —
 
-    PUT <client> <file_name> <fileset_number> <size_bytes> <crc32-hex>\\n  + bytes
-        -> OK <volume_id>\\n | ERR <code> <msg>\\n
-    FETCH <client> <file_name>\\n
-        -> SEND <file_name> <size_bytes> <crc32-hex>\\n + bytes | ERR <code> <msg>\\n
+    PUT <client> <fileset_number>\n + SEND <file_name> <size_bytes> <crc32-hex>\n + bytes
+        -> OK <volume_id>\n | ERR <code> <msg>\n
+    FETCH <client> <file_name>\n
+        -> SEND <file_name> <size_bytes> <crc32-hex>\n + bytes | ERR <code> <msg>\n
 
-A request line that does not parse is answered ERR BAD_REQUEST.  A PUT
-that can be refused from its request line alone (access, a file name the
-catalog would refuse, size, duplicate name, capacity) is answered ERR
-before its body is read; the body is then read and dropped so the client
-sees the reply.  Otherwise the body streams into a staging file under
-``incoming/`` with a running CRC; only a body matching its declared CRC
-takes the drive, moves into its volume, is fsynced and journalled, and
-then acknowledged.  A FETCH answers with the CRC recorded in the
-inventory journal at PUT time, so the store makes no pass over the file
-to serve it.
+A request line or SEND header that does not parse is answered
+ERR BAD_REQUEST.  A PUT that its request line and SEND header already
+rule out (access, a file name the catalog would refuse, size, duplicate
+name, capacity) is answered ERR before its body is read; the body is
+then read and dropped so the client sees the reply.  Otherwise the body
+streams into a staging file under ``incoming/`` with a running CRC; only
+a body matching its declared CRC takes the drive, moves into its volume,
+is fsynced and journalled, and then acknowledged.  A FETCH answers with
+the CRC recorded in the inventory journal at PUT time, so the store
+makes no pass over the file to serve it, and closes once the frame is
+sent.
 """
 
 from __future__ import annotations
@@ -43,21 +45,13 @@ from .errors import (
     DuplicateName,
     FileTooLarge,
     NotFound,
-    SamError,
     StoreFull,
     ValidationError,
 )
 from .journal import Journal
 from .records import file_name_problem
 from .sync import FairSemaphore
-from .transfer import (
-    discard_body,
-    parse_put_args,
-    receive_verified,
-    reply_err,
-    serve_frame,
-    serve_request,
-)
+from .transfer import send_frame, send_header, serve_push, serve_request
 from .wire import Dispatcher
 
 @dataclass
@@ -138,7 +132,7 @@ class StoreService(Dispatcher):
     # -- operations --------------------------------------------------------
 
     def check_put(self, client: str, file_name: str, size: int) -> None:
-        """Every reason to refuse a put that the request line alone shows."""
+        """Every reason to refuse a put that its request line and SEND header show."""
         self._require_write(client)
         problem = file_name_problem(file_name)  # also keeps the write inside its volume
         if problem:
@@ -254,19 +248,15 @@ class StoreDataHandler(socketserver.StreamRequestHandler):
         client, file_name = parts
         body, size, crc = self.server.service.open_file(client, file_name)
         with body:
-            serve_frame(self.connection, self.rfile, file_name, body, size, crc)
+            send_frame(self.connection, send_header(file_name, size, crc), body, size)
 
     def _put(self, args: str) -> None:
         service: StoreService = self.server.service
-        client, file_name, fileset_number, size, declared_crc = parse_put_args(args)
-        try:
-            service.check_put(client, file_name, size)
-        except SamError as e:
-            reply_err(self.wfile, e.code, e.msg)
-            discard_body(self.rfile, size)
-            return
-        volume_id = receive_verified(
-            self.rfile, service.staging_path(), file_name, size, declared_crc,
-            lambda staged, crc: service.put_file(client, file_name, staged, crc,
-                                                 fileset_number))
-        self.wfile.write(f"OK {volume_id}\n".encode())
+        parts = args.split()
+        if len(parts) != 2 or not parts[1].isdecimal():
+            raise BadRequest(f"bad PUT request: {args!r}")
+        client, fileset_number = parts[0], int(parts[1])
+        serve_push(self, service.staging_path(),
+                   lambda name, size: service.check_put(client, name, size),
+                   lambda name, staged, crc: service.put_file(client, name, staged, crc,
+                                                              fileset_number))

@@ -8,18 +8,21 @@ verification and retry belong to the station, which lets a
 :class:`FaultInjector` corrupt data below the verification layer the way
 a failing disk would.
 
-The data plane is a length-prefixed byte stream: a
+The data plane has one body format, the SEND frame: a
 ``SEND <file_name> <size_bytes> <crc32-hex>`` header line followed by
-exactly size_bytes raw bytes, answered with ``OK`` or ``ERR <code>``.
-Pulls prefix the exchange with a one-line request.  Every daemon uses the
-one codec below: :func:`send_frame` writes a header line and streams the
-body from an open file, :func:`receive_body` streams a body into a file
-with a running CRC.  Bodies move in ``CHUNK``-sized pieces, so no daemon
-ever holds a whole file.  The CRC in a SEND header is the sender's
-recorded checksum, not a fresh pass over the file; the receiver verifies
-it once, as the bytes arrive.  Store and station handlers share one
-request skeleton, :func:`serve_request`, and one staged, CRC-checked
-upload, :func:`receive_verified`.
+exactly size_bytes raw bytes.  Every exchange is one request line, then
+a SEND frame, on one connection.  A pull sends the request line and gets
+the frame back, or ``ERR <code> <msg>``; the server then closes, and the
+puller acknowledges nothing.  A push sends the request line and the
+frame and gets ``OK <result>`` or ``ERR <code> <msg>``.  Every daemon
+uses the one codec below: :func:`send_frame` writes a header line and
+streams the body from an open file, :func:`receive_body` streams a body
+into a file with a running CRC.  Bodies move in ``CHUNK``-sized pieces,
+so no daemon ever holds a whole file.  The CRC in a SEND header is the
+sender's recorded checksum, not a fresh pass over the file; the receiver
+computes its own once, as the bytes arrive.  Store and station handlers
+share one request skeleton, :func:`serve_request`, and one push
+receiver, :func:`serve_push`.
 """
 
 from __future__ import annotations
@@ -86,7 +89,19 @@ def transfer_with(addr, request_line: str, dest: str | Path,
     """
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    size, crc = _pull_framed(addr, request_line, dest)
+    sock = _connect(addr)
+    try:
+        with sock, sock.makefile("rb") as rfile:
+            sock.sendall(request_line.encode() + b"\n")
+            header = read_line(rfile)
+            try:
+                _name, size, _crc = parse_send_header(header)
+            except BadRequest:  # ERR <code> <msg>, or no frame at all
+                raise SourceUnavailable(header) from None
+            with open(dest, "wb") as out:
+                crc = receive_body(rfile, size, out)
+    except OSError as e:
+        raise SourceUnavailable(f"transfer from {addr} failed: {e}") from e
     if faults is not None:
         crc = faults.after_pull(dest, crc)
     return TransferOutcome(bytes_moved=size, computed_crc32=crc)
@@ -172,17 +187,6 @@ def discard_body(rfile, size: int) -> None:
         size -= len(chunk)
 
 
-def serve_frame(sock: socket.socket, rfile, file_name: str, body, size: int,
-                crc: int) -> None:
-    """Answer a FETCH: one SEND frame, then consume the puller's courtesy ack."""
-    send_frame(sock, send_header(file_name, size, crc), body, size)
-    try:  # so the peer's close is clean
-        sock.settimeout(5)
-        rfile.readline(1024)
-    except OSError:
-        pass
-
-
 def read_line(rfile) -> str:
     line = rfile.readline(CHUNK)
     if not line:
@@ -193,32 +197,13 @@ def read_line(rfile) -> str:
 def parse_send_header(line: str) -> tuple[str, int, int]:
     parts = line.split()
     try:
-        if len(parts) == 4 and parts[0] == "SEND" and int(parts[2]) >= 0:
-            return parts[1], int(parts[2]), int(parts[3], 16)
+        if len(parts) == 4 and parts[0] == "SEND":
+            size, crc = int(parts[2]), int(parts[3], 16)
+            if size >= 0 and 0 <= crc <= 0xFFFFFFFF:
+                return parts[1], size, crc
     except ValueError:
         pass
-    raise SourceUnavailable(f"bad frame header: {line!r}")
-
-
-def read_send_header(rfile) -> tuple[str, int, int]:
-    """The (name, size, crc) of the SEND frame that comes next; ERR lines raise."""
-    header = read_line(rfile)
-    if header.startswith("ERR"):
-        raise SourceUnavailable(header)
-    return parse_send_header(header)
-
-
-def parse_put_args(args: str) -> tuple[str, str, int, int, int]:
-    """(client, file_name, fileset, size, crc) from what follows ``PUT``."""
-    parts = args.split()
-    try:
-        if len(parts) == 5:
-            fileset, size, crc = int(parts[2]), int(parts[3]), int(parts[4], 16)
-            if fileset >= 0 and size >= 0 and 0 <= crc <= 0xFFFFFFFF:
-                return parts[0], parts[1], fileset, size, crc
-    except ValueError:
-        pass
-    raise BadRequest(f"bad PUT request: {args!r}")
+    raise BadRequest(f"bad SEND header: {line!r}")
 
 
 # -- serving the data plane ------------------------------------------------
@@ -254,20 +239,30 @@ def serve_request(handler, actions: dict) -> None:
         reply_err(handler.wfile, "INTERNAL", str(e))
 
 
-def receive_verified(rfile, staged: Path, name: str, size: int, declared_crc: int, act):
-    """Stream a body into staged, check its CRC, and return act(staged, crc).
+def serve_push(handler, staged: Path, check, act) -> None:
+    """Receive the SEND frame of a push and answer ``OK <act(name, staged, crc)>``.
 
-    Raises CrcMismatch for a corrupt body.  Whatever act leaves of staged
-    is removed before this returns, so no reply races the cleanup.
+    check(name, size) raises a SamError to refuse the push; the body is
+    then read and dropped, so the sender sees the ERR reply.  Otherwise
+    the body streams into staged with a running CRC, and only a body
+    matching its declared CRC reaches act.  Whatever act leaves of staged
+    is removed before the reply, so no reply races the cleanup.
     """
+    name, size, declared_crc = parse_send_header(read_line(handler.rfile))
+    try:
+        check(name, size)
+    except SamError:
+        discard_body(handler.rfile, size)
+        raise
     try:
         with open(staged, "wb") as out:
-            crc = receive_body(rfile, size, out)
+            crc = receive_body(handler.rfile, size, out)
         if crc != declared_crc:
             raise CrcMismatch(f"{name} arrived corrupt")
-        return act(staged, crc)
+        result = act(name, staged, crc)
     finally:
         staged.unlink(missing_ok=True)
+    handler.wfile.write(f"OK {result}\n".encode())
 
 
 def _connect(addr) -> socket.socket:
@@ -275,29 +270,6 @@ def _connect(addr) -> socket.socket:
         return socket.create_connection(parse_addr(addr), timeout=30)
     except OSError as e:
         raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
-
-
-def _pull_framed(addr, request_line: str, dest: Path) -> tuple[int, int]:
-    """Send one request line, stream a SEND frame into dest, acknowledge.
-
-    Returns the size and CRC of what was written to dest.
-    """
-    sock = _connect(addr)
-    try:
-        with sock, sock.makefile("rb") as rfile:
-            sock.sendall(request_line.encode() + b"\n")
-            _name, size, declared_crc = read_send_header(rfile)
-            with open(dest, "wb") as out:
-                crc = receive_body(rfile, size, out)
-            # courtesy protocol ack; catalog-level verification is the caller's job
-            verdict = b"OK\n" if crc == declared_crc else b"ERR CRC_MISMATCH\n"
-            try:
-                sock.sendall(verdict)
-            except OSError:
-                pass
-            return size, crc
-    except OSError as e:
-        raise SourceUnavailable(f"transfer from {addr} failed: {e}") from e
 
 
 def send_request(addr, head: str, body, size: int) -> str:
@@ -323,15 +295,13 @@ def send_request(addr, head: str, body, size: int) -> str:
 
 
 def put_to_store(addr, client_name: str, file_name: str, fileset_number: int,
-                 data, crc: int | None = None) -> str:
+                 data, crc: int) -> str:
     """Write a file into a store volume; returns the assigned volume id.
 
-    data is the file's bytes or an open binary file, streamed from its start.
+    data is the file's bytes or an open binary file, streamed from its
+    start; crc is its recorded CRC-32, which the store verifies.
     """
     body = data if hasattr(data, "read") else io.BytesIO(data)
     size = body.seek(0, os.SEEK_END)
-    if crc is None:
-        body.seek(0)
-        crc = crc32_stream(body)
-    head = f"PUT {client_name} {file_name} {fileset_number} {size} {crc:08x}\n"
+    head = f"PUT {client_name} {fileset_number}\n" + send_header(file_name, size, crc)
     return send_request(addr, head, body, size)

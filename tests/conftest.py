@@ -117,7 +117,7 @@ class LoopbackRig:
             file_id = catalog.declare_file(record)
             for store in stores:
                 volume = put_to_store(self.store_data[store], client, name,
-                                      fileset, data)
+                                      fileset, data, record.crc32)
                 catalog.add_location(file_id, store, volume)
         return file_id
 

@@ -84,5 +84,7 @@ def test_snapshot_round_trip():
 
 
 def test_location_round_trip():
-    location = ReplicaLocation(5, "stken-sim", "stken-sim-vol-0001", None)
+    location = ReplicaLocation(5, "stken-sim", "stken-sim-vol-0001")
     assert ReplicaLocation.from_wire(location.to_wire()) == location
+    # journals written before the field went still carry it
+    assert ReplicaLocation.from_wire({**location.to_wire(), "verified_at": None}) == location

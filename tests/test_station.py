@@ -793,7 +793,8 @@ def test_failed_prefetch_leaves_nothing_behind(rig, failure):
         station.fetch_file("f")
     if failure == "unreachable":
         # once a reachable copy exists, the same fetch succeeds
-        volume = put_to_store(rig.store_data["stken-sim"], "seeder", "f", 0, b"f")
+        volume = put_to_store(rig.store_data["stken-sim"], "seeder", "f", 0, b"f",
+                              crc32_bytes(b"f"))
         with rig.catalog_client() as catalog:
             catalog.add_location(file_id, "stken-sim", volume)
         with open(station.fetch_file("f"), "rb") as fh:

@@ -167,7 +167,7 @@ def data_server(store):
 
 def test_put_over_the_wire(data_server):
     addr, store = data_server
-    volume = put_to_store(addr, "writer", "w.raw", 3, b"wire bytes")
+    volume = put_to_store(addr, "writer", "w.raw", 3, b"wire bytes", crc32_bytes(b"wire bytes"))
     assert volume == "stken-sim-vol-0001"
     assert read_stored(store, "reader", "w.raw") == b"wire bytes"
 
@@ -181,21 +181,25 @@ def test_put_over_the_wire_rejects_bad_crc(data_server):
         read_stored(store, "reader", "w.raw")  # nothing was admitted
 
 
-@pytest.mark.parametrize("args", [
-    "neg.raw 1 -5 00000000",
-    "bad.raw -1 5 00000000",
-    "bad.raw x 5 00000000",
-    "bad.raw 1 abc 00000000",
-    "bad.raw 1 5 zz",
-    "bad.raw 1 5 100000000",
-    "bad.raw 1 5",
-], ids=["negative-size", "negative-fileset", "fileset-not-a-number", "size-not-a-number",
-        "crc-not-hex", "crc-over-32-bits", "missing-field"])
-def test_malformed_put_request_is_a_bad_request(data_server, args):
+GOOD_SEND = "SEND bad.raw 5 00000000"
+
+
+@pytest.mark.parametrize("put_line,send_line", [
+    ("PUT writer", GOOD_SEND),
+    ("PUT writer -1", GOOD_SEND),
+    ("PUT writer x", GOOD_SEND),
+    ("PUT writer 1", "SEND bad.raw -5 00000000"),
+    ("PUT writer 1", "SEND bad.raw abc 00000000"),
+    ("PUT writer 1", "SEND bad.raw 5 zz"),
+    ("PUT writer 1", "SEND bad.raw 5 100000000"),
+    ("PUT writer 1", "SEND bad.raw 5"),
+], ids=["fileset-missing", "negative-fileset", "fileset-not-a-number", "negative-size",
+        "size-not-a-number", "crc-not-hex", "crc-over-32-bits", "missing-field"])
+def test_malformed_put_request_is_a_bad_request(data_server, put_line, send_line):
     addr, store = data_server
     with socket.create_connection(addr, timeout=10) as sock:
         rfile = sock.makefile("rb")
-        sock.sendall(f"PUT writer {args}\n".encode())
+        sock.sendall(f"{put_line}\n{send_line}\n".encode())
         reply = read_line(rfile)
     assert reply.startswith("ERR BAD_REQUEST ")
     assert store.list_volumes() == []
@@ -207,11 +211,12 @@ def test_put_cannot_write_outside_its_volume(tmp_path):
     server = Server(StoreDataHandler, store, ("127.0.0.1", 0)).start()
     journal = store.root / "inventory.journal"
     try:
-        put_to_store(server.bound_addr, "writer", "a.raw", 1, b"kept")
+        put_to_store(server.bound_addr, "writer", "a.raw", 1, b"kept", crc32_bytes(b"kept"))
         before = journal.read_bytes()
         for name in ("../inventory.journal", "..", "."):
             with pytest.raises(RemoteError) as excinfo:
-                put_to_store(server.bound_addr, "writer", name, 1, b"garbage\n")
+                put_to_store(server.bound_addr, "writer", name, 1, b"garbage\n",
+                             crc32_bytes(b"garbage\n"))
             assert excinfo.value.code == "VALIDATION"
         assert journal.read_bytes() == before
         assert list(store.incoming.iterdir()) == []
@@ -229,7 +234,7 @@ def test_put_cannot_write_outside_its_volume(tmp_path):
 def test_put_over_the_wire_maps_errors(data_server):
     addr, _ = data_server
     with pytest.raises(RemoteError) as excinfo:
-        put_to_store(addr, "reader", "w.raw", 3, b"x")
+        put_to_store(addr, "reader", "w.raw", 3, b"x", crc32_bytes(b"x"))
     assert excinfo.value.code == "ACCESS_DENIED"
 
 
@@ -242,10 +247,23 @@ def test_fetch_over_the_wire_frames_and_checksums(data_server):
         name, size, crc = parse_send_header(read_line(rfile))
         out = io.BytesIO()
         received_crc = receive_body(rfile, size, out)
-        sock.sendall(b"OK\n")
     assert name == "f.raw"
     assert out.getvalue() == b"framed payload"
     assert crc == received_crc == crc32_bytes(b"framed payload")
+
+
+def test_fetch_closes_once_the_frame_is_sent(data_server):
+    # a puller acknowledges nothing, so the store must not wait for it
+    addr, store = data_server
+    put(store, "writer", "f.raw", b"framed payload", 2)
+    with socket.create_connection(addr, timeout=2) as sock:
+        rfile = sock.makefile("rb")
+        sock.sendall(b"FETCH reader f.raw\n")
+        _name, size, _crc = parse_send_header(read_line(rfile))
+        assert rfile.read(size) == b"framed payload"
+        started = time.monotonic()
+        assert rfile.read(1) == b""  # end of file, not a timeout
+    assert time.monotonic() - started < 1
 
 
 def test_fetch_over_the_wire_denies_unknown_client(data_server):
@@ -270,7 +288,8 @@ def test_large_put_rejections_carry_their_codes(tmp_path):
 
     def code_of(client, payload, crc=None):
         with pytest.raises(RemoteError) as excinfo:
-            put_to_store(server.bound_addr, client, "big.raw", 1, payload, crc)
+            put_to_store(server.bound_addr, client, "big.raw", 1, payload,
+                         crc32_bytes(payload) if crc is None else crc)
         return excinfo.value.code
 
     try:
@@ -279,7 +298,7 @@ def test_large_put_rejections_carry_their_codes(tmp_path):
         assert code_of("writer", data, crc=crc32_bytes(data) ^ 1) == "CRC_MISMATCH"
         assert list(store.root.glob("*-vol-*/*")) == []
         assert list(store.incoming.iterdir()) == []
-        volume = put_to_store(server.bound_addr, "writer", "big.raw", 1, data)
+        volume = put_to_store(server.bound_addr, "writer", "big.raw", 1, data, crc32_bytes(data))
         assert read_stored(store, "reader", "big.raw") == data
         assert code_of("writer", data) == "DUPLICATE_NAME"
         assert [f[0] for v in store.list_volumes() for f in v["files"]] == ["big.raw"]

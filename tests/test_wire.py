@@ -8,7 +8,7 @@ import pytest
 from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import ConnectFailed, NotFound, RemoteError
 from samforge.project import ProjectServer
-from samforge.query import Atom
+from samforge.query import Atom, expr_to_wire
 from samforge.wire import (
     Client,
     ControlHandler,
@@ -131,7 +131,10 @@ def test_close_cuts_connections_already_open(tmp_path):
             catalog.define_dataset("after", Atom("event_type", "=", "phy"))
 
 
-# (daemon, op, args, field): a list where an id, a name or a number belongs
+PHY = expr_to_wire(Atom("event_type", "=", "phy"))
+
+# (daemon, op, args, field): a wrong-typed value, or an empty name, where an
+# id, a name, a path or a number belongs
 WRONG_TYPES = [
     ("catalog", "get_locations", {"file_id": [1]}, "file_id"),
     ("catalog", "add_location", {"file_id": [1], "endpoint_name": "cdfa-1",
@@ -147,6 +150,9 @@ WRONG_TYPES = [
     ("catalog", "get_snapshot", {"snapshot_id": [1]}, "snapshot_id"),
     ("catalog", "resolve_dataset", {"name": [1]}, "name"),
     ("catalog", "take_snapshot", {"dataset_name": [1]}, "dataset_name"),
+    ("catalog", "define_dataset", {"name": [1], "expr": PHY}, "name"),
+    ("catalog", "define_dataset", {"name": 5, "expr": PHY}, "name"),
+    ("catalog", "define_dataset", {"name": "", "expr": PHY}, "name"),
     ("project", "status", {"project_name": [1]}, "project_name"),
     ("project", "start", {"project_name": [1], "dataset_name": "d"}, "project_name"),
     ("project", "start", {"project_name": "q", "dataset_name": [1]}, "dataset_name"),
@@ -162,6 +168,8 @@ WRONG_TYPES = [
     ("station", "fetch", {"file_name": "f", "requesting_project": [1]}, "requesting_project"),
     ("station", "unpin", {"file_id": [1], "project": "p"}, "file_id"),
     ("station", "unpin", {"file_id": 1, "project": [1]}, "project"),
+    ("station", "store", {"record": {"file_name": "g"}, "local_path": [1]}, "local_path"),
+    ("station", "store", {"record": {"file_name": "g"}, "local_path": 5}, "local_path"),
 ]
 
 
@@ -192,3 +200,17 @@ def test_a_wrong_typed_argument_is_refused_naming_its_field(rig, daemon, op, arg
     finally:
         server.close()
         project.close()
+
+
+def test_add_location_takes_no_verified_at(rig):
+    # nothing set or read the field, so whatever a caller sent was journaled as given
+    file_id = rig.seed_file("f", b"x", stores=[])
+    before = rig.catalog_service.journal.last_seq
+    with Client(rig.catalog_addr) as client:
+        for verified_at in ("x", [1], None):
+            with pytest.raises(RemoteError) as excinfo:
+                client.call("add_location", file_id=file_id, endpoint_name="stken-sim",
+                            path_or_volume="p", verified_at=verified_at)
+            assert excinfo.value.code == "BAD_REQUEST"
+            assert "verified_at" in excinfo.value.msg
+    assert rig.catalog_service.journal.last_seq == before
