@@ -2,7 +2,9 @@
 
 Keeps every file record, dataset definition, snapshot and replica
 location in memory, backed by an append-only journal replayed at
-startup.  All mutations are validated, journaled (fsync before the
+startup.  A dataset is kept as its query, a snapshot and a location in
+the shape the catalog answers with, so each answer is a copy of what is
+kept.  All mutations are validated, journaled (fsync before the
 acknowledgment leaves the server), then applied, under one lock, so the
 journal order IS the state order and a read issued after a mutating
 acknowledgment observes it.
@@ -22,14 +24,8 @@ from .errors import (
     require_type,
 )
 from .journal import Journal
-from .query import eval_query, expr_from_wire, expr_to_wire
-from .records import (
-    DatasetDefinition,
-    DatasetSnapshot,
-    FileRecord,
-    ReplicaLocation,
-    validate_file_record,
-)
+from .query import Expr, eval_query, expr_from_wire, expr_to_wire
+from .records import FileRecord, ReplicaLocation, validate_file_record
 from .wire import Client, Dispatcher
 
 OP_DECLARE_FILE = "DeclareFile"
@@ -45,9 +41,9 @@ class CatalogState:
     def __init__(self):
         self.files: dict[int, FileRecord] = {}
         self.by_name: dict[str, int] = {}
-        self.datasets: dict[str, DatasetDefinition] = {}
-        self.snapshots: dict[int, DatasetSnapshot] = {}
-        self.locations: dict[int, dict[str, ReplicaLocation]] = {}
+        self.datasets: dict[str, Expr] = {}
+        self.snapshots: dict[int, dict] = {}  # id -> the answer of take_snapshot
+        self.locations: dict[int, dict[str, str]] = {}  # file id -> endpoint -> path or volume
         self.next_file_id = 1
         self.next_snapshot_id = 1
 
@@ -58,20 +54,16 @@ class CatalogState:
             self.by_name[record.file_name] = record.file_id
             self.next_file_id = max(self.next_file_id, record.file_id + 1)
         elif kind == OP_DEFINE_DATASET:
-            self.datasets[payload["name"]] = DatasetDefinition(
-                name=payload["name"],
-                expr=expr_from_wire(payload["expr"]),
-                created_at=payload["created_at"],
-            )
+            self.datasets[payload["name"]] = expr_from_wire(payload["expr"])
         elif kind == OP_TAKE_SNAPSHOT:
-            snapshot = DatasetSnapshot.from_wire(payload)
             # records never change after declare, so the journal keeps ids only
-            snapshot.file_names = [self.files[i].file_name for i in snapshot.file_ids]
-            self.snapshots[snapshot.snapshot_id] = snapshot
-            self.next_snapshot_id = max(self.next_snapshot_id, snapshot.snapshot_id + 1)
+            snapshot = {**payload, "file_names": [self.files[i].file_name
+                                                  for i in payload["file_ids"]]}
+            self.snapshots[snapshot["snapshot_id"]] = snapshot
+            self.next_snapshot_id = max(self.next_snapshot_id, snapshot["snapshot_id"] + 1)
         elif kind == OP_ADD_LOCATION:
-            location = ReplicaLocation.from_wire(payload)
-            self.locations.setdefault(location.file_id, {})[location.endpoint_name] = location
+            self.locations.setdefault(payload["file_id"], {})[payload["endpoint_name"]] = \
+                payload["path_or_volume"]
         elif kind == OP_REMOVE_LOCATION:
             self.locations.get(payload["file_id"], {}).pop(payload["endpoint_name"], None)
         else:
@@ -126,13 +118,13 @@ class CatalogService(Dispatcher):
             return self._find(name_or_id).to_wire()
 
     def _find(self, name_or_id) -> FileRecord:
-        if isinstance(name_or_id, int):
-            record = self.state.files.get(name_or_id)
-        elif isinstance(name_or_id, str):
+        if isinstance(name_or_id, str):
             file_id = self.state.by_name.get(name_or_id)
-            record = self.state.files.get(file_id) if file_id else None
+        elif type(name_or_id) is int:  # a bool is not an id
+            file_id = name_or_id
         else:
             raise ValidationError(f"name_or_id {name_or_id!r} is neither a file name nor an id")
+        record = self.state.files.get(file_id)
         if record is None:
             raise NotFound(f"no file {name_or_id!r}")
         return record
@@ -163,13 +155,13 @@ class CatalogService(Dispatcher):
 
     def _matching(self, name: str) -> list[int]:
         require_type("dataset_name", name, str)
-        definition = self.state.datasets.get(name)
-        if definition is None:
+        expr = self.state.datasets.get(name)
+        if expr is None:
             raise NotFound(f"no dataset {name!r}")
         return [
             file_id
             for file_id in sorted(self.state.files)
-            if eval_query(definition.expr, self.state.files[file_id])
+            if eval_query(expr, self.state.files[file_id])
         ]
 
     def take_snapshot(self, dataset_name: str) -> dict:
@@ -181,7 +173,7 @@ class CatalogService(Dispatcher):
                 "file_ids": self._matching(dataset_name),
                 "created_at": time.time(),
             })
-            return self.state.snapshots[snapshot_id].to_wire()
+            return self.get_snapshot(snapshot_id)
 
     def get_snapshot(self, snapshot_id: int) -> dict:
         require_type("snapshot_id", snapshot_id, int)
@@ -189,7 +181,8 @@ class CatalogService(Dispatcher):
             snapshot = self.state.snapshots.get(snapshot_id)
             if snapshot is None:
                 raise NotFound(f"no snapshot {snapshot_id}")
-            return snapshot.to_wire()
+            return {**snapshot, "file_ids": list(snapshot["file_ids"]),
+                    "file_names": list(snapshot["file_names"])}
 
     # -- replica locations -------------------------------------------------
 
@@ -202,8 +195,11 @@ class CatalogService(Dispatcher):
                 raise UnknownEndpoint(f"endpoint {endpoint_name!r} not in topology")
             if endpoint_name in self.state.locations.get(file_id, {}):
                 raise DuplicateLocation(f"file {file_id} already at {endpoint_name}")
-            location = ReplicaLocation(file_id, endpoint_name, path_or_volume)
-            self.journal.commit(OP_ADD_LOCATION, location.to_wire())
+            self.journal.commit(OP_ADD_LOCATION, {
+                "file_id": file_id,
+                "endpoint_name": endpoint_name,
+                "path_or_volume": path_or_volume,
+            })
         return True
 
     def remove_location(self, file_id: int, endpoint_name: str) -> bool:
@@ -222,7 +218,8 @@ class CatalogService(Dispatcher):
         with self._lock:
             self._require_file(file_id)
             locations = self.state.locations.get(file_id, {})
-            return [locations[name].to_wire() for name in sorted(locations)]
+            return [{"file_id": file_id, "endpoint_name": name, "path_or_volume": locations[name]}
+                    for name in sorted(locations)]
 
     def _require_file(self, file_id: int) -> None:
         require_type("file_id", file_id, int)

@@ -340,11 +340,9 @@ def cmd_locate(args) -> int:
 
     with CatalogClient(args.catalog) as catalog:
         record = catalog.get_file(args.name)
-        locations = catalog.get_locations(record.file_id)
-    _emit(args,
-          {"file_id": record.file_id,
-           "locations": [loc.to_wire() for loc in locations]},
-          [f"{loc.endpoint_name} {loc.path_or_volume}" for loc in locations])
+        locations = catalog.call("get_locations", file_id=record.file_id)
+    _emit(args, {"file_id": record.file_id, "locations": locations},
+          [f"{loc['endpoint_name']} {loc['path_or_volume']}" for loc in locations])
     return 0
 
 

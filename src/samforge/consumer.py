@@ -173,13 +173,14 @@ def _converse(lines_in, out, config: AdaptorConfig, server) -> int:
             emit("OK")
             return 0
 
-        if action[0] == "configure":
-            project = (args[0] if args else None) or config.project or os.environ.get("SAM_PROJECT")
-            dataset = (args[1] if len(args) > 1 else None) or config.dataset
-            if not project:
-                fsm.server_error(E_CONFIG, "missing project name")
-                return err(E_CONFIG, "missing project name")
-            try:
+        try:
+            if action[0] == "configure":
+                project = (args[0] if args else None) or config.project or \
+                    os.environ.get("SAM_PROJECT")
+                dataset = (args[1] if len(args) > 1 else None) or config.dataset
+                if not project:
+                    fsm.server_error(E_CONFIG, "missing project name")
+                    return err(E_CONFIG, "missing project name")
                 if dataset:
                     try:
                         server.call("start", project_name=project, dataset_name=dataset)
@@ -188,35 +189,27 @@ def _converse(lines_in, out, config: AdaptorConfig, server) -> int:
                             raise
                 else:
                     server.call("status", project_name=project)
-            except SamError as e:
-                fsm.server_error(f"E_{e.code}", e.msg)
-                return err(f"E_{e.code}", e.msg)
-            fsm.configured()
-            emit("OK")
+                fsm.configured()
+                emit("OK")
 
-        elif action[0] == "getfile":
-            try:
+            elif action[0] == "getfile":
                 result = server.call("next", project_name=project, consumer_id=consumer_id,
                                      station=config.station_addr)
-            except SamError as e:
-                fsm.server_error(f"E_{e.code}", e.msg)
-                return err(f"E_{e.code}", e.msg)
-            if result.get("end"):
-                fsm.server_end()
-                emit("END")
-                return 0
-            fsm.server_file(result["file_id"])
-            emit(f"FILE {result['path']}")
+                if result.get("end"):
+                    fsm.server_end()
+                    emit("END")
+                    return 0
+                fsm.server_file(result["file_id"])
+                emit(f"FILE {result['path']}")
 
-        elif action[0] == "release":
-            try:
+            elif action[0] == "release":
                 server.call("release", project_name=project, consumer_id=consumer_id,
                             file_id=fsm.current_file, status=action[1])
-            except SamError as e:
-                fsm.server_error(f"E_{e.code}", e.msg)
-                return err(f"E_{e.code}", e.msg)
-            fsm.released()
-            emit("OK")
+                fsm.released()
+                emit("OK")
+        except SamError as e:
+            fsm.server_error(f"E_{e.code}", e.msg)
+            return err(f"E_{e.code}", e.msg)
 
     # input ran dry without BYE/END: an unfinished conversation is an error
     return err(E_INPUT, "input closed before BYE")

@@ -35,8 +35,11 @@ class ValidationError(SamError):
 
 
 def require_type(field: str, value, kind: type) -> None:
-    """Refuse a request argument that is not of its kind, int or str, naming its field."""
-    if not isinstance(value, kind):
+    """Refuse a request argument that is not of its kind, int or str, naming its field.
+
+    A bool is neither, though Python counts it an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ValidationError(
             f"{field} {value!r} must be {'an integer' if kind is int else 'a string'}")
 

@@ -3,7 +3,9 @@
 FileRecord is the explicit per-file metadata view: what produced the file,
 with which program version and calibration set, its checksum, lineage and
 free-form parameters, plus an optional hook back to the legacy catalog row
-it was migrated from.
+it was migrated from.  ReplicaLocation is one answer of the catalog's
+get_locations, as CatalogClient hands it back; the catalog itself keeps
+datasets, snapshots and locations in the shape it answers with.
 """
 
 from __future__ import annotations
@@ -113,17 +115,17 @@ def validate_file_record(record: FileRecord, known_ids: Container[int]) -> list[
     problems = []
     if name_problem := file_name_problem(record.file_name):
         problems.append(name_problem)
-    if not isinstance(record.size_bytes, int) or record.size_bytes < 0:
+    if type(record.size_bytes) is not int or record.size_bytes < 0:
         problems.append(f"size_bytes {record.size_bytes!r} must be a non-negative integer")
-    if not isinstance(record.crc32, int) or not 0 <= record.crc32 <= _CRC32_MAX:
+    if type(record.crc32) is not int or not 0 <= record.crc32 <= _CRC32_MAX:
         problems.append(f"crc32 {record.crc32!r} must be a 32-bit unsigned integer")
     if record.data_tier not in DATA_TIERS:
         problems.append(f"data_tier {record.data_tier!r} not one of {'/'.join(DATA_TIERS)}")
     if not record.event_type:
         problems.append("event_type is empty")
-    if not isinstance(record.program_version, int) or record.program_version < 0:
+    if type(record.program_version) is not int or record.program_version < 0:
         problems.append(f"program_version {record.program_version!r} must be a non-negative integer")
-    if not isinstance(record.calibration_set, int) or record.calibration_set < 0:
+    if type(record.calibration_set) is not int or record.calibration_set < 0:
         problems.append(f"calibration_set {record.calibration_set!r} must be a non-negative integer")
     for parent in record.parents:
         if parent not in known_ids:
@@ -137,52 +139,10 @@ def validate_file_record(record: FileRecord, known_ids: Container[int]) -> list[
 
 
 @dataclass
-class DatasetDefinition:
-    name: str
-    expr: object  # query.Expr
-    created_at: float = 0.0
-
-
-@dataclass
-class DatasetSnapshot:
-    snapshot_id: int
-    dataset_name: str
-    file_ids: list[int]
-    created_at: float
-    file_names: list[str] = field(default_factory=list)  # parallel to file_ids
-
-    def to_wire(self) -> dict:
-        return {
-            "snapshot_id": self.snapshot_id,
-            "dataset_name": self.dataset_name,
-            "file_ids": list(self.file_ids),
-            "created_at": self.created_at,
-            "file_names": list(self.file_names),
-        }
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "DatasetSnapshot":
-        return cls(
-            snapshot_id=obj["snapshot_id"],
-            dataset_name=obj["dataset_name"],
-            file_ids=list(obj["file_ids"]),
-            created_at=obj["created_at"],
-            file_names=list(obj.get("file_names", ())),  # the catalog journals ids only
-        )
-
-
-@dataclass
 class ReplicaLocation:
     file_id: int
     endpoint_name: str
     path_or_volume: str
-
-    def to_wire(self) -> dict:
-        return {
-            "file_id": self.file_id,
-            "endpoint_name": self.endpoint_name,
-            "path_or_volume": self.path_or_volume,
-        }
 
     @classmethod
     def from_wire(cls, obj: dict) -> "ReplicaLocation":

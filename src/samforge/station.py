@@ -22,11 +22,16 @@ bytes move, never while waiting on cache locks.
 
 A fetch may name files to prefetch: the files its project will hand out
 next.  Once the fetch itself is done they are queued for the station's
-prefetch workers, which pull each name that is neither resident nor in
-flight through the same miss path, without a pin.  Each worker has its
-own catalog connection, so the workers' lookups do not queue behind one
-another or behind the consumers'.  A failed prefetch is counted and
-logged as an event, never raised.
+prefetch workers.  A fetch and a prefetch take one admission: a fetch
+waits out a pull of its name in flight, while a prefetch skips a name
+that is resident or in flight before any catalog call, and pins nothing.
+Each worker has its own catalog connection, so the workers' lookups do
+not queue behind one another or behind the consumers'.  A failed
+prefetch is counted and logged as an event, never raised.
+
+A peer's ``FETCH`` is served from the cache or the router's upload
+buffer; a name that is no file name is answered ``NOT_FOUND`` before the
+disk or the catalog is asked, so no answer tells which host paths exist.
 
 The cache index is kept in least-recently-used order with a running
 total of resident bytes, so a hit moves one entry and a victim choice
@@ -62,7 +67,7 @@ from .errors import (
     require_type,
 )
 from .naming import parse_legacy_name
-from .records import FileRecord
+from .records import FileRecord, file_name_problem
 from .sync import FairSemaphore
 from .transfer import (
     FaultInjector,
@@ -168,7 +173,7 @@ class StationService(Dispatcher):
         if not isinstance(prefetch, (list, tuple)) or \
                 not all(type(name) is str for name in prefetch):
             raise ValidationError(f"prefetch must be a list of file names, not {prefetch!r}")
-        path = self._fetch(file_name, requesting_project)
+        path = self._fetch(file_name, requesting_project, self.catalog)
         for name in prefetch:
             try:
                 self._prefetch_queue.put_nowait(name)
@@ -176,30 +181,50 @@ class StationService(Dispatcher):
                 break
         return path
 
-    def _fetch(self, file_name: str, requesting_project: str | None) -> str:
+    def _fetch(self, file_name: str, project: str | None, catalog: Client,
+               prefetch: bool = False) -> str | None:
+        """Serve a name from the cache or pull it in: the one admission of every pull.
+
+        A fetch waits out a pull of its name already in flight, then is
+        served a hit or pulls the miss.  A prefetch pins nothing, and
+        returns None for a name that is resident or in flight before any
+        catalog call.
+        """
         with self._lock:
+            if prefetch and (file_name in self._by_name or file_name in self._in_flight):
+                return None
             while file_name in self._in_flight:
                 self._settled.wait()
             file_id = self._by_name.get(file_name)
             if file_id is not None:  # a hit needs no catalog call
                 entry = self._entries[file_id]
                 self._entries.move_to_end(file_id)
-                if requesting_project:
-                    entry.pins.add(requesting_project)
+                if project:
+                    entry.pins.add(project)
                 self.counters["cache_hits"] += 1
                 return str(entry.local_path)
             self._in_flight.add(file_name)
+            if prefetch:
+                self._prefetching.add(file_name)
         try:
-            record = _get_file(self.catalog, file_name)
-            return str(self._fetch_miss(record, requesting_project, self.catalog))
+            record = _get_file(catalog, file_name)
+            candidates = self._candidates(record.file_id, catalog)
+            if not candidates:
+                raise NoReplica(f"no reachable replica for {record.file_name}")
+            victims = self._reserve(record.size_bytes, prefetch)
+            try:
+                self._forget_locations(victims, catalog)
+                staging = self._attempt_loop(record, candidates)
+            except BaseException:
+                with self._lock:
+                    self._reserved -= record.size_bytes
+                raise
+            return self._admit(record, staging, project, catalog)
         finally:
-            self._settle(file_name)
-
-    def _settle(self, file_name: str) -> None:
-        with self._lock:
-            self._in_flight.discard(file_name)
-            self._prefetching.discard(file_name)
-            self._settled.notify_all()
+            with self._lock:
+                self._in_flight.discard(file_name)
+                self._prefetching.discard(file_name)
+                self._settled.notify_all()
 
     def _prefetch_loop(self, catalog_addr) -> None:
         catalog = Client(catalog_addr)  # connects on first use
@@ -208,45 +233,20 @@ class StationService(Dispatcher):
                 name = self._prefetch_queue.get()
                 if name is None or self._stopping.is_set():
                     return
-                self._prefetch(name, catalog)
+                try:
+                    if self._fetch(name, None, catalog, prefetch=True) is not None:
+                        with self._lock:
+                            self.counters["prefetches"] += 1
+                # a prefetch is advice; its failure is no one's error
+                except Exception as e:  # noqa: BLE001
+                    if not isinstance(e, SamError):
+                        log.exception("prefetch of %s failed", name)
+                    with self._lock:
+                        self.counters["prefetch_failed"] += 1
+                    self._event("prefetch_error", name, "", 0, f"{type(e).__name__}: {e}")
                 self._prefetch_queue.task_done()
         finally:
             catalog.close()
-
-    def _prefetch(self, name: str, catalog: Client) -> None:
-        """Pull one file into the cache unpinned, unless it is there or on its way."""
-        with self._lock:
-            if name in self._by_name or name in self._in_flight:
-                return
-            self._in_flight.add(name)
-            self._prefetching.add(name)
-        try:
-            self._fetch_miss(_get_file(catalog, name), None, catalog, prefetch=True)
-        except Exception as e:  # noqa: BLE001 - a prefetch is advice; its failure is no one's error
-            if not isinstance(e, SamError):
-                log.exception("prefetch of %s failed", name)
-            with self._lock:
-                self.counters["prefetch_failed"] += 1
-            self._event("prefetch_error", name, "", 0, f"{type(e).__name__}: {e}")
-            return
-        finally:
-            self._settle(name)
-        with self._lock:
-            self.counters["prefetches"] += 1
-
-    def _fetch_miss(self, record: FileRecord, requesting_project: str | None,
-                    catalog: Client, prefetch: bool = False) -> Path:
-        candidates = self._candidates(record.file_id, catalog)
-        if not candidates:
-            raise NoReplica(f"no reachable replica for {record.file_name}")
-        victims = self._reserve(record.size_bytes, prefetch)
-        try:
-            self._forget_locations(victims, catalog)
-            staging = self._attempt_loop(record, candidates)
-        except BaseException:
-            self._release_reservation(record.size_bytes)
-            raise
-        return self._admit(record, staging, requesting_project, catalog)
 
     def _candidates(self, file_id: int, catalog: Client) -> list[EndpointSpec]:
         specs = []
@@ -349,12 +349,8 @@ class StationService(Dispatcher):
                 if e.code != "NOT_FOUND":
                     raise
 
-    def _release_reservation(self, size: int) -> None:
-        with self._lock:
-            self._reserved -= size
-
-    def _admit(self, record: FileRecord, staging: Path, requesting_project: str | None,
-               catalog: Client) -> Path:
+    def _admit(self, record: FileRecord, staging: Path, project: str | None,
+               catalog: Client) -> str:
         final = self.files_dir / record.file_name
         os.replace(staging, final)
         with self._lock:
@@ -366,8 +362,8 @@ class StationService(Dispatcher):
                 size_bytes=record.size_bytes,
                 crc32=record.crc32,
             )
-            if requesting_project:
-                entry.pins.add(requesting_project)
+            if project:
+                entry.pins.add(project)
             self._entries[record.file_id] = entry
             self._resident += record.size_bytes
             self._by_name[record.file_name] = record.file_id
@@ -378,7 +374,7 @@ class StationService(Dispatcher):
         except RemoteError as e:
             if e.code != "DUPLICATE_LOCATION":  # stale location from a prior life
                 raise
-        return final
+        return str(final)
 
     # -- eviction / pinning ------------------------------------------------
 
@@ -470,10 +466,14 @@ class StationService(Dispatcher):
             f"{MAX_TRANSFER_ATTEMPTS} attempts ({last})")
 
     def _forward_store(self, rec: FileRecord, body) -> int:
-        """Analysis path: stream the file to the router over the data plane."""
+        """Analysis path: the STORE request line and the file's SEND frame to the router."""
         route = self._route()
+        wire = rec.to_wire()
+        wire.pop("file_id", None)
+        head = "STORE " + json.dumps(wire) + "\n" + send_header(rec.file_name, rec.size_bytes,
+                                                               rec.crc32)
         with self._limits[route.name]:
-            reply = _send_store_frame(route.data_addr, rec, body)
+            reply = send_request(route.data_addr, head, body, rec.size_bytes)
         with self._lock:
             self.counters["stores_ok"] += 1
         return int(reply)
@@ -489,7 +489,8 @@ class StationService(Dispatcher):
                 self._entries.move_to_end(file_id)
                 return open(entry.local_path, "rb"), entry.size_bytes, entry.crc32
         buffered = self.buffer_dir / file_name
-        if buffered.is_file():
+        # a name that is no file name could reach outside the buffer
+        if file_name_problem(file_name) is None and buffered.is_file():
             # a router's upload waiting for tape: its CRC was verified at declare
             record = _get_file(self.catalog, file_name)
             return open(buffered, "rb"), record.size_bytes, record.crc32
@@ -563,15 +564,6 @@ def _fileset_of(rec: FileRecord) -> int:
     if hasattr(parts, "fileset_number"):
         return parts.fileset_number
     return 0
-
-
-def _send_store_frame(addr: str, rec: FileRecord, body) -> str:
-    """STORE handshake with a router: metadata line, SEND frame, OK/ERR reply."""
-    wire = rec.to_wire()
-    wire.pop("file_id", None)
-    head = "STORE " + json.dumps(wire) + "\n" + send_header(rec.file_name, rec.size_bytes,
-                                                           rec.crc32)
-    return send_request(addr, head, body, rec.size_bytes)
 
 
 class StationDataHandler(socketserver.StreamRequestHandler):

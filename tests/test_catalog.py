@@ -187,10 +187,17 @@ def test_restart_replays_identical_state(tmp_path):
         assert snapshot["file_names"] == [catalog.get_file(i).file_name
                                           for i in snapshot["file_ids"]]
         catalog.add_location(1, "stken-sim", "vol-1")
+        catalog.add_location(1, "cdfa-1", "/cache/files/one.raw")
         catalog.add_location(2, "stken-sim", "vol-1")
         catalog.call("remove_location", file_id=2, endpoint_name="stken-sim")
         before_resolve = catalog.call("resolve_dataset", name="phys")
         before_status = catalog.call("status")
+        before_locations = [catalog.call("get_locations", file_id=i) for i in (1, 2)]
+    assert before_locations == [
+        [{"file_id": 1, "endpoint_name": "cdfa-1", "path_or_volume": "/cache/files/one.raw"},
+         {"file_id": 1, "endpoint_name": "stken-sim", "path_or_volume": "vol-1"}],
+        [],
+    ]
     server.close()
     service.close()
     # the journal keeps ids only; names are filled from the records on replay
@@ -205,8 +212,11 @@ def test_restart_replays_identical_state(tmp_path):
             assert catalog.call("resolve_dataset", name="phys") == before_resolve
             assert catalog.call("status") == before_status
             assert catalog.call("get_snapshot", snapshot_id=snapshot["snapshot_id"]) == snapshot
-            assert [loc.endpoint_name for loc in catalog.get_locations(1)] == ["stken-sim"]
-            assert catalog.get_locations(2) == []
+            assert [catalog.call("get_locations", file_id=i) for i in (1, 2)] == \
+                before_locations
+            assert [(loc.file_id, loc.endpoint_name, loc.path_or_volume)
+                    for loc in catalog.get_locations(1)] == \
+                [(1, "cdfa-1", "/cache/files/one.raw"), (1, "stken-sim", "vol-1")]
             # new ids continue after the replayed ones, no reuse
             assert catalog.declare_file(make_record("after-restart.raw")) == 41
     finally:

@@ -3,7 +3,6 @@
 import pytest
 
 from samforge.records import (
-    DatasetSnapshot,
     FileRecord,
     ReplicaLocation,
     validate_file_record,
@@ -60,6 +59,11 @@ def test_valid_record_has_no_problems():
     (dict(calibration_set=-1), "calibration_set"),
     (dict(parameters={"k": 3}), "parameter"),
     (dict(parameters={"": "v"}), "parameter"),
+    # a bool is not an integer, though Python counts it one
+    (dict(size_bytes=True), "size_bytes"),
+    (dict(crc32=True), "crc32"),
+    (dict(program_version=True), "program_version"),
+    (dict(calibration_set=False), "calibration_set"),
 ])
 def test_each_validation_rule(overrides, needle):
     problems = validate_file_record(make_record(**overrides), known_ids={1, 2})
@@ -78,13 +82,10 @@ def test_multiple_problems_all_reported():
     assert len(problems) >= 3
 
 
-def test_snapshot_round_trip():
-    snapshot = DatasetSnapshot(3, "sec-phy", [5, 7, 9], 99.0, ["e.raw", "g.raw", "i.raw"])
-    assert DatasetSnapshot.from_wire(snapshot.to_wire()) == snapshot
-
-
 def test_location_round_trip():
+    # one entry of a get_locations answer
+    wire = {"file_id": 5, "endpoint_name": "stken-sim", "path_or_volume": "stken-sim-vol-0001"}
     location = ReplicaLocation(5, "stken-sim", "stken-sim-vol-0001")
-    assert ReplicaLocation.from_wire(location.to_wire()) == location
-    # journals written before the field went still carry it
-    assert ReplicaLocation.from_wire({**location.to_wire(), "verified_at": None}) == location
+    assert ReplicaLocation.from_wire(wire) == location
+    # a field this client does not know is ignored
+    assert ReplicaLocation.from_wire({**wire, "verified_at": None}) == location

@@ -1,13 +1,15 @@
-"""The pull path against a store's data port, and deterministic fault injection."""
+"""The pull path against a store's and a station's data port, and deterministic fault injection."""
 
+import socket
 import sys
 
 import pytest
 
 from samforge.errors import SourceUnavailable
 from samforge.transfer import FaultInjector, crc32_bytes, crc32_file, transfer_with
+from samforge.wire import parse_addr
 
-from conftest import run_threads
+from conftest import record_ops, run_threads
 
 
 def stored(rig, data=b"payload bytes"):
@@ -39,6 +41,26 @@ def test_pull_missing_source(rig, tmp_path):
     with pytest.raises(SourceUnavailable):  # nothing listens on port 1
         transfer_with("127.0.0.1:1", "FETCH nope.raw", dest)
     assert not dest.exists()
+
+
+def test_a_station_fetch_of_a_path_tells_nothing_of_the_host(rig, tmp_path, monkeypatch):
+    # the station's upload buffer joined with an absolute name is that name, so
+    # a path that is no file name must be refused before the disk is looked at
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)], with_data_server=True)
+    rig.seed_file("f", b"x", stores=["stken-sim"])
+    station.fetch_file("f")
+    there = tmp_path / "there"
+    there.write_bytes(b"host file")
+    ops = record_ops(rig.catalog_service, monkeypatch)
+    addr = parse_addr(rig.station_data["cdfa-1"])
+    answers = []
+    for name in (str(there), str(tmp_path / "absent"), "../files/f"):
+        with socket.create_connection(addr, timeout=10) as sock, sock.makefile("rb") as answer:
+            sock.sendall(f"FETCH {name}\n".encode())
+            answers.append(answer.readline().decode().replace(name, "<name>"))
+    assert answers == ["ERR NOT_FOUND <name> not resident on cdfa-1\n"] * 3
+    assert ops == []
 
 
 def test_fault_injection_every_call(rig, tmp_path):

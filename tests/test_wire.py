@@ -170,11 +170,21 @@ WRONG_TYPES = [
     ("station", "unpin", {"file_id": 1, "project": [1]}, "project"),
     ("station", "store", {"record": {"file_name": "g"}, "local_path": [1]}, "local_path"),
     ("station", "store", {"record": {"file_name": "g"}, "local_path": 5}, "local_path"),
+    # a bool is not an integer, though Python counts True as 1; each of these was once read as 1
+    ("catalog", "add_location", {"file_id": True, "endpoint_name": "cdfa-1",
+                                 "path_or_volume": "p"}, "file_id"),
+    ("catalog", "get_file", {"name_or_id": True}, "name_or_id"),
+    ("catalog", "get_snapshot", {"snapshot_id": True}, "snapshot_id"),
+    ("catalog", "get_lineage", {"file_id": 1, "depth": True}, "depth"),
+    ("project", "release", {"project_name": "p", "consumer_id": "c", "file_id": True},
+     "file_id"),
+    ("station", "unpin", {"file_id": True, "project": "p"}, "file_id"),
 ]
 
 
 @pytest.mark.parametrize("daemon,op,args,field", WRONG_TYPES,
-                         ids=[f"{d}.{op}.{f}" for d, op, _, f in WRONG_TYPES])
+                         ids=[f"{d}.{op}.{f}" + ("-bool" if args[f] is True else "")
+                              for d, op, args, f in WRONG_TYPES])
 def test_a_wrong_typed_argument_is_refused_naming_its_field(rig, daemon, op, args, field):
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
