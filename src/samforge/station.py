@@ -6,7 +6,10 @@ bounded retry, and routes newly produced files toward the permanent
 store.  Router stations buffer stores on a permanent area and forward to
 their route target; analysis stations hand stores to the router over the
 framed data plane, and refuse a STORE frame themselves (``ACCESS_DENIED``).
-Either way the route target must be ``read_write``.
+Either way the route target must be ``read_write``.  A router refuses a
+STORE of a declared name before its body, and forwards the body to the
+store while it arrives, holding back the final byte, so the store
+commits only after the router's CRC check and declare.
 
 Replica selection prefers another station's cache (stn) over tape, with
 lexicographic endpoint-name tie-breaks.  A retry re-runs selection but
@@ -56,6 +59,7 @@ from .errors import (
     AccessDenied,
     BadRequest,
     CacheFull,
+    DuplicateName,
     NoReplica,
     NotFound,
     NotPinned,
@@ -71,11 +75,10 @@ from .records import FileRecord, file_name_problem
 from .sync import FairSemaphore
 from .transfer import (
     FaultInjector,
+    Push,
     crc32_stream,
-    put_to_store,
     send_frame,
     send_header,
-    send_request,
     serve_push,
     serve_request,
     transfer_with,
@@ -401,35 +404,41 @@ class StationService(Dispatcher):
             rec.size_bytes = body.seek(0, os.SEEK_END)
             body.seek(0)
             rec.crc32 = crc32_stream(body)
-            if self.config.role != ROLE_ROUTER:
-                return self._forward_store(rec, body)
-            staged = self.incoming_dir / os.urandom(16).hex()
-            try:
-                body.seek(0)
-                with open(staged, "wb") as out:
-                    shutil.copyfileobj(body, out)
-                return self.store_local(rec, staged)
-            finally:
-                staged.unlink(missing_ok=True)
+            if self.config.role == ROLE_ROUTER:
+                staged = self.incoming_dir / os.urandom(16).hex()
+                try:
+                    body.seek(0)
+                    with open(staged, "wb") as out:
+                        shutil.copyfileobj(body, out)
+                    return self.store_local(rec, staged, self.push_to_route(rec))
+                finally:
+                    staged.unlink(missing_ok=True)
+            wire = rec.to_wire()  # an analysis station hands the file to its router
+            wire.pop("file_id", None)
+            file_id = int(self.push_to_route(rec, "STORE " + json.dumps(wire)).finish(body))
+        with self._lock:
+            self.counters["stores_ok"] += 1
+        return file_id
 
-    def store_local(self, rec: FileRecord, staged: Path) -> int:
-        """Router path: declare, buffer, forward to the route target.
+    def store_local(self, rec: FileRecord, staged: Path, push: Push) -> int:
+        """Router path: declare, buffer, then push finishes the file to the route target.
 
         staged holds the file's bytes, already checked against rec.crc32;
-        it moves into the permanent buffer and is forwarded from there.
+        it moves into the permanent buffer.  push may have sent all of it
+        but its final byte while it arrived; it sends the rest from the
+        buffer, so the route target commits only a declared file, and
+        sends the whole file again from there if that try failed.
         """
-        route = self._route()
         # DuplicateName/Validation stop us here; the catalog assigns the id
         file_id = self.catalog.call("declare_file", record=rec.to_wire())
         buffered = self.buffer_dir / rec.file_name
         os.replace(staged, buffered)
         self.catalog.call("add_location", file_id=file_id, endpoint_name=self.config.name,
                           path_or_volume=str(buffered))
-        fileset = _fileset_of(rec)
         with open(buffered, "rb") as body:
-            volume_id = self._put_with_retry(route, rec, body, fileset)
-        self.catalog.call("add_location", file_id=file_id, endpoint_name=route.name,
-                          path_or_volume=volume_id)
+            volume_id = push.deliver(body, MAX_TRANSFER_ATTEMPTS)
+        self.catalog.call("add_location", file_id=file_id,
+                          endpoint_name=self.config.route_target, path_or_volume=volume_id)
         # tape has it; release the buffer copy and its catalog location
         buffered.unlink(missing_ok=True)
         self.catalog.call("remove_location", file_id=file_id, endpoint_name=self.config.name)
@@ -437,46 +446,22 @@ class StationService(Dispatcher):
             self.counters["stores_ok"] += 1
         return file_id
 
-    def _route(self) -> EndpointSpec:
-        """The route target new files go to: a store for a router, else a router."""
+    def push_to_route(self, rec: FileRecord, request: str | None = None) -> Push:
+        """rec's push to the route target, a router's PUT unless request says otherwise.
+
+        The route target must be read_write; the push holds one of its
+        transfer slots from its first byte to the answer.
+        """
         target = self.config.route_target
-        spec = self._endpoints.get(target) if target else None
-        if spec is None:
+        route = self._endpoints.get(target) if target else None
+        if route is None:
             raise AccessDenied(f"station {self.config.name} has no route target")
-        if spec.access != "read_write":
-            raise AccessDenied(f"route target {spec.name} is {spec.access}")
-        return spec
-
-    def _put_with_retry(self, route: EndpointSpec, rec: FileRecord,
-                        body, fileset: int) -> str:
-        last = None
-        limiter = self._limits[route.name]
-        for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
-            try:
-                with limiter:
-                    return put_to_store(route.data_addr, self.config.name,
-                                        rec.file_name, fileset, body, rec.crc32)
-            except SamError as e:
-                if isinstance(e, RemoteError) and e.code in ("ACCESS_DENIED", "STORE_FULL",
-                                                             "FILE_TOO_LARGE", "DUPLICATE_NAME"):
-                    raise  # retrying cannot help these
-                last = e
-        raise TransferExhausted(
-            f"{rec.file_name}: store to {route.name} failed after "
-            f"{MAX_TRANSFER_ATTEMPTS} attempts ({last})")
-
-    def _forward_store(self, rec: FileRecord, body) -> int:
-        """Analysis path: the STORE request line and the file's SEND frame to the router."""
-        route = self._route()
-        wire = rec.to_wire()
-        wire.pop("file_id", None)
-        head = "STORE " + json.dumps(wire) + "\n" + send_header(rec.file_name, rec.size_bytes,
-                                                               rec.crc32)
-        with self._limits[route.name]:
-            reply = send_request(route.data_addr, head, body, rec.size_bytes)
-        with self._lock:
-            self.counters["stores_ok"] += 1
-        return int(reply)
+        if route.access != "read_write":
+            raise AccessDenied(f"route target {route.name} is {route.access}")
+        request = request or f"PUT {self.config.name} {_fileset_of(rec)}"
+        return Push(route.data_addr,
+                    f"{request}\n" + send_header(rec.file_name, rec.size_bytes, rec.crc32),
+                    rec.size_bytes, self._limits[route.name])
 
     # -- serving the data plane -------------------------------------------
 
@@ -577,10 +562,10 @@ class StationDataHandler(socketserver.StreamRequestHandler):
 
     def _store(self, payload: str) -> None:
         service: StationService = self.server.service
-        rec = None
+        rec = push = None
 
-        def check(name: str, size: int) -> None:
-            nonlocal rec
+        def check(name: str, size: int, crc: int) -> Push:
+            nonlocal rec, push
             if service.config.role != ROLE_ROUTER:  # nothing would forward what it buffered
                 raise AccessDenied(f"{service.config.name} is not a router")
             try:
@@ -588,11 +573,16 @@ class StationDataHandler(socketserver.StreamRequestHandler):
             except ValueError:
                 raise BadRequest(f"STORE record is not JSON: {payload[:80]!r}") from None
             rec = FileRecord.from_wire(wire)
-            rec.file_id = None
-            rec.size_bytes = size
+            rec.file_id, rec.size_bytes, rec.crc32 = None, size, crc
+            push = service.push_to_route(rec)
+            try:  # a declared name would push a doomed body to tape
+                service.catalog.call("get_file", name_or_id=rec.file_name)
+            except RemoteError as e:
+                if e.code != "NOT_FOUND":
+                    raise
+            else:
+                raise DuplicateName(f"{rec.file_name} is already declared")
+            return push
 
-        def admit(name: str, staged: Path, crc: int) -> int:
-            rec.crc32 = crc
-            return service.store_local(rec, staged)
-
-        serve_push(self, service.incoming_dir / os.urandom(16).hex(), check, admit)
+        serve_push(self, service.incoming_dir / os.urandom(16).hex(), check,
+                   lambda name, staged, crc: service.store_local(rec, staged, push))

@@ -257,6 +257,6 @@ class StoreDataHandler(socketserver.StreamRequestHandler):
             raise BadRequest(f"bad PUT request: {args!r}")
         client, fileset_number = parts[0], int(parts[1])
         serve_push(self, service.staging_path(),
-                   lambda name, size: service.check_put(client, name, size),
+                   lambda name, size, _crc: service.check_put(client, name, size),
                    lambda name, staged, crc: service.put_file(client, name, staged, crc,
                                                               fileset_number))

@@ -23,6 +23,15 @@ sender's recorded checksum, not a fresh pass over the file; the receiver
 computes its own once, as the bytes arrive.  Store and station handlers
 share one request skeleton, :func:`serve_request`, and one push
 receiver, :func:`serve_push`.
+
+Every push is sent by one :class:`Push`; :func:`send_request` and
+:func:`put_to_store` send a whole body with it.  A receiver may forward
+a body while it arrives: :func:`serve_push` hands each piece to the
+Push its check opened, which sends all but the body's final byte, so
+the next hop cannot finish the body and act on it before the forwarder
+has verified the CRC and acted itself.  The forwarder then finishes the
+push from its own copy, and sends the whole body again from there if
+the stream broke off.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from .errors import (
     RemoteError,
     SamError,
     SourceUnavailable,
+    TransferExhausted,
 )
 from .wire import parse_addr
 
@@ -154,17 +164,21 @@ def send_header(file_name: str, size: int, crc: int) -> str:
     return f"SEND {file_name} {size} {crc:08x}\n"
 
 
-def send_frame(sock: socket.socket, head: str, body, size: int) -> None:
-    """Write the header line(s), then size bytes streamed from the start of body."""
+def send_frame(sock: socket.socket, head: str, body, size: int, start: int = 0) -> None:
+    """Write the header line(s), then body's bytes from start up to size."""
     sock.sendall(head.encode())
-    body.seek(0)
-    sent = sock.sendfile(body, 0, size) if size else 0  # sendfile refuses a count of 0
-    if sent != size:
-        raise SourceUnavailable(f"body ended at {sent} of {size} bytes")
+    body.seek(start)
+    left = size - start
+    sent = sock.sendfile(body, start, left) if left else 0  # sendfile refuses a count of 0
+    if sent != left:
+        raise SourceUnavailable(f"body ended at {start + sent} of {size} bytes")
 
 
-def receive_body(rfile, size: int, out) -> int:
-    """Stream exactly size bytes from rfile into the open file out; returns their CRC-32."""
+def receive_body(rfile, size: int, out, forward: Push | None = None) -> int:
+    """Stream exactly size bytes from rfile into the open file out; returns their CRC-32.
+
+    Each piece also goes to forward, if given, as it arrives.
+    """
     crc = 0
     buf = memoryview(bytearray(CHUNK))
     left = size
@@ -174,6 +188,8 @@ def receive_body(rfile, size: int, out) -> int:
             raise SourceUnavailable(f"stream ended at {size - left} of {size} bytes")
         crc = zlib.crc32(buf[:n], crc)
         out.write(buf[:n])
+        if forward is not None:
+            forward.write(buf[:n])
         left -= n
     return crc & 0xFFFFFFFF
 
@@ -242,27 +258,38 @@ def serve_request(handler, actions: dict) -> None:
 def serve_push(handler, staged: Path, check, act) -> None:
     """Receive the SEND frame of a push and answer ``OK <act(name, staged, crc)>``.
 
-    check(name, size) raises a SamError to refuse the push; the body is
-    then read and dropped, so the sender sees the ERR reply.  Otherwise
-    the body streams into staged with a running CRC, and only a body
-    matching its declared CRC reaches act.  Whatever act leaves of staged
-    is removed before the reply, so no reply races the cleanup.
+    check(name, size, crc) raises a SamError to refuse the push; the body
+    is then read and dropped, so the sender sees the ERR reply.  It may
+    return a :class:`Push`, which is sent the body, all but its final
+    byte, as it arrives; act finishes it.  The body streams into staged
+    with a running CRC, and only a body matching its declared CRC
+    reaches act.  Whatever act leaves of staged is removed, and a push
+    act did not finish is cut short, before the reply, so no reply races
+    the cleanup.
     """
     name, size, declared_crc = parse_send_header(read_line(handler.rfile))
     try:
-        check(name, size)
+        forward = check(name, size, declared_crc)
     except SamError:
         discard_body(handler.rfile, size)
         raise
     try:
         with open(staged, "wb") as out:
-            crc = receive_body(handler.rfile, size, out)
+            crc = receive_body(handler.rfile, size, out, forward)
         if crc != declared_crc:
             raise CrcMismatch(f"{name} arrived corrupt")
         result = act(name, staged, crc)
     finally:
         staged.unlink(missing_ok=True)
+        if forward is not None:
+            forward.close()
     handler.wfile.write(f"OK {result}\n".encode())
+
+
+# -- pushes -----------------------------------------------------------------
+
+# refusals that a second try of the same push cannot change
+FINAL_REFUSALS = ("ACCESS_DENIED", "STORE_FULL", "FILE_TOO_LARGE", "DUPLICATE_NAME")
 
 
 def _connect(addr) -> socket.socket:
@@ -272,26 +299,113 @@ def _connect(addr) -> socket.socket:
         raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
 
 
+class Push:
+    """One request head and framed body sent to addr, the body as it is produced.
+
+    write() sends the body's next bytes, all but its final byte, so the
+    receiver cannot finish the body, and so cannot act on it, before
+    finish() sends the rest from a file and reads the reply.  The
+    connection opens with the first byte to send and holds one slot of
+    limiter, if given, until the reply or close().  An error while
+    streaming is kept for finish() to raise, so the producer carries on.
+    close() before finish() cuts the body short and waits until the
+    receiver has answered, and so has dropped what it got.
+    """
+
+    def __init__(self, addr, head: str, size: int, limiter=None):
+        self.addr, self.head, self.size, self.limiter = addr, head, size, limiter
+        self.sent = 0  # body bytes on the wire
+        self.error: SamError | None = None
+        self._sock: socket.socket | None = None
+        self._slot = False
+
+    def _open(self) -> None:
+        if self.limiter is not None:
+            self.limiter.acquire()
+            self._slot = True
+        self._sock = _connect(self.addr)
+        self._sock.sendall(self.head.encode())
+
+    def write(self, data) -> None:
+        data = data[:max(self.size - 1 - self.sent, 0)]
+        if not data or self.error is not None:
+            return
+        try:
+            if self._sock is None:
+                self._open()
+            self._sock.sendall(data)
+            self.sent += len(data)
+        except (OSError, SamError) as e:
+            self.error = e if isinstance(e, SamError) else \
+                SourceUnavailable(f"send to {self.addr} failed: {e}")
+            self.close()
+
+    def finish(self, body) -> str:
+        """Send body's bytes from where the stream stopped; returns the receiver's OK payload.
+
+        Raises RemoteError with the receiver's code when it answers ERR.
+        """
+        try:
+            if self.error is not None:
+                raise self.error
+            try:
+                if self._sock is None:
+                    self._open()
+                send_frame(self._sock, "", body, self.size, self.sent)
+                self.sent = self.size
+                with self._sock.makefile("rb") as rfile:
+                    reply = read_line(rfile)
+            except OSError as e:
+                raise SourceUnavailable(f"send to {self.addr} failed: {e}") from e
+        finally:
+            self.close()
+        if reply.startswith("OK"):
+            return reply[2:].strip()
+        parts = reply.split(None, 2)
+        if parts and parts[0] == "ERR":
+            code = parts[1] if len(parts) > 1 else "ERROR"
+            msg = parts[2] if len(parts) > 2 else ""
+            raise RemoteError(code, msg)
+        raise SourceUnavailable(f"unparseable reply: {reply!r}")
+
+    def deliver(self, body, attempts: int) -> str:
+        """finish(); after a failure a new try may mend, send the whole body again.
+
+        Makes at most attempts tries in all, the first one this push's own.
+        """
+        last = None
+        for _ in range(attempts):
+            try:
+                return self.finish(body)
+            except SamError as e:
+                if isinstance(e, RemoteError) and e.code in FINAL_REFUSALS:
+                    raise
+                last = e
+            self.sent, self.error = 0, None
+        raise TransferExhausted(f"push to {self.addr} failed after {attempts} attempts ({last})")
+
+    def close(self) -> None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            with sock:
+                if self.sent < self.size:  # cut short: wait out the receiver's answer
+                    try:
+                        sock.shutdown(socket.SHUT_WR)
+                        while sock.recv(CHUNK):
+                            pass
+                    except OSError:
+                        pass
+        if self._slot:
+            self._slot = False
+            self.limiter.release()
+
+
 def send_request(addr, head: str, body, size: int) -> str:
-    """Push one framed body and return the receiver's OK payload.
+    """Push one framed body, size bytes from the start of body; returns the OK payload.
 
     Raises RemoteError with the receiver's code when it answers ERR.
     """
-    sock = _connect(addr)
-    with sock, sock.makefile("rb") as rfile:
-        try:
-            send_frame(sock, head, body, size)
-            reply = read_line(rfile)
-        except OSError as e:
-            raise SourceUnavailable(f"send to {addr} failed: {e}") from e
-    if reply.startswith("OK"):
-        return reply[2:].strip()
-    parts = reply.split(None, 2)
-    if parts and parts[0] == "ERR":
-        code = parts[1] if len(parts) > 1 else "ERROR"
-        msg = parts[2] if len(parts) > 2 else ""
-        raise RemoteError(code, msg)
-    raise SourceUnavailable(f"unparseable reply: {reply!r}")
+    return Push(addr, head, size).finish(body)
 
 
 def put_to_store(addr, client_name: str, file_name: str, fileset_number: int,

@@ -4,6 +4,7 @@ import io
 import json
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -30,7 +31,7 @@ from samforge.transfer import (
     send_header,
     send_request,
 )
-from samforge.wire import Client
+from samforge.wire import Client, parse_addr
 
 from conftest import read_stored, run_threads
 
@@ -631,6 +632,202 @@ def test_store_duplicate_name_is_rejected_at_declare(rig):
     with pytest.raises(RemoteError) as excinfo:
         router.store_file(record, local_path=local_file(rig, "dup", b"A"))
     assert excinfo.value.code == "DUPLICATE_NAME"
+
+
+# -- streamed routing: the router forwards a STORE while it arrives ------------
+
+STREAMED = "bphy0412_fs0007_0050.raw"
+
+
+def streaming_router(rig):
+    """A router whose store takes 32 MiB files, both on the data plane."""
+    rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
+    return rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], role="router",
+                           route_target="stken-sim", with_data_server=True)
+
+
+def store_head(data, crc=None) -> str:
+    return "STORE " + json.dumps({**GOOD_RECORD, "file_name": STREAMED}) + "\n" + \
+        send_header(STREAMED, len(data), crc32_bytes(data) if crc is None else crc)
+
+
+def wait_for(predicate, what, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.005)
+
+
+def paused_store(rig, data, halfway, sent=lambda: None):
+    """Send a STORE of data to the router, run halfway() at half the body and
+    sent() after all of it; returns the reply line."""
+    with socket.create_connection(parse_addr(rig.station_data["fcdf-router"])) as sock:
+        sock.sendall(store_head(data).encode() + data[:len(data) // 2])
+        halfway()
+        sock.sendall(data[len(data) // 2:])
+        sent()
+        return sock.makefile("rb").readline().decode()
+
+
+def assert_store_kept_nothing(rig, router, puts=0):
+    store = rig.stores["stken-sim"]
+    assert (store.counters["puts"], store.status()["files"]) == (puts, puts)
+    assert list(store.incoming.iterdir()) == []
+    assert list(router.incoming_dir.iterdir()) == list(router.buffer_dir.iterdir()) == []
+
+
+def test_the_router_streams_a_store_to_tape_while_it_arrives(rig, monkeypatch):
+    router = streaming_router(rig)
+    store = rig.stores["stken-sim"]
+    declaring, declare = threading.Event(), threading.Event()
+    call = router.catalog.call
+
+    def held_declare(op, **args):
+        if op == "declare_file":
+            declaring.set()
+            assert declare.wait(10)
+        return call(op, **args)
+
+    monkeypatch.setattr(router.catalog, "call", held_declare)
+    data = random.Random(21).randbytes(4 * MiB)
+
+    def halfway():
+        wait_for(lambda: list(store.incoming.iterdir()),
+                 "the store holds nothing of a body the router is receiving")
+        assert router.station_status()["rate_limits"]["stken-sim"]["in_flight"] == 1
+
+    def at_declare():
+        assert declaring.wait(10)
+        time.sleep(0.3)  # room for a commit that must not come before the declare
+        assert store.counters["puts"] == 0
+        assert len(list(store.incoming.iterdir())) == 1
+        declare.set()
+
+    reply = paused_store(rig, data, halfway, at_declare)
+    assert reply.startswith("OK ")
+    assert read_stored(store, "cdfa-1", STREAMED) == data
+    assert router.station_status()["rate_limits"]["stken-sim"]["in_flight"] == 0
+    assert_store_kept_nothing(rig, router, puts=1)
+
+
+def test_a_corrupt_store_body_reaches_no_tape(rig):
+    router = streaming_router(rig)
+    data = bytes(8 * MiB)
+    with pytest.raises(RemoteError) as excinfo:
+        send_request(rig.station_data["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
+                     io.BytesIO(data), len(data))
+    assert excinfo.value.code == "CRC_MISMATCH"
+    assert_store_kept_nothing(rig, router)
+    with rig.catalog_client() as catalog:
+        with pytest.raises(RemoteError) as excinfo:
+            catalog.get_file(STREAMED)
+        assert excinfo.value.code == "NOT_FOUND"
+
+
+def test_a_name_declared_while_its_body_streams_reaches_no_tape(rig):
+    # the router's check found the name free; the declare after the body refuses it
+    router = streaming_router(rig)
+    store = rig.stores["stken-sim"]
+
+    def declare_meanwhile():
+        wait_for(lambda: list(store.incoming.iterdir()), "the body never reached the store")
+        rig.seed_file(STREAMED, b"first")
+
+    reply = paused_store(rig, bytes(4 * MiB), declare_meanwhile)
+    assert reply.startswith("ERR DUPLICATE_NAME")
+    assert_store_kept_nothing(rig, router)
+    with rig.catalog_client() as catalog:
+        assert catalog.get_file(STREAMED).size_bytes == len(b"first")
+
+
+def test_a_store_of_a_declared_name_is_refused_before_its_body(rig):
+    router = streaming_router(rig)
+    rig.seed_file(STREAMED, b"first", stores=["stken-sim"])
+    data = bytes(8 * MiB)  # corrupt too: a refusal after the body would name the CRC
+    with pytest.raises(RemoteError) as excinfo:
+        send_request(rig.station_data["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
+                     io.BytesIO(data), len(data))
+    assert excinfo.value.code == "DUPLICATE_NAME"
+    assert_store_kept_nothing(rig, router, puts=1)
+
+
+class CutFirstConnection:
+    """A TCP relay to addr that resets its first connection after `after` bytes."""
+
+    def __init__(self, addr, after):
+        self.target = parse_addr(addr)
+        self.after = after
+        self.cut = threading.Event()
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.addr = "127.0.0.1:%d" % self.sock.getsockname()[1]
+        self.conns = []
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            try:
+                conn, _ = self.sock.accept()
+            except OSError:
+                return
+            self.conns.append(conn)
+            if not self.cut.is_set():
+                got = 0
+                while got < self.after and (chunk := conn.recv(1 << 16)):
+                    got += len(chunk)
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                conn.close()
+                self.cut.set()
+                continue
+            upstream = socket.create_connection(self.target)
+            self.conns.append(upstream)
+            for src, dst in ((conn, upstream), (upstream, conn)):
+                threading.Thread(target=self._pump, args=(src, dst), daemon=True).start()
+
+    @staticmethod
+    def _pump(src, dst):
+        try:
+            while data := src.recv(1 << 16):
+                dst.sendall(data)
+            dst.shutdown(socket.SHUT_WR)
+        except OSError:
+            pass
+
+    def close(self):
+        self.sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        self.sock.close()
+        for conn in self.conns:
+            conn.close()
+
+
+def test_a_store_connection_cut_mid_body_is_sent_again_from_the_buffer(rig):
+    rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
+    relay = CutFirstConnection(rig.store_data["stken-sim"], after=MiB)
+    try:
+        rig.store_data["stken-sim"] = relay.addr
+        router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
+                                 role="router", route_target="stken-sim",
+                                 with_data_server=True)
+        data = random.Random(22).randbytes(8 * MiB)
+        file_id = int(send_request(rig.station_data["fcdf-router"], store_head(data),
+                                   io.BytesIO(data), len(data)))
+        assert relay.cut.is_set()
+        assert read_stored(rig.stores["stken-sim"], "cdfa-1", STREAMED) == data
+        assert_store_kept_nothing(rig, router, puts=1)
+        with rig.catalog_client() as catalog:
+            assert [loc.endpoint_name for loc in catalog.get_locations(file_id)] == \
+                ["stken-sim"]
+    finally:
+        relay.close()
+
+
+def test_an_empty_store_is_forwarded_after_its_declare(rig):
+    router = streaming_router(rig)
+    file_id = int(send_request(rig.station_data["fcdf-router"], store_head(b""),
+                               io.BytesIO(b""), 0))
+    assert read_stored(rig.stores["stken-sim"], "cdfa-1", STREAMED) == b""
+    assert_store_kept_nothing(rig, router, puts=1)
+    with rig.catalog_client() as catalog:
+        assert catalog.get_file(file_id).size_bytes == 0
 
 
 def test_fetch_prefers_station_cache_over_tape(rig):
