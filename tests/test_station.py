@@ -646,9 +646,9 @@ def streaming_router(rig):
                            route_target="stken-sim", with_data_server=True)
 
 
-def store_head(data, crc=None) -> str:
-    return "STORE " + json.dumps({**GOOD_RECORD, "file_name": STREAMED}) + "\n" + \
-        send_header(STREAMED, len(data), crc32_bytes(data) if crc is None else crc)
+def store_head(data, crc=None, name=STREAMED) -> str:
+    return "STORE " + json.dumps({**GOOD_RECORD, "file_name": name}) + "\n" + \
+        send_header(name, len(data), crc32_bytes(data) if crc is None else crc)
 
 
 def wait_for(predicate, what, timeout=5.0):
@@ -828,6 +828,34 @@ def test_an_empty_store_is_forwarded_after_its_declare(rig):
     assert_store_kept_nothing(rig, router, puts=1)
     with rig.catalog_client() as catalog:
         assert catalog.get_file(file_id).size_bytes == 0
+
+
+def test_concurrent_streamed_stores_share_one_route_slot(rig):
+    # more forwards than cores and than route slots: each waits its turn
+    # mid-body, and no slot leaks or is held twice
+    rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
+    router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 1)], role="router",
+                             route_target="stken-sim", with_data_server=True)
+    bodies = {f"bphy0412_fs0007_{i:04d}.raw": random.Random(i).randbytes(i * 100 * 1024 + i)
+              for i in range(6)}  # 0 bytes to 500 KiB
+
+    def store(i):
+        name = sorted(bodies)[i]
+        data = bodies[name]
+        send_request(rig.station_data["fcdf-router"], store_head(data, name=name),
+                     io.BytesIO(data), len(data))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run_threads(len(bodies), store)
+    finally:
+        sys.setswitchinterval(interval)
+    for name, data in bodies.items():
+        assert read_stored(rig.stores["stken-sim"], "cdfa-1", name) == data
+    assert_store_kept_nothing(rig, router, puts=len(bodies))
+    limits = router.station_status()["rate_limits"]["stken-sim"]
+    assert (limits["high_water"], limits["in_flight"]) == (1, 0)
 
 
 def test_fetch_prefers_station_cache_over_tape(rig):
