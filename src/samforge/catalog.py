@@ -139,11 +139,8 @@ class CatalogService(Dispatcher):
         with self._lock:
             if name in self.state.datasets:
                 raise DuplicateName(f"dataset {name!r} already defined")
-            self.journal.commit(OP_DEFINE_DATASET, {
-                "name": name,
-                "expr": expr_to_wire(parsed),
-                "created_at": time.time(),
-            })
+            # replay ignores the created_at that older journals hold here
+            self.journal.commit(OP_DEFINE_DATASET, {"name": name, "expr": expr_to_wire(parsed)})
         return True
 
     def resolve_dataset(self, name: str) -> dict:

@@ -48,7 +48,6 @@ import logging
 import os
 import queue
 import shutil
-import socketserver
 import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -74,7 +73,9 @@ from .naming import parse_legacy_name
 from .records import FileRecord, file_name_problem
 from .sync import FairSemaphore
 from .transfer import (
+    DataHandler,
     FaultInjector,
+    PullPool,
     Push,
     crc32_stream,
     send_frame,
@@ -135,6 +136,7 @@ class StationService(Dispatcher):
             for e in config.known_endpoints
         }
         self._faults: dict[str, FaultInjector] = {}  # endpoint name -> injector
+        self._pulls = PullPool()
         self.counters = {
             "transfers_ok": 0,
             "crc_mismatches": 0,
@@ -280,7 +282,7 @@ class StationService(Dispatcher):
                 with self._limits[choice.name]:
                     outcome = transfer_with(choice.data_addr,
                                             f"FETCH {client}{record.file_name}",
-                                            staging, self._faults.get(choice.name))
+                                            staging, self._faults.get(choice.name), self._pulls)
             except BaseException as e:
                 staging.unlink(missing_ok=True)  # a stream cut off mid-body
                 if not isinstance(e, SamError):
@@ -525,7 +527,7 @@ class StationService(Dispatcher):
         })
 
     def close(self) -> None:
-        """Stop the prefetch workers after the files they are pulling, then drop the catalog."""
+        """Stop the prefetch workers after the files they are pulling, then drop the connections."""
         self._stopping.set()
         for _ in self._prefetchers:
             try:
@@ -534,6 +536,7 @@ class StationService(Dispatcher):
                 break  # a queue this full wakes every worker, which then sees _stopping
         for worker in self._prefetchers:
             worker.join()
+        self._pulls.close()
         self.catalog.close()
 
 
@@ -551,7 +554,7 @@ def _fileset_of(rec: FileRecord) -> int:
     return 0
 
 
-class StationDataHandler(socketserver.StreamRequestHandler):
+class StationDataHandler(DataHandler):
     def handle(self):
         serve_request(self, {"FETCH": self._fetch, "STORE": self._store})
 

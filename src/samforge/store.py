@@ -25,14 +25,14 @@ streams into a staging file under ``incoming/`` with a running CRC; only
 a body matching its declared CRC takes the drive, moves into its volume,
 is fsynced and journalled, and then acknowledged.  A FETCH answers with
 the CRC recorded in the inventory journal at PUT time, so the store
-makes no pass over the file to serve it, and closes once the frame is
-sent.
+makes no pass over the file to serve it, and waits for no
+acknowledgement: the connection stays open for the puller's next
+FETCH.  A PUT, or any answer ERR, closes it.
 """
 
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
@@ -51,7 +51,7 @@ from .errors import (
 from .journal import Journal
 from .records import file_name_problem
 from .sync import FairSemaphore
-from .transfer import send_frame, send_header, serve_push, serve_request
+from .transfer import DataHandler, send_frame, send_header, serve_push, serve_request
 from .wire import Dispatcher
 
 @dataclass
@@ -237,7 +237,7 @@ class StoreService(Dispatcher):
 
 # -- data plane ------------------------------------------------------------
 
-class StoreDataHandler(socketserver.StreamRequestHandler):
+class StoreDataHandler(DataHandler):
     def handle(self):
         serve_request(self, {"FETCH": self._fetch, "PUT": self._put})
 

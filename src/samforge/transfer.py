@@ -11,18 +11,22 @@ a failing disk would.
 The data plane has one body format, the SEND frame: a
 ``SEND <file_name> <size_bytes> <crc32-hex>`` header line followed by
 exactly size_bytes raw bytes.  Every exchange is one request line, then
-a SEND frame, on one connection.  A pull sends the request line and gets
-the frame back, or ``ERR <code> <msg>``; the server then closes, and the
-puller acknowledges nothing.  A push sends the request line and the
-frame and gets ``OK <result>`` or ``ERR <code> <msg>``.  Every daemon
-uses the one codec below: :func:`send_frame` writes a header line and
-streams the body from an open file, :func:`receive_body` streams a body
-into a file with a running CRC.  Bodies move in ``CHUNK``-sized pieces,
-so no daemon ever holds a whole file.  The CRC in a SEND header is the
-sender's recorded checksum, not a fresh pass over the file; the receiver
-computes its own once, as the bytes arrive.  Store and station handlers
-share one request skeleton, :func:`serve_request`, and one push
-receiver, :func:`serve_push`.
+a SEND frame.  A pull sends the request line and gets the frame back,
+or ``ERR <code> <msg>``; the puller acknowledges nothing.  A server
+keeps the connection open after a pull answered in full, so a
+:class:`PullPool` sends the next pull to the same peer on it, as
+HTTP/1.1 persistent connections do (RFC 9112, section 9.3).  A push
+sends the request line and the frame on a connection of its own and
+gets ``OK <result>`` or ``ERR <code> <msg>``; the server then closes.
+Every daemon uses the one codec below: :func:`send_frame` writes a
+header line and streams the body from an open file,
+:func:`receive_body` streams a body into a file with a running CRC.
+Bodies move in ``CHUNK``-sized pieces, so no daemon ever holds a whole
+file.  The CRC in a SEND header is the sender's recorded checksum, not
+a fresh pass over the file; the receiver computes its own once, as the
+bytes arrive.  Store and station handlers are :class:`DataHandler`
+classes sharing one request skeleton, :func:`serve_request`, and one
+push receiver, :func:`serve_push`.
 
 Every push is sent by one :class:`Push`; :func:`send_request` and
 :func:`put_to_store` send a whole body with it.  A receiver may forward
@@ -41,6 +45,7 @@ import logging
 import os
 import random
 import socket
+import socketserver
 import threading
 import zlib
 from dataclasses import dataclass
@@ -54,7 +59,7 @@ from .errors import (
     SourceUnavailable,
     TransferExhausted,
 )
-from .wire import parse_addr
+from .wire import TIMEOUT, parse_addr
 
 log = logging.getLogger(__name__)
 
@@ -91,30 +96,101 @@ class TransferOutcome:
 
 
 def transfer_with(addr, request_line: str, dest: str | Path,
-                  faults: FaultInjector | None = None) -> TransferOutcome:
+                  faults: FaultInjector | None = None,
+                  pool: PullPool | None = None) -> TransferOutcome:
     """Pull one SEND frame from addr into dest; reports what landed there.
 
-    dest's parent is created if missing.  faults, if given, may corrupt
-    the landed file before its CRC is reported.
+    The pull goes over pool's kept-open connections, or without a pool
+    over one of its own.  dest's parent is created if missing.  faults,
+    if given, may corrupt the landed file before its CRC is reported.
     """
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    sock = _connect(addr)
+    one_shot = PullPool() if pool is None else None
     try:
-        with sock, sock.makefile("rb") as rfile:
-            sock.sendall(request_line.encode() + b"\n")
-            header = read_line(rfile)
-            try:
-                _name, size, _crc = parse_send_header(header)
-            except BadRequest:  # ERR <code> <msg>, or no frame at all
-                raise SourceUnavailable(header) from None
-            with open(dest, "wb") as out:
-                crc = receive_body(rfile, size, out)
+        size, crc = (pool or one_shot).pull(addr, request_line, dest)
     except OSError as e:
         raise SourceUnavailable(f"transfer from {addr} failed: {e}") from e
+    finally:
+        if one_shot is not None:
+            one_shot.close()
     if faults is not None:
         crc = faults.after_pull(dest, crc)
     return TransferOutcome(bytes_moved=size, computed_crc32=crc)
+
+
+class PullPool:
+    """Kept-open pull connections: a stack of idle ones per peer address.
+
+    A connection goes back to the pool only once a whole frame has
+    arrived; an ERR answer or a cut body closes it.  Only pulls running
+    at once open connections, so a caller that bounds its pulls per peer,
+    as a station's transfer slots do, bounds the idle ones too.
+    """
+
+    def __init__(self):
+        self._idle: dict[str, list] = {}  # addr -> [(socket, its reader)]
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def pull(self, addr, request_line: str, dest: Path) -> tuple[int, int]:
+        """Send request_line to addr and stream the answered frame into dest: (size, crc).
+
+        A kept-open connection that answers no byte at all was closed by
+        its peer while idle, or the peer restarted; the request is then
+        sent once more, on a new connection.
+        """
+        line = request_line.encode() + b"\n"
+        with self._lock:
+            idle = self._idle.get(addr)
+            conn = idle.pop() if idle else None
+        try:
+            try:
+                header = _ask(conn, line) if conn else b""
+            except ConnectionError:  # reset, or a broken pipe
+                header = b""
+            if not header:
+                _close(conn)
+                sock = _connect(addr)
+                conn = (sock, sock.makefile("rb"))
+                header = _ask(conn, line)
+            header = header.decode(errors="replace").rstrip("\n")
+            try:
+                _name, size, _crc = parse_send_header(header)
+            except BadRequest:  # ERR <code> <msg>, or no frame at all
+                raise SourceUnavailable(header or "connection closed before an answer") from None
+            with open(dest, "wb") as out:
+                crc = receive_body(conn[1], size, out)
+        except BaseException:
+            _close(conn)
+            raise
+        with self._lock:
+            if not self._closed:
+                self._idle.setdefault(addr, []).append(conn)
+                conn = None
+        _close(conn)
+        return size, crc
+
+    def close(self) -> None:
+        """Close every idle connection; a pull still running closes its own when done."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, {}
+        for conns in idle.values():
+            for conn in conns:
+                _close(conn)
+
+
+def _ask(conn, line: bytes) -> bytes:
+    sock, rfile = conn
+    sock.sendall(line)
+    return rfile.readline(CHUNK)
+
+
+def _close(conn) -> None:
+    if conn is not None:
+        conn[1].close()
+        conn[0].close()
 
 
 class FaultInjector:
@@ -231,11 +307,21 @@ def reply_err(wfile, code: str, msg: str) -> None:
         pass
 
 
+class DataHandler(socketserver.StreamRequestHandler):
+    """A data port's handler, one per request; a FETCH answered in full keeps the connection."""
+
+    # a frame is two writes, header then body: without this the body of a
+    # kept-open connection waits out the puller's delayed ACK
+    disable_nagle_algorithm = True
+    keep_open = False
+
+
 def serve_request(handler, actions: dict) -> None:
     """Read one request line and run ``actions[verb](rest of the line)``.
 
     A SamError is answered ``ERR <code> <msg>``, anything else
     ``ERR INTERNAL`` and logged, so no client can take the daemon down.
+    A FETCH answered in full sets handler.keep_open.
     """
     try:
         line = read_line(handler.rfile)
@@ -248,6 +334,7 @@ def serve_request(handler, actions: dict) -> None:
         if action is None or not rest:
             raise BadRequest(f"unparseable request {line!r}")
         action(rest)
+        handler.keep_open = verb == "FETCH"
     except SamError as e:
         reply_err(handler.wfile, e.code, e.msg)
     except Exception as e:  # noqa: BLE001 - keep serving other clients
@@ -294,7 +381,7 @@ FINAL_REFUSALS = ("ACCESS_DENIED", "STORE_FULL", "FILE_TOO_LARGE", "DUPLICATE_NA
 
 def _connect(addr) -> socket.socket:
     try:
-        return socket.create_connection(parse_addr(addr), timeout=30)
+        return socket.create_connection(parse_addr(addr), timeout=TIMEOUT)
     except OSError as e:
         raise SourceUnavailable(f"cannot reach {addr}: {e}") from e
 

@@ -13,13 +13,15 @@ RemoteError for error responses, ConnectFailed for transport trouble or
 a reply that is not protocol JSON.  Every daemon port, control or data
 plane, is a :class:`Server`; its ``close()`` returns at once and cuts the
 connections it accepted, so a client sees ConnectFailed, never a reply
-from a service already closed.
+from a service already closed.  A connection waits at most ``TIMEOUT``
+seconds for a connect, a reply, or, kept open, its next request.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import select
 import socket
 import socketserver
 import threading
@@ -29,6 +31,7 @@ from .errors import BadRequest, ConnectFailed, RemoteError, SamError
 log = logging.getLogger(__name__)
 
 MAX_LINE = 16 * 1024 * 1024
+TIMEOUT = 30.0  # seconds
 
 
 def parse_addr(addr) -> tuple[str, int]:
@@ -48,7 +51,7 @@ def format_addr(addr: tuple[str, int]) -> str:
 class Client:
     """Blocking request/response client; one outstanding request at a time."""
 
-    def __init__(self, addr, timeout: float = 30.0):
+    def __init__(self, addr, timeout: float = TIMEOUT):
         self.addr = parse_addr(addr)
         self.timeout = timeout
         self._sock: socket.socket | None = None
@@ -150,7 +153,14 @@ class ControlHandler(socketserver.StreamRequestHandler):
 
 
 class Server(socketserver.ThreadingTCPServer):
-    """One service behind one handler class; handlers reach it as server.service."""
+    """One service behind one handler class; handlers reach it as server.service.
+
+    Each connection gets its own thread and one handler instance per
+    request.  A handler that sets ``keep_open`` leaves the connection open
+    for a next request, which gets a new handler; the connection closes
+    once a handler leaves it unset, or after ``TIMEOUT`` seconds with no
+    request.  A client sends its next request only after the whole answer.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -174,6 +184,13 @@ class Server(socketserver.ThreadingTCPServer):
         self._serving = True
         threading.Thread(target=self.serve_forever, daemon=True).start()
         return self
+
+    def finish_request(self, request, client_address):
+        idle = select.poll()
+        idle.register(request, select.POLLIN)
+        while getattr(self.RequestHandlerClass(request, client_address, self), "keep_open", False):
+            if not idle.poll(TIMEOUT * 1000):
+                return
 
     def process_request(self, request, client_address):
         with self._conns_lock:

@@ -7,7 +7,7 @@ import pytest
 
 from samforge.catalog import CatalogClient, CatalogService
 from samforge.errors import RemoteError
-from samforge.query import And, Atom, Or, eval_query
+from samforge.query import And, Atom, Or, eval_query, expr_to_wire
 from samforge.records import FileRecord
 from samforge.wire import ControlHandler, Server, format_addr
 
@@ -66,6 +66,31 @@ def test_get_missing_file(catalog):
     with pytest.raises(RemoteError) as excinfo:
         catalog.get_file("nope")
     assert excinfo.value.code == "NOT_FOUND"
+
+
+def test_a_dataset_journaled_with_its_creation_time_replays_to_the_same_answers(tmp_path):
+    # define_dataset no longer journals created_at; journals that hold it still replay
+    service = CatalogService(tmp_path / "now.journal")
+    for record in _random_records(20):
+        service.declare_file({k: v for k, v in record.to_wire().items() if k != "file_id"})
+    service.define_dataset("phys", expr_to_wire(Atom("event_type", "=", "phy")))
+    service.take_snapshot("phys")
+    service.close()
+    entries = [json.loads(line) for line in (tmp_path / "now.journal").read_text().splitlines()]
+    [defined] = [e["payload"] for e in entries if e["kind"] == "DefineDataset"]
+    assert set(defined) == {"name", "expr"}
+    defined["created_at"] = 1234.5  # as journals written before this change hold it
+    (tmp_path / "before.journal").write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+    def answers(journal):
+        service = CatalogService(journal)
+        try:
+            return json.dumps([service.resolve_dataset("phys"), service.get_snapshot(1),
+                               service.status()])
+        finally:
+            service.close()
+
+    assert answers(tmp_path / "before.journal") == answers(tmp_path / "now.journal")
 
 
 def _random_records(n, seed=2024):

@@ -13,6 +13,7 @@ from samforge.errors import (
     StoreFull,
 )
 from samforge.store import StoreConfig, StoreDataHandler, StoreService
+from samforge import wire
 from samforge.wire import Server
 from samforge.transfer import (
     crc32_bytes,
@@ -252,18 +253,36 @@ def test_fetch_over_the_wire_frames_and_checksums(data_server):
     assert crc == received_crc == crc32_bytes(b"framed payload")
 
 
-def test_fetch_closes_once_the_frame_is_sent(data_server):
-    # a puller acknowledges nothing, so the store must not wait for it
+def test_fetch_keeps_the_connection_for_the_next_fetch(data_server):
+    # a puller acknowledges nothing: the store answers the next FETCH on the
+    # same connection, and closes as soon as the puller shuts its side
     addr, store = data_server
     put(store, "writer", "f.raw", b"framed payload", 2)
+    put(store, "writer", "g.raw", b"second payload", 2)
     with socket.create_connection(addr, timeout=2) as sock:
         rfile = sock.makefile("rb")
+        for name, body in (("f.raw", b"framed payload"), ("g.raw", b"second payload")):
+            sock.sendall(f"FETCH reader {name}\n".encode())
+            _name, size, _crc = parse_send_header(read_line(rfile))
+            assert rfile.read(size) == body
+        sock.shutdown(socket.SHUT_WR)
+        started = time.monotonic()
+        assert rfile.read(1) == b""  # end of file, not a timeout
+        rfile.close()
+    assert time.monotonic() - started < 1
+
+
+def test_an_idle_kept_open_connection_is_closed(data_server, monkeypatch):
+    monkeypatch.setattr(wire, "TIMEOUT", 0.2)
+    addr, store = data_server
+    put(store, "writer", "f.raw", b"framed payload", 2)
+    with socket.create_connection(addr, timeout=5) as sock, sock.makefile("rb") as rfile:
         sock.sendall(b"FETCH reader f.raw\n")
         _name, size, _crc = parse_send_header(read_line(rfile))
         assert rfile.read(size) == b"framed payload"
         started = time.monotonic()
-        assert rfile.read(1) == b""  # end of file, not a timeout
-    assert time.monotonic() - started < 1
+        assert rfile.read(1) == b""  # closed by the server, not a client timeout
+    assert time.monotonic() - started < 2
 
 
 def test_fetch_over_the_wire_denies_unknown_client(data_server):

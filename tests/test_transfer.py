@@ -2,12 +2,14 @@
 
 import socket
 import sys
+import time
 
 import pytest
 
 from samforge.errors import SourceUnavailable
-from samforge.transfer import FaultInjector, crc32_bytes, crc32_file, transfer_with
-from samforge.wire import parse_addr
+from samforge.store import StoreDataHandler
+from samforge.transfer import FaultInjector, PullPool, crc32_bytes, crc32_file, transfer_with
+from samforge.wire import Server, format_addr, parse_addr
 
 from conftest import record_ops, run_threads
 
@@ -155,3 +157,106 @@ def test_wrapper_passes_other_calls_through_untouched(rig, tmp_path):
 def test_wrapper_validates_interval():
     with pytest.raises(ValueError):
         FaultInjector(seed=1, corrupt_every_nth=0)
+
+
+# -- kept-open pull connections ----------------------------------------------
+
+def count_accepts(monkeypatch) -> list[str]:
+    """The address of the server behind each connection accepted from now on."""
+    accepted = []
+    process_request = Server.process_request
+
+    def counting(server, request, client_address):
+        accepted.append(format_addr(server.bound_addr))
+        process_request(server, request, client_address)
+
+    monkeypatch.setattr(Server, "process_request", counting)
+    return accepted
+
+
+def data_server_of(rig, store) -> Server:
+    [server] = [s for s in rig._servers if format_addr(s.bound_addr) == rig.store_data[store]]
+    return server
+
+
+def station_over_store(rig, files):
+    """Station cdfa-1 pulling from store stken-sim, which holds files f0.raw, f1.raw, ..."""
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)])
+    for i in range(files):
+        rig.seed_file(f"f{i}.raw", bytes([i]) * 100, stores=["stken-sim"])
+    return station
+
+
+def test_ten_misses_open_one_connection_to_the_store(rig, monkeypatch):
+    station = station_over_store(rig, 10)
+    accepted = count_accepts(monkeypatch)
+    for i in range(10):
+        station.fetch_file(f"f{i}.raw")
+    assert accepted.count(rig.store_data["stken-sim"]) == 1
+    assert station.counters["transfers_ok"] == 10
+
+
+def test_a_pull_after_the_store_restarts_is_sent_again_on_a_new_connection(rig, monkeypatch):
+    station = station_over_store(rig, 4)
+    faults = station.inject_faults("stken-sim", seed=1, corrupt_every_nth=1000)
+    accepted = count_accepts(monkeypatch)
+    station.fetch_file("f0.raw")
+    station.fetch_file("f1.raw")
+    data_server_of(rig, "stken-sim").close()  # cuts the kept-open connection
+    addr = rig.store_data["stken-sim"]
+    rig._servers.append(Server(StoreDataHandler, rig.stores["stken-sim"], addr).start())
+    station.fetch_file("f2.raw")  # the idle connection answers nothing: one more try
+    station.fetch_file("f3.raw")
+    assert accepted.count(addr) == 2  # one per life of the store's data server
+    assert station.counters["retries"] == 0
+    assert (faults.calls, faults.corrupted) == (4, 0)
+
+
+def test_kept_open_pulls_wait_for_no_delayed_ack(rig, tmp_path, monkeypatch):
+    # a frame is two writes; with Nagle's algorithm the body waits for the
+    # header's ACK, which the puller delays by up to 40 ms
+    data = bytes(range(256)) * 4
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    rig.seed_file("a.raw", data, stores=["stken-sim"])
+    addr = rig.store_data["stken-sim"]
+    accepted = count_accepts(monkeypatch)
+    pool = PullPool()
+    started = time.monotonic()
+    try:
+        for _ in range(50):
+            outcome = transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a.raw", pool=pool)
+            assert outcome.computed_crc32 == crc32_bytes(data)
+    finally:
+        pool.close()
+    assert time.monotonic() - started < 1
+    assert accepted == [addr]
+
+
+def test_an_err_answer_closes_the_pull_connection(rig, tmp_path, monkeypatch):
+    pull = stored(rig)
+    addr = rig.store_data["stken-sim"]
+    accepted = count_accepts(monkeypatch)
+    pool = PullPool()
+    try:
+        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a", pool=pool)
+        with pytest.raises(SourceUnavailable, match="NOT_FOUND"):
+            transfer_with(addr, "FETCH cdfa-1 nope.raw", tmp_path / "b", pool=pool)
+        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "c", pool=pool)
+    finally:
+        pool.close()
+    assert accepted == [addr, addr]
+    pull(tmp_path / "d")  # a one-shot pull needs no pool
+    assert accepted == [addr] * 3
+
+
+def test_station_close_leaves_no_pull_connection_open(rig):
+    station = station_over_store(rig, 4)
+    run_threads(4, lambda i: station.fetch_file(f"f{i}.raw"))
+    server = data_server_of(rig, "stken-sim")
+    assert server._conns
+    station.close()
+    deadline = time.monotonic() + 1
+    while server._conns and time.monotonic() < deadline:  # the store sees each end of file
+        time.sleep(0.01)
+    assert not server._conns
