@@ -21,7 +21,6 @@ from .errors import (
     NotFound,
     UnknownEndpoint,
     ValidationError,
-    require_type,
 )
 from .journal import Journal
 from .query import Expr, eval_query, expr_from_wire, expr_to_wire
@@ -113,26 +112,17 @@ class CatalogService(Dispatcher):
             self.journal.commit(OP_DECLARE_FILE, rec.to_wire())
             return rec.file_id
 
-    def get_file(self, name_or_id) -> dict:
+    def get_file(self, name_or_id: int | str) -> dict:
         with self._lock:
-            return self._find(name_or_id).to_wire()
-
-    def _find(self, name_or_id) -> FileRecord:
-        if isinstance(name_or_id, str):
-            file_id = self.state.by_name.get(name_or_id)
-        elif type(name_or_id) is int:  # a bool is not an id
-            file_id = name_or_id
-        else:
-            raise ValidationError(f"name_or_id {name_or_id!r} is neither a file name nor an id")
-        record = self.state.files.get(file_id)
-        if record is None:
-            raise NotFound(f"no file {name_or_id!r}")
-        return record
+            # a name maps to its id; an id, never a key of by_name, maps to itself
+            record = self.state.files.get(self.state.by_name.get(name_or_id, name_or_id))
+            if record is None:
+                raise NotFound(f"no file {name_or_id!r}")
+            return record.to_wire()
 
     # -- datasets ----------------------------------------------------------
 
     def define_dataset(self, name: str, expr: dict) -> bool:
-        require_type("name", name, str)
         if not name:
             raise ValidationError("name of a dataset must not be empty")
         parsed = expr_from_wire(expr)
@@ -151,7 +141,6 @@ class CatalogService(Dispatcher):
                     "file_names": [self.state.files[i].file_name for i in file_ids]}
 
     def _matching(self, name: str) -> list[int]:
-        require_type("dataset_name", name, str)
         expr = self.state.datasets.get(name)
         if expr is None:
             raise NotFound(f"no dataset {name!r}")
@@ -173,7 +162,6 @@ class CatalogService(Dispatcher):
             return self.get_snapshot(snapshot_id)
 
     def get_snapshot(self, snapshot_id: int) -> dict:
-        require_type("snapshot_id", snapshot_id, int)
         with self._lock:
             snapshot = self.state.snapshots.get(snapshot_id)
             if snapshot is None:
@@ -184,8 +172,6 @@ class CatalogService(Dispatcher):
     # -- replica locations -------------------------------------------------
 
     def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str) -> bool:
-        require_type("endpoint_name", endpoint_name, str)
-        require_type("path_or_volume", path_or_volume, str)
         with self._lock:
             self._require_file(file_id)
             if self.known_endpoints is not None and endpoint_name not in self.known_endpoints:
@@ -200,7 +186,6 @@ class CatalogService(Dispatcher):
         return True
 
     def remove_location(self, file_id: int, endpoint_name: str) -> bool:
-        require_type("endpoint_name", endpoint_name, str)
         with self._lock:
             self._require_file(file_id)
             if endpoint_name not in self.state.locations.get(file_id, {}):
@@ -219,7 +204,6 @@ class CatalogService(Dispatcher):
                     for name in sorted(locations)]
 
     def _require_file(self, file_id: int) -> None:
-        require_type("file_id", file_id, int)
         if file_id not in self.state.files:
             raise NotFound(f"no file with id {file_id}")
 
@@ -227,7 +211,6 @@ class CatalogService(Dispatcher):
 
     def get_lineage(self, file_id: int, depth: int) -> list[int]:
         """Distinct ancestor ids within `depth` hops, ascending."""
-        require_type("depth", depth, int)
         with self._lock:
             self._require_file(file_id)
             seen: set[int] = set()

@@ -34,16 +34,6 @@ class ValidationError(SamError):
         super().__init__("; ".join(self.problems))
 
 
-def require_type(field: str, value, kind: type) -> None:
-    """Refuse a request argument that is not of its kind, int or str, naming its field.
-
-    A bool is neither, though Python counts it an int.
-    """
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValidationError(
-            f"{field} {value!r} must be {'an integer' if kind is int else 'a string'}")
-
-
 class MalformedQuery(SamError):
     code = "MALFORMED_QUERY"
 

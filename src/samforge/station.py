@@ -67,7 +67,6 @@ from .errors import (
     SamError,
     TransferExhausted,
     ValidationError,
-    require_type,
 )
 from .naming import parse_legacy_name
 from .records import FileRecord, file_name_problem
@@ -171,13 +170,7 @@ class StationService(Dispatcher):
     # -- fetch path --------------------------------------------------------
 
     def fetch_file(self, file_name: str, requesting_project: str | None = None,
-                   prefetch: list[str] | tuple[str, ...] = ()) -> str:
-        require_type("file_name", file_name, str)
-        if requesting_project is not None:
-            require_type("requesting_project", requesting_project, str)
-        if not isinstance(prefetch, (list, tuple)) or \
-                not all(type(name) is str for name in prefetch):
-            raise ValidationError(f"prefetch must be a list of file names, not {prefetch!r}")
+                   prefetch: list[str] = ()) -> str:
         path = self._fetch(file_name, requesting_project, self.catalog)
         for name in prefetch:
             try:
@@ -384,8 +377,6 @@ class StationService(Dispatcher):
     # -- eviction / pinning ------------------------------------------------
 
     def unpin_file(self, file_id: int, project: str) -> bool:
-        require_type("file_id", file_id, int)
-        require_type("project", project, str)
         with self._lock:
             entry = self._entries.get(file_id)
             if entry is None:
@@ -398,7 +389,7 @@ class StationService(Dispatcher):
     # -- store path --------------------------------------------------------
 
     def store_file(self, record: dict, local_path: str | None = None) -> int:
-        if not isinstance(local_path, str) or not Path(local_path).is_file():
+        if local_path is None or not Path(local_path).is_file():
             raise ValidationError(f"store needs local_path, a file; got {local_path!r}")
         with open(local_path, "rb") as body:
             rec = FileRecord.from_wire(record)

@@ -8,7 +8,10 @@ One request object per line, one response per line::
 
 Servers dispatch to a service object exposing ``dispatch(op, args)``;
 SamError subclasses become error responses with their code string,
-anything else becomes INTERNAL.  Clients keep one connection and raise
+anything else becomes INTERNAL.  A request whose op is not a string or
+args not an object, or that names an argument its op's method does not
+take or lacks one, is BAD_REQUEST; an argument whose JSON type is not
+its annotation is VALIDATION naming it.  Clients keep one connection and raise
 RemoteError for error responses, ConnectFailed for transport trouble or
 a reply that is not protocol JSON.  Every daemon port, control or data
 plane, is a :class:`Server`; its ``close()`` returns at once and cuts the
@@ -19,14 +22,16 @@ seconds for a connect, a reply, or, kept open, its next request.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import select
 import socket
 import socketserver
 import threading
+import types
 
-from .errors import BadRequest, ConnectFailed, RemoteError, SamError
+from .errors import BadRequest, ConnectFailed, RemoteError, SamError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -122,11 +127,11 @@ class ControlHandler(socketserver.StreamRequestHandler):
                 return
             try:
                 request = json.loads(line)
+                op = request["op"]  # a TypeError for a request that is not an object
                 req_id = request.get("id")
-                op = request["op"]
-                args = request.get("args") or {}
-                if not isinstance(args, dict):
-                    raise TypeError("args must be an object")
+                args = request.get("args", {})
+                if not isinstance(op, str) or not isinstance(args, dict):
+                    raise TypeError("op must be a string and args an object")
             except (ValueError, KeyError, TypeError) as e:
                 self._respond(None, ok=False, code="BAD_REQUEST", msg=str(e))
                 return  # framing is unreliable now, drop the connection
@@ -227,18 +232,50 @@ class UnknownOp(SamError):
     code = "UNKNOWN_OP"
 
 
+def _kind(annotation) -> tuple[frozenset, frozenset, str] | None:
+    """The JSON types an annotation admits: (types, list item types, its text).
+
+    None admits anything: no annotation, or a dict, which its own parser
+    checks.  ``json.loads`` makes no subclasses, so a bool is no int here.
+    """
+    if annotation is inspect.Parameter.empty or annotation is dict:
+        return None
+    admitted, items = set(), set()
+    for part in annotation.__args__ if isinstance(annotation, types.UnionType) else [annotation]:
+        if isinstance(part, types.GenericAlias):  # list[X]
+            admitted.add(part.__origin__)
+            items.update(getattr(part.__args__[0], "__args__", part.__args__))
+        else:
+            admitted.add(part)
+    text = annotation.__name__ if isinstance(annotation, type) else str(annotation)
+    return frozenset(admitted), frozenset(items), text
+
+
 class Dispatcher:
-    """Maps op names onto methods via an explicit table."""
+    """Maps op names onto methods via an explicit table; checks each argument's annotation."""
 
     ops: dict[str, str] = {}
 
+    def __init_subclass__(cls):
+        cls._table = {}
+        for op, method_name in cls.ops.items():
+            params = list(inspect.signature(getattr(cls, method_name),
+                                            eval_str=True).parameters.values())[1:]  # not self
+            cls._table[op] = (method_name, {p.name: _kind(p.annotation) for p in params},
+                              frozenset(p.name for p in params if p.default is p.empty))
+
     def dispatch(self, op: str, args: dict):
-        method_name = self.ops.get(op)
-        if method_name is None:
+        entry = self._table.get(op)
+        if entry is None:
             raise UnknownOp(f"unknown operation {op!r}")
-        try:
-            return getattr(self, method_name)(**args)
-        except TypeError as e:
-            if e.__traceback__.tb_next is None:  # raised binding the call, not inside it
-                raise BadRequest(f"bad arguments for {op}: {e}") from None
-            raise
+        method_name, kinds, required = entry
+        if not (kinds.keys() >= args.keys() and args.keys() >= required):
+            unexpected = sorted(args.keys() - kinds.keys())
+            raise BadRequest(f"bad arguments for {op}: unexpected {unexpected}, "
+                             f"missing {sorted(required.difference(args))}")
+        for name, value in args.items():
+            kind = kinds[name]
+            if kind is not None and (type(value) not in kind[0] or type(value) is list
+                                     and not all(type(item) in kind[1] for item in value)):
+                raise ValidationError(f"{name} {value!r:.80} is not {kind[2]}")
+        return getattr(self, method_name)(**args)

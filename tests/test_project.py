@@ -597,7 +597,10 @@ def test_a_refused_next_registers_no_consumer(project_rig):
     project.start_project("p", "all")
     with pytest.raises(BadRequest):
         project.dispatch("next", {"project_name": "p", "consumer_id": "ghost"})  # no station
-    for bad in (None, "", "nohost", "h:port", ["127.0.0.1", 1]):
+    for bad in (None, ["127.0.0.1", 1]):  # the wrong JSON type, refused at the wire boundary
+        with pytest.raises(ValidationError):
+            project.dispatch("next", {"project_name": "p", "consumer_id": "ghost", "station": bad})
+    for bad in ("", "nohost", "h:port"):
         with pytest.raises(ValidationError):
             project.next_file("p", "ghost", station=bad)
     assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[0]

@@ -1067,7 +1067,7 @@ def test_close_stops_every_prefetch_worker(rig):
 def test_prefetch_must_be_a_list_of_ids(rig, prefetch):
     station = rig.add_station("cdfa-1", [], with_control_server=True)
     with pytest.raises(ValidationError):
-        station.fetch_file("a", prefetch=prefetch)
+        station.dispatch("fetch", {"file_name": "a", "prefetch": prefetch})
     with Client(rig.station_control["cdfa-1"]) as client:
         with pytest.raises(RemoteError) as excinfo:
             client.call("fetch", file_name="a", prefetch=prefetch)

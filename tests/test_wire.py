@@ -1,14 +1,20 @@
 """Control protocol: framing, dispatch, and error propagation."""
 
+import inspect
+import json
+import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from samforge.catalog import CatalogClient, CatalogService
-from samforge.errors import ConnectFailed, NotFound, RemoteError
+from samforge.errors import BadRequest, ConnectFailed, NotFound, RemoteError, ValidationError
 from samforge.project import ProjectServer
 from samforge.query import Atom, expr_to_wire
+from samforge.station import StationService
+from samforge.store import StoreService
 from samforge.wire import (
     Client,
     ControlHandler,
@@ -81,6 +87,62 @@ def test_unknown_op_and_bad_args(server):
         with pytest.raises(RemoteError) as excinfo:
             client.call("broken")
         assert excinfo.value.code == "INTERNAL"
+
+
+@pytest.mark.parametrize("line", [b'{"op": [1]}', b'{"op": {"a": 1}}', b'{"op": 5}', b"[1]", b"5",
+                                  b'{"op": "echo", "args": []}', b'{"op": "echo", "args": null}'])
+def test_a_request_without_a_string_op_and_an_args_object_is_a_bad_request(server, line):
+    # an unhashable op once failed the op lookup, answered INTERNAL and logged a traceback;
+    # a request that was not an object got no answer, and empty args of any type passed
+    with socket.create_connection(server.bound_addr, timeout=5) as sock:
+        sock.sendall(line + b"\n")
+        answer = json.loads(sock.makefile("rb").readline())
+    assert answer["error"]["code"] == "BAD_REQUEST"
+
+
+class TypedService(Dispatcher):
+    ops = {"typed": "typed"}
+
+    def typed(self, n: int, names: list[str], either: int | str, maybe: str | None = None,
+              shape: dict = None):
+        return True
+
+
+@pytest.mark.parametrize("changes,refusal", [
+    ({}, None),
+    ({"names": [], "either": "x", "maybe": "m"}, None),
+    ({"shape": 5}, None),  # a dict goes unchecked to the parser of its shape
+    ({"n": True}, ValidationError),
+    ({"n": 1.0}, ValidationError),
+    ({"names": "a"}, ValidationError),
+    ({"names": ["a", 1]}, ValidationError),
+    ({"either": 1.5}, ValidationError),
+    ({"either": None}, ValidationError),
+    ({"maybe": 1}, ValidationError),
+    ({"self": 1}, BadRequest),
+    ({"other": 1}, BadRequest),
+    ({"n": None}, ValidationError),
+])
+def test_dispatch_checks_each_argument_against_its_annotation(changes, refusal):
+    args = {"n": 1, "names": ["a"], "either": 1, **changes}
+    if refusal is None:
+        assert TypedService().dispatch("typed", args) is True
+        return
+    with pytest.raises(refusal) as excinfo:
+        TypedService().dispatch("typed", args)
+    assert next(iter(changes)) in excinfo.value.msg
+
+
+@pytest.mark.parametrize("service", [CatalogService, ProjectServer, StationService, StoreService],
+                         ids=lambda service: service.__name__)
+def test_every_argument_of_every_op_is_checked(service):
+    # an unannotated parameter would pass whatever a request sends
+    for op, method_name in service.ops.items():
+        params = inspect.signature(getattr(service, method_name), eval_str=True).parameters
+        for name, param in list(params.items())[1:]:
+            assert param.annotation is not param.empty, f"{op}: {name} has no annotation"
+            assert service._table[op][1][name] is not None or param.annotation is dict, \
+                f"{op}: {name} is not checked"
 
 
 def test_connect_failed_has_conn_code():
@@ -224,3 +286,49 @@ def test_add_location_takes_no_verified_at(rig):
             assert excinfo.value.code == "BAD_REQUEST"
             assert "verified_at" in excinfo.value.msg
     assert rig.catalog_service.journal.last_seq == before
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("daemon", ["catalog", "project", "station"])
+def test_no_request_arguments_answer_internal_or_journal_a_refusal(rig, daemon):
+    # only the fuzzed daemon is asked and no dataset is defined, so no project starts
+    # and no next reaches a station
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
+                              with_control_server=True)
+    rig.seed_file("f", b"x", stores=["stken-sim"])
+    station.fetch_file("f", requesting_project="p")  # resident, so a prefetch of it pulls nothing
+    project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
+    server = Server(ControlHandler, project, ("127.0.0.1", 0)).start()
+    services = {"catalog": (rig.catalog_service, rig.catalog_addr),
+                "station": (station, rig.station_control["cdfa-1"]),
+                "project": (project, format_addr(server.bound_addr))}
+    service, addr = services[daemon]
+    journals = (rig.catalog_service.journal, project.journal)
+    names = {op: [*inspect.signature(getattr(service, method_name)).parameters, "verified_at"]
+             for op, method_name in service.ops.items()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def probe(data):
+        op = data.draw(st.sampled_from(sorted(names)))
+        args = data.draw(st.dictionaries(st.sampled_from(names[op]), JSON))
+        before = [journal.last_seq for journal in journals]
+        try:
+            client.call(op, **args)
+        except RemoteError as e:
+            assert e.code != "INTERNAL", (op, args, e.msg)
+            assert [journal.last_seq for journal in journals] == before, (op, args, e.code)
+
+    try:
+        with Client(addr) as client:
+            probe()
+    finally:
+        server.close()
+        project.close()
