@@ -247,9 +247,7 @@ class CatalogClient(Client):
     """The catalog's connection; these methods convert records, every other op is a call."""
 
     def declare_file(self, record: FileRecord) -> int:
-        wire = record.to_wire()
-        wire.pop("file_id", None)
-        return self.call("declare_file", record=wire)
+        return self.call("declare_file", record=record.to_wire())
 
     def get_file(self, name_or_id) -> FileRecord:
         return FileRecord.from_wire(self.call("get_file", name_or_id=name_or_id))

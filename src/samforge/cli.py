@@ -360,13 +360,11 @@ def cmd_store(args) -> int:
     path = Path(args.path)
     if not path.is_file():
         raise NotFound(f"no such file: {path}")
-    args.parent = []
     record = _record_from_args(args, path)
-    wire = record.to_wire()
-    wire.pop("file_id", None)
     with Client(args.station) as station:
         # the station opens the path itself, from its own working directory
-        file_id = station.call("store", record=wire, local_path=str(path.resolve()))
+        file_id = station.call("store", record=record.to_wire(),
+                               local_path=str(path.resolve()))
     _emit(args, {"file_id": file_id, "file_name": record.file_name},
           [f"stored {record.file_name} as file {file_id}"])
     return 0

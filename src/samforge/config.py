@@ -12,7 +12,6 @@ bytes through, and stores list who may read or write them::
     journal = state/project.journal
 
     [station fcdf-router]
-    role = router
     listen = 127.0.0.1:4751
     data_listen = 127.0.0.1:4761
     cache_dir = state/fcdf-router
@@ -35,10 +34,13 @@ bytes through, and stores list who may read or write them::
 
 An endpoint line is `<name> <access> [max_concurrent_transfers]`; the
 scheme (stn for stations, tape for stores) and the peer's data address
-come from the named section, so they are written once.  Relative paths
-resolve against the config file's directory.  Keys under ``[DEFAULT]`` apply
-to every section; port 0 asks the kernel for a free port.  :func:`serve`
-starts daemons from a topology.
+come from the named section, so they are written once.  A station's
+``route_target``, one of its endpoints, decides its part in uploads: a
+station routing to a store is a router, which buffers an upload and
+forwards it to tape, and one routing to a station hands uploads to it.
+Relative paths resolve against the config file's directory.  Keys under
+``[DEFAULT]`` apply to every section; port 0 asks the kernel for a free
+port.  :func:`serve` starts daemons from a topology.
 
 Each station section loads straight into the :class:`StationConfig` its
 service takes, and each store section into a :class:`StoreConfig`; both
@@ -64,9 +66,6 @@ DEFAULT_STORE_PORT = 4752
 DEFAULT_PROJECT_PORT = 4753
 
 CONFIG_ENV_VAR = "SAMFORGE_CONFIG"
-
-ROLE_ANALYSIS = "analysis"
-ROLE_ROUTER = "router"
 
 SCHEME_STATION = "stn"  # another station's cache: FETCH <file>
 SCHEME_TAPE = "tape"  # a mass store, which checks the client: FETCH <station> <file>
@@ -95,7 +94,6 @@ class StationConfig:
     name: str
     cache_dir: str
     cache_capacity_bytes: int
-    role: str = ROLE_ANALYSIS
     known_endpoints: list[EndpointSpec] = field(default_factory=list)
     route_target: str | None = None
     listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
@@ -104,15 +102,19 @@ class StationConfig:
     def __post_init__(self):
         if self.cache_capacity_bytes <= 0:
             raise ValueError("cache_capacity_bytes must be positive")
-        if self.role not in (ROLE_ANALYSIS, ROLE_ROUTER):
-            raise ValueError(f"unknown role {self.role!r}")
         names = [e.name for e in self.known_endpoints]
         if len(names) != len(set(names)):
             raise ValueError("duplicate endpoint names")
         if any(e.max_concurrent_transfers < 1 for e in self.known_endpoints):
             raise ValueError("an endpoint needs at least 1 transfer slot")
-        if self.role == ROLE_ROUTER and self.route_target not in names:
-            raise ValueError("routers need a route_target among their endpoints")
+        if self.route_target is not None and self.route_target not in names:
+            raise ValueError("a route_target must be one of the station's endpoints")
+
+    @property
+    def is_router(self) -> bool:
+        """A router buffers an upload and forwards it to tape: its route target is a store."""
+        return any(e.name == self.route_target and e.scheme == SCHEME_TAPE
+                   for e in self.known_endpoints)
 
 
 @dataclass
@@ -245,7 +247,6 @@ def _station(parser, section, name, base, known, problems) -> StationConfig:
                                       data_addr="", max_concurrent_transfers=slots))
     return StationConfig(
         name=name,
-        role=parser.get(section, "role", fallback="analysis"),
         listen=listen,
         data_listen=parser.get(section, "data_listen", fallback=_bump_port(listen)),
         cache_dir=_path(base, parser.get(section, "cache_dir", fallback=f"state/{name}")),

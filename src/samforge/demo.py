@@ -63,7 +63,6 @@ access =
     seeder read_write
 
 [station fcdf-router]
-role = router
 route_target = stken-sim
 endpoints =
     stken-sim read_write 4
@@ -232,7 +231,7 @@ def run_lockstep_consumers(topology: TopologyConfig, project_name: str,
                            n_consumers: int = 4) -> list[dict]:
     """Pull a whole project dry with equal-rate consumer adaptors; returns transcript."""
     stations = [name for name, station in topology.stations.items()
-                if station.role == "analysis"]
+                if not station.is_router]
     assignments = [(f"consumer-{i + 1}", stations[i % len(stations)])
                    for i in range(n_consumers)]
     barrier = threading.Barrier(n_consumers)

@@ -67,14 +67,14 @@ class Journal:
                 offset += len(line)
         return offset
 
-    def append(self, kind: str, payload: dict, at: float | None = None) -> int:
-        """Durably append one entry; returns its sequence number."""
+    def append(self, kind: str, payload: dict) -> int:
+        """Durably append one entry, stamped with the time; returns its sequence number."""
         with self._lock:
             entry = {
                 "seq": self.last_seq + 1,
                 "kind": kind,
                 "payload": payload,
-                "at": time.time() if at is None else at,
+                "at": time.time(),
             }
             self._fh.write(json.dumps(entry, separators=(",", ":")).encode() + b"\n")
             self._fh.flush()

@@ -3,22 +3,23 @@
 A station fronts analysis work with a bounded disk cache (LRU eviction,
 pin exemption), fetches files from replicas with CRC verification and
 bounded retry, and routes newly produced files toward the permanent
-store.  Router stations buffer stores on a permanent area and forward to
-their route target; analysis stations hand stores to the router over the
-framed data plane, and refuse a STORE frame themselves (``ACCESS_DENIED``).
-Either way the route target must be ``read_write``.  A router refuses a
-STORE of a declared name before its body, and forwards the body to the
-store while it arrives, holding back the final byte, so the store
-commits only after the router's CRC check and declare.
+store.  The route target decides a station's part: a station routing to
+a store is a router, which buffers an upload on a permanent area and
+PUTs it to tape.  Any other station is an analysis station: it hands an
+upload to its route target, a router, as a STORE frame, and refuses a
+STORE frame itself (``ACCESS_DENIED``).  Either way the route target
+must be ``read_write``.  A router refuses a STORE of a declared name
+before its body, and forwards the body to the store while it arrives,
+holding back the final byte, so the store commits only after the
+router's CRC check and declare.
 
 Replica selection prefers another station's cache (stn) over tape, with
-lexicographic endpoint-name tie-breaks.  A retry re-runs selection but
-sets aside endpoints that already failed this fetch, so a corrupt source
-is not blindly retried while an alternative exists; when every candidate
-has failed once the slate is wiped and selection starts over.  Every
-pull is one request line to the endpoint's data port: ``FETCH <file>``
-for a station, ``FETCH <station> <file>`` for a store, which checks the
-client's access.
+lexicographic endpoint-name tie-breaks.  Each retry takes the next
+candidate in that order, so a corrupt source is not retried while an
+alternative is left; once every candidate has failed, the next retry
+starts over from the first.  Every pull is one request line to the
+endpoint's data port: ``FETCH <file>`` for a station, ``FETCH <station>
+<file>`` for a store, which checks the client's access.
 
 Per-endpoint transfer slots are granted FIFO; a slot is held only while
 bytes move, never while waiting on cache locks.
@@ -53,7 +54,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import ROLE_ROUTER, SCHEME_STATION, SCHEME_TAPE, EndpointSpec, StationConfig
+from .config import SCHEME_STATION, SCHEME_TAPE, EndpointSpec, StationConfig
 from .errors import (
     AccessDenied,
     BadRequest,
@@ -96,8 +97,7 @@ PREFETCH_WORKERS = 2
 @dataclass
 class CacheEntry:
     file_id: int
-    file_name: str
-    local_path: Path
+    file_name: str  # its bytes are files_dir / file_name
     size_bytes: int
     crc32: int  # verified when the file was admitted; served as the SEND header CRC
     pins: set[str] = field(default_factory=set)  # projects holding it; a redelivery adds none
@@ -200,7 +200,7 @@ class StationService(Dispatcher):
                 if project:
                     entry.pins.add(project)
                 self.counters["cache_hits"] += 1
-                return str(entry.local_path)
+                return str(self.files_dir / file_name)
             self._in_flight.add(file_name)
             if prefetch:
                 self._prefetching.add(file_name)
@@ -258,14 +258,10 @@ class StationService(Dispatcher):
 
     def _attempt_loop(self, record: FileRecord, candidates: list[EndpointSpec]) -> Path:
         """Transfer until a copy verifies; returns its staging path."""
-        excluded: set[str] = set()
         last_error: SamError | None = None
         for attempt in range(1, MAX_TRANSFER_ATTEMPTS + 1):
-            pool = [c for c in candidates if c.name not in excluded]
-            if not pool:
-                excluded.clear()
-                pool = candidates
-            choice = pool[0]
+            # each retry takes the next candidate, back to the first once all have failed
+            choice = candidates[(attempt - 1) % len(candidates)]
             if attempt > 1:
                 with self._lock:
                     self.counters["retries"] += 1
@@ -281,7 +277,6 @@ class StationService(Dispatcher):
                 if not isinstance(e, SamError):
                     raise
                 last_error = e
-                excluded.add(choice.name)
                 self._event("transfer_error", record.file_name, choice.name, attempt, str(e))
                 continue
             if outcome.computed_crc32 == record.crc32 and outcome.bytes_moved == record.size_bytes:
@@ -293,7 +288,6 @@ class StationService(Dispatcher):
             log.warning("crc mismatch on %s from %s (attempt %d)",
                         record.file_name, choice.name, attempt)
             staging.unlink(missing_ok=True)
-            excluded.add(choice.name)
             last_error = TransferExhausted(
                 f"{record.file_name}: checksum mismatch from {choice.name}")
         raise TransferExhausted(
@@ -334,7 +328,7 @@ class StationService(Dispatcher):
         del self._entries[entry.file_id]
         self._resident -= entry.size_bytes
         self._by_name.pop(entry.file_name, None)
-        entry.local_path.unlink(missing_ok=True)
+        (self.files_dir / entry.file_name).unlink(missing_ok=True)
         self.counters["evictions"] += 1
 
     def _forget_locations(self, victims: list[CacheEntry], catalog: Client) -> None:
@@ -356,7 +350,6 @@ class StationService(Dispatcher):
             entry = CacheEntry(
                 file_id=record.file_id,
                 file_name=record.file_name,
-                local_path=final,
                 size_bytes=record.size_bytes,
                 crc32=record.crc32,
             )
@@ -397,18 +390,17 @@ class StationService(Dispatcher):
             rec.size_bytes = body.seek(0, os.SEEK_END)
             body.seek(0)
             rec.crc32 = crc32_stream(body)
-            if self.config.role == ROLE_ROUTER:
+            push = self.push_to_route(rec)
+            if self.config.is_router:
                 staged = self.incoming_dir / os.urandom(16).hex()
                 try:
                     body.seek(0)
                     with open(staged, "wb") as out:
                         shutil.copyfileobj(body, out)
-                    return self.store_local(rec, staged, self.push_to_route(rec))
+                    return self.store_local(rec, staged, push)
                 finally:
                     staged.unlink(missing_ok=True)
-            wire = rec.to_wire()  # an analysis station hands the file to its router
-            wire.pop("file_id", None)
-            file_id = int(self.push_to_route(rec, "STORE " + json.dumps(wire)).finish(body))
+            file_id = int(push.finish(body))  # an analysis station hands the file to its router
         with self._lock:
             self.counters["stores_ok"] += 1
         return file_id
@@ -439,19 +431,21 @@ class StationService(Dispatcher):
             self.counters["stores_ok"] += 1
         return file_id
 
-    def push_to_route(self, rec: FileRecord, request: str | None = None) -> Push:
-        """rec's push to the route target, a router's PUT unless request says otherwise.
+    def push_to_route(self, rec: FileRecord) -> Push:
+        """rec's push to the route target: a PUT to a store, a STORE of rec to a station.
 
         The route target must be read_write; the push holds one of its
         transfer slots from its first byte to the answer.
         """
-        target = self.config.route_target
-        route = self._endpoints.get(target) if target else None
+        route = self._endpoints.get(self.config.route_target)
         if route is None:
             raise AccessDenied(f"station {self.config.name} has no route target")
         if route.access != "read_write":
             raise AccessDenied(f"route target {route.name} is {route.access}")
-        request = request or f"PUT {self.config.name} {_fileset_of(rec)}"
+        if route.scheme == SCHEME_TAPE:
+            request = f"PUT {self.config.name} {_fileset_of(rec)}"
+        else:
+            request = "STORE " + json.dumps(rec.to_wire())
         return Push(route.data_addr,
                     f"{request}\n" + send_header(rec.file_name, rec.size_bytes, rec.crc32),
                     rec.size_bytes, self._limits[route.name])
@@ -465,7 +459,7 @@ class StationService(Dispatcher):
             if file_id is not None:
                 entry = self._entries[file_id]
                 self._entries.move_to_end(file_id)
-                return open(entry.local_path, "rb"), entry.size_bytes, entry.crc32
+                return open(self.files_dir / file_name, "rb"), entry.size_bytes, entry.crc32
         buffered = self.buffer_dir / file_name
         # a name that is no file name could reach outside the buffer
         if file_name_problem(file_name) is None and buffered.is_file():
@@ -489,7 +483,7 @@ class StationService(Dispatcher):
             ]
             return {
                 "name": self.config.name,
-                "role": self.config.role,
+                "role": "router" if self.config.is_router else "analysis",
                 "cache": {
                     "capacity_bytes": self.config.cache_capacity_bytes,
                     "resident_bytes": self._resident,
@@ -560,7 +554,7 @@ class StationDataHandler(DataHandler):
 
         def check(name: str, size: int, crc: int) -> Push:
             nonlocal rec, push
-            if service.config.role != ROLE_ROUTER:  # nothing would forward what it buffered
+            if not service.config.is_router:  # nothing would forward what it buffered
                 raise AccessDenied(f"{service.config.name} is not a router")
             try:
                 wire = json.loads(payload)

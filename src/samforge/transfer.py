@@ -95,25 +95,20 @@ class TransferOutcome:
     computed_crc32: int
 
 
-def transfer_with(addr, request_line: str, dest: str | Path,
-                  faults: FaultInjector | None = None,
-                  pool: PullPool | None = None) -> TransferOutcome:
+def transfer_with(addr, request_line: str, dest: str | Path, faults: FaultInjector | None,
+                  pool: PullPool) -> TransferOutcome:
     """Pull one SEND frame from addr into dest; reports what landed there.
 
-    The pull goes over pool's kept-open connections, or without a pool
-    over one of its own.  dest's parent is created if missing.  faults,
-    if given, may corrupt the landed file before its CRC is reported.
+    The pull goes over one of pool's kept-open connections to addr, or a
+    new one.  dest's parent is created if missing.  faults, if not None,
+    may corrupt the landed file before its CRC is reported.
     """
     dest = Path(dest)
     dest.parent.mkdir(parents=True, exist_ok=True)
-    one_shot = PullPool() if pool is None else None
     try:
-        size, crc = (pool or one_shot).pull(addr, request_line, dest)
+        size, crc = pool.pull(addr, request_line, dest)
     except OSError as e:
         raise SourceUnavailable(f"transfer from {addr} failed: {e}") from e
-    finally:
-        if one_shot is not None:
-            one_shot.close()
     if faults is not None:
         crc = faults.after_pull(dest, crc)
     return TransferOutcome(bytes_moved=size, computed_crc32=crc)

@@ -56,9 +56,8 @@ def format_addr(addr: tuple[str, int]) -> str:
 class Client:
     """Blocking request/response client; one outstanding request at a time."""
 
-    def __init__(self, addr, timeout: float = TIMEOUT):
+    def __init__(self, addr):
         self.addr = parse_addr(addr)
-        self.timeout = timeout
         self._sock: socket.socket | None = None
         self._rfile = None
         self._next_id = 0
@@ -66,7 +65,7 @@ class Client:
 
     def _connect(self) -> None:
         try:
-            self._sock = socket.create_connection(self.addr, timeout=self.timeout)
+            self._sock = socket.create_connection(self.addr, timeout=TIMEOUT)
         except OSError as e:
             self._sock = None
             raise ConnectFailed(f"cannot connect to {format_addr(self.addr)}: {e}") from e

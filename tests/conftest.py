@@ -63,9 +63,8 @@ class LoopbackRig:
         self.store_data[name] = format_addr(data.bound_addr)
         return service
 
-    def add_station(self, name, endpoints, cache_capacity=10**8, role="analysis",
-                    route_target=None, with_data_server=False,
-                    with_control_server=False) -> StationService:
+    def add_station(self, name, endpoints, cache_capacity=10**8, route_target=None,
+                    with_data_server=False, with_control_server=False) -> StationService:
         """endpoints: (endpoint_name, access, slots) over stores and stations
         already added to the rig."""
         specs = []
@@ -81,7 +80,6 @@ class LoopbackRig:
                 name=name,
                 cache_dir=str(self.root / name),
                 cache_capacity_bytes=cache_capacity,
-                role=role,
                 known_endpoints=specs,
                 route_target=route_target,
             ),
@@ -191,8 +189,8 @@ BAD_STATIONS = {
     "no-transfer-slots": ("endpoints =\n    s1 read_only 0\n",
                           "an endpoint needs at least 1 transfer slot"),
     "route-target-not-an-endpoint": (
-        "role = router\nroute_target = s2\nendpoints =\n    s1 read_write\n",
-        "routers need a route_target among their endpoints"),
+        "route_target = s2\nendpoints =\n    s1 read_write\n",
+        "a route_target must be one of the station's endpoints"),
 }
 
 

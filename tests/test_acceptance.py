@@ -114,7 +114,7 @@ def test_criterion_3_access_and_rate_enforcement(rig):
     rig.add_store("cdfen-sim", {"fcdf-router": "read_only", "seeder": "read_write"},
                   mount_latency_ms=20)
     router = rig.add_station("fcdf-router", [("cdfen-sim", "read_only", 2)],
-                             role="router", route_target="cdfen-sim")
+                             route_target="cdfen-sim")
 
     # writes routed to the read-only archive are refused outright
     record = {

@@ -113,7 +113,7 @@ def test_stored_and_stationd_start_from_a_topology_file(capsys, tmp_path):
         "[store stken-sim]\n"
         "access =\n    fcdf-router read_write\n\n"
         "[station fcdf-router]\n"
-        "role = router\nroute_target = stken-sim\n"
+        "route_target = stken-sim\n"
         "endpoints =\n    stken-sim read_write 4\n")
     ports = ("--listen", "127.0.0.1:0", "--data-listen", "127.0.0.1:0")
     spawned = []
@@ -179,7 +179,7 @@ def test_each_daemon_loads_only_its_own_roles_modules(tmp_path, command):
     config.write_text(
         "[DEFAULT]\nlisten = 127.0.0.1:0\n\n[catalog]\n\n[project]\n\n"
         "[store stken-sim]\naccess =\n    fcdf-router read_write\n\n"
-        "[station fcdf-router]\nrole = router\nroute_target = stken-sim\n"
+        "[station fcdf-router]\nroute_target = stken-sim\n"
         "endpoints =\n    stken-sim read_write 4\n")
     name = {"stored": ["stken-sim"], "stationd": ["fcdf-router"]}.get(command, [])
     src = str(Path(samforge.__file__).resolve().parent.parent)

@@ -27,7 +27,6 @@ listen = 127.0.0.1:5753
 journal = /var/lib/sam/project.journal
 
 [station fcdf-router]
-role = router
 listen = 127.0.0.1:5751
 cache_dir = cache/router
 cache_capacity_bytes = 50000000
@@ -83,7 +82,7 @@ def test_daemon_sections_and_relative_journal_paths(topology):
 def test_station_sections(topology):
     base, config = topology
     router = config.stations["fcdf-router"]
-    assert router.role == "router"
+    assert router.is_router  # its route target is a store
     assert router.route_target == "stken-sim"
     assert router.cache_dir == str(base / "cache/router")
     assert router.cache_capacity_bytes == 50_000_000
@@ -92,7 +91,7 @@ def test_station_sections(topology):
     assert router.data_listen == "127.0.0.1:6751"  # listen port + 1000
 
     analysis = config.stations["cdfa-1"]
-    assert analysis.role == "analysis"
+    assert not analysis.is_router  # no route target
     assert analysis.data_listen == "127.0.0.1:6761"  # explicit wins
     assert endpoint_lines(analysis) == [
         ("stken-sim", "read_only", DEFAULT_MAX_CONCURRENT),
@@ -127,7 +126,6 @@ def test_station_config_materializes_endpoint_specs(topology):
     _, config = topology
     station = config.stations["fcdf-router"]
     assert station.name == "fcdf-router"
-    assert station.role == "router"
     assert station.route_target == "stken-sim"
     by_name = {spec.name: spec for spec in station.known_endpoints}
     assert by_name["stken-sim"].scheme == "tape"
@@ -183,13 +181,9 @@ def test_problems_are_collected_not_first_failed(tmp_path):
     config_file = tmp_path / "broken.ini"
     config_file.write_text("""
 [station r1]
-role = router
 endpoints =
     ghost read_write
     stray banana
-
-[station odd]
-role = shipping
 
 [typo section]
 x = 1
@@ -199,10 +193,8 @@ x = 1
     problems = excinfo.value.problems
     assert any("endpoint 'ghost' names no station or store" in p for p in problems)
     assert any("bad endpoint line 'stray banana'" in p for p in problems)
-    assert any("routers need a route_target" in p for p in problems)
-    assert any("unknown role 'shipping'" in p for p in problems)
     assert any("unrecognized section [typo section]" in p for p in problems)
-    assert len(problems) >= 5
+    assert len(problems) == 3
 
 
 @pytest.mark.parametrize("case", sorted(BAD_STATIONS))
@@ -225,7 +217,6 @@ def test_route_target_must_exist(tmp_path):
     config_file = tmp_path / "bad_route.ini"
     config_file.write_text("""
 [station r1]
-role = router
 route_target = nowhere
 """)
     with pytest.raises(ValidationError) as excinfo:
@@ -235,7 +226,7 @@ route_target = nowhere
 
 def test_station_and_store_names_share_one_namespace(tmp_path):
     config_file = tmp_path / "dup.ini"
-    config_file.write_text("[station dup]\nrole = analysis\n\n[store dup]\n")
+    config_file.write_text("[station dup]\n\n[store dup]\n")
     with pytest.raises(ValidationError) as excinfo:
         load_topology(config_file)
     assert "station and store names must be unique" in excinfo.value.problems

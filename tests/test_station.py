@@ -9,9 +9,11 @@ import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+from samforge.config import load_topology, serve
 from samforge.errors import (
     AccessDenied,
     CacheFull,
@@ -329,6 +331,21 @@ def test_corrupt_source_retries_against_alternative(rig):
     assert [e["endpoint"] for e in mismatch] == ["cdfen-sim"]
 
 
+def test_retries_go_round_the_candidates_in_order(rig):
+    rig.add_store("cdfen-sim", STORE_ACCESS)
+    rig.add_store("stken-sim", STORE_ACCESS)
+    station = rig.add_station(
+        "cdfa-1", [("cdfen-sim", "read_only", 2), ("stken-sim", "read_only", 4)])
+    rig.seed_file("a.raw", b"bits", stores=["cdfen-sim", "stken-sim"])
+    station.inject_faults("cdfen-sim", seed=3, corrupt_every_nth=1)
+    station.inject_faults("stken-sim", seed=4, corrupt_every_nth=1)
+    with pytest.raises(TransferExhausted):
+        station.fetch_file("a.raw")
+    mismatch = [e for e in station.events if e["kind"] == "crc_mismatch"]
+    assert [(e["attempt"], e["endpoint"]) for e in mismatch] == [
+        (1, "cdfen-sim"), (2, "stken-sim"), (3, "cdfen-sim")]
+
+
 def test_exhausts_after_max_attempts_when_only_source_is_corrupt(rig):
     rig.add_store("cdfen-sim", STORE_ACCESS)
     station = rig.add_station("cdfa-1", [("cdfen-sim", "read_only", 2)])
@@ -433,7 +450,7 @@ def test_rate_limit_high_water_mark_never_exceeds_slots(rig):
 def test_store_routing_from_router_to_store(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             role="router", route_target="stken-sim")
+                             route_target="stken-sim")
     data = b"fresh results"
     record = {
         "file_name": "bphy0412_fs0007_0042.raw", "size_bytes": 0, "crc32": 0,
@@ -458,7 +475,7 @@ def test_store_routing_from_router_to_store(rig):
 def test_store_routing_through_analysis_station(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    role="router", route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", with_data_server=True)
     analysis = rig.add_station("cdfa-1", [("fcdf-router", "read_write", 4)],
                                route_target="fcdf-router")
     payload = b"analysis output"
@@ -478,7 +495,7 @@ def test_store_routing_through_analysis_station(rig):
 def test_analysis_store_route_needs_read_write_and_takes_a_slot(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             role="router", route_target="stken-sim", with_data_server=True)
+                             route_target="stken-sim", with_data_server=True)
     read_only = rig.add_station("cdfa-1", [("fcdf-router", "read_only", 1)],
                                 route_target="fcdf-router")
     writable = rig.add_station("cdfa-2", [("fcdf-router", "read_write", 1)],
@@ -511,7 +528,7 @@ def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
     # unread would reach the sender as a reset, not as ERR <code>
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             role="router", route_target="stken-sim", with_data_server=True)
+                             route_target="stken-sim", with_data_server=True)
     record = {
         "file_name": "bphy0412_fs0007_0045.raw", "size_bytes": 0, "crc32": 0,
         "data_tier": "raw", "event_type": "phy", "program_version": 4,
@@ -550,8 +567,8 @@ MALFORMED_RECORDS = {  # case -> (record, what the refusal names)
 def test_a_malformed_record_is_refused_naming_its_field(rig, path, case):
     record, named = MALFORMED_RECORDS[case]
     rig.add_store("stken-sim", STORE_ACCESS)
-    rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], role="router",
-                    route_target="stken-sim", with_data_server=True, with_control_server=True)
+    rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], route_target="stken-sim",
+                    with_data_server=True, with_control_server=True)
     data = b"results"
     with pytest.raises(RemoteError) as excinfo:
         if path == "declare_file":
@@ -580,7 +597,7 @@ def test_an_analysis_station_refuses_a_store_frame(rig):
     # socket buffers, so only a refusal that drains it reaches the sender.
     rig.add_store("stken-sim", STORE_ACCESS)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    role="router", route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", with_data_server=True)
     analysis = rig.add_station("cdfa-1", [("fcdf-router", "read_write", 4)],
                                route_target="fcdf-router", with_data_server=True)
     record = {
@@ -605,7 +622,7 @@ def test_an_analysis_station_refuses_a_store_frame(rig):
 def test_store_to_read_only_route_is_denied_before_any_mutation(rig):
     rig.add_store("cdfen-sim", {"fcdf-router": "read_only"})
     router = rig.add_station("fcdf-router", [("cdfen-sim", "read_only", 4)],
-                             role="router", route_target="cdfen-sim")
+                             route_target="cdfen-sim")
     record = {
         "file_name": "denied.raw", "size_bytes": 0, "crc32": 0,
         "data_tier": "raw", "event_type": "phy", "program_version": 1,
@@ -622,7 +639,7 @@ def test_store_to_read_only_route_is_denied_before_any_mutation(rig):
 def test_store_duplicate_name_is_rejected_at_declare(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             role="router", route_target="stken-sim")
+                             route_target="stken-sim")
     rig.seed_file("taken.raw", b"first", stores=["stken-sim"])
     record = {
         "file_name": "taken.raw", "size_bytes": 0, "crc32": 0,
@@ -634,6 +651,57 @@ def test_store_duplicate_name_is_rejected_at_declare(rig):
     assert excinfo.value.code == "DUPLICATE_NAME"
 
 
+# older files name each station's part in a role key, which nothing reads:
+# here each names the part its station does not play
+ROUTES = """
+[DEFAULT]
+listen = 127.0.0.1:0
+
+[store stken-sim]
+access =
+    fcdf-router read_write
+    cdfa-1 read_only
+
+[station fcdf-router]
+role = analysis
+route_target = stken-sim
+endpoints =
+    stken-sim read_write
+
+[station cdfa-1]
+role = router
+route_target = fcdf-router
+endpoints =
+    fcdf-router read_write
+"""
+
+
+def test_the_route_target_alone_decides_who_forwards_an_upload(tmp_path):
+    config_file = tmp_path / "routes.ini"
+    config_file.write_text(ROUTES)
+    topology = load_topology(config_file)
+    served = serve(topology, topology.daemons())
+    try:
+        store = {d.name: d.service for d in served}["stken-sim"]
+        for station, part, name in [("cdfa-1", "analysis", "bphy0412_fs0007_0060.raw"),
+                                    ("fcdf-router", "router", "bphy0412_fs0007_0061.raw")]:
+            local = tmp_path / name
+            local.write_bytes(name.encode())
+            with Client(topology.stations[station].listen) as client:
+                file_id = client.call("store", record={**GOOD_RECORD, "file_name": name},
+                                      local_path=str(local))
+                assert client.call("status")["role"] == part
+            with Client(topology.catalog.listen) as catalog:
+                locations = catalog.call("get_locations", file_id=file_id)
+            assert [loc["endpoint_name"] for loc in locations] == ["stken-sim"]
+            assert read_stored(store, "cdfa-1", name) == name.encode()
+        for station in topology.stations.values():
+            assert list((Path(station.cache_dir) / "permanent").iterdir()) == []
+    finally:
+        for daemon in reversed(served):
+            daemon.close()
+
+
 # -- streamed routing: the router forwards a STORE while it arrives ------------
 
 STREAMED = "bphy0412_fs0007_0050.raw"
@@ -642,7 +710,7 @@ STREAMED = "bphy0412_fs0007_0050.raw"
 def streaming_router(rig):
     """A router whose store takes 32 MiB files, both on the data plane."""
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
-    return rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], role="router",
+    return rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
                            route_target="stken-sim", with_data_server=True)
 
 
@@ -805,8 +873,7 @@ def test_a_store_connection_cut_mid_body_is_sent_again_from_the_buffer(rig):
     try:
         rig.store_data["stken-sim"] = relay.addr
         router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                                 role="router", route_target="stken-sim",
-                                 with_data_server=True)
+                                 route_target="stken-sim", with_data_server=True)
         data = random.Random(22).randbytes(8 * MiB)
         file_id = int(send_request(rig.station_data["fcdf-router"], store_head(data),
                                    io.BytesIO(data), len(data)))
@@ -834,7 +901,7 @@ def test_concurrent_streamed_stores_share_one_route_slot(rig):
     # more forwards than cores and than route slots: each waits its turn
     # mid-body, and no slot leaks or is held twice
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
-    router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 1)], role="router",
+    router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 1)],
                              route_target="stken-sim", with_data_server=True)
     bodies = {f"bphy0412_fs0007_{i:04d}.raw": random.Random(i).randbytes(i * 100 * 1024 + i)
               for i in range(6)}  # 0 bytes to 500 KiB
@@ -881,7 +948,7 @@ def test_data_plane_memory_does_not_grow_with_file_size(rig):
     # station -> peer station; no daemon may hold the whole file
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    role="router", route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", with_data_server=True)
     station = rig.add_station(
         "cdfa-1", [("stken-sim", "read_only", 4), ("fcdf-router", "read_write", 4)],
         route_target="fcdf-router", with_data_server=True)

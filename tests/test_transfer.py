@@ -14,6 +14,15 @@ from samforge.wire import Server, format_addr, parse_addr
 from conftest import record_ops, run_threads
 
 
+def pull_once(addr, request_line, dest, faults=None):
+    """One pull on a connection of its own: through a pool made and closed for it."""
+    pool = PullPool()
+    try:
+        return transfer_with(addr, request_line, dest, faults, pool)
+    finally:
+        pool.close()
+
+
 def stored(rig, data=b"payload bytes"):
     """Put data on a store as a.raw; returns pull(dest, faults=None) for it."""
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
@@ -21,7 +30,7 @@ def stored(rig, data=b"payload bytes"):
     addr = rig.store_data["stken-sim"]
 
     def pull(dest, faults=None):
-        return transfer_with(addr, "FETCH cdfa-1 a.raw", dest, faults)
+        return pull_once(addr, "FETCH cdfa-1 a.raw", dest, faults)
     return pull
 
 
@@ -39,9 +48,9 @@ def test_pull_missing_source(rig, tmp_path):
     stored(rig)
     dest = tmp_path / "out"
     with pytest.raises(SourceUnavailable):  # the store answers ERR NOT_FOUND
-        transfer_with(rig.store_data["stken-sim"], "FETCH cdfa-1 nope.raw", dest)
+        pull_once(rig.store_data["stken-sim"], "FETCH cdfa-1 nope.raw", dest)
     with pytest.raises(SourceUnavailable):  # nothing listens on port 1
-        transfer_with("127.0.0.1:1", "FETCH nope.raw", dest)
+        pull_once("127.0.0.1:1", "FETCH nope.raw", dest)
     assert not dest.exists()
 
 
@@ -225,7 +234,7 @@ def test_kept_open_pulls_wait_for_no_delayed_ack(rig, tmp_path, monkeypatch):
     started = time.monotonic()
     try:
         for _ in range(50):
-            outcome = transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a.raw", pool=pool)
+            outcome = transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a.raw", None, pool)
             assert outcome.computed_crc32 == crc32_bytes(data)
     finally:
         pool.close()
@@ -239,14 +248,14 @@ def test_an_err_answer_closes_the_pull_connection(rig, tmp_path, monkeypatch):
     accepted = count_accepts(monkeypatch)
     pool = PullPool()
     try:
-        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a", pool=pool)
+        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "a", None, pool)
         with pytest.raises(SourceUnavailable, match="NOT_FOUND"):
-            transfer_with(addr, "FETCH cdfa-1 nope.raw", tmp_path / "b", pool=pool)
-        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "c", pool=pool)
+            transfer_with(addr, "FETCH cdfa-1 nope.raw", tmp_path / "b", None, pool)
+        transfer_with(addr, "FETCH cdfa-1 a.raw", tmp_path / "c", None, pool)
     finally:
         pool.close()
     assert accepted == [addr, addr]
-    pull(tmp_path / "d")  # a one-shot pull needs no pool
+    pull(tmp_path / "d")  # another pool's pull opens its own connection
     assert accepted == [addr] * 3
 
 
