@@ -73,15 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stationd", help="run a station daemon")
     p.add_argument("name")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR), required=False)
-    p.add_argument("--listen", help="override the control address from the config")
-    p.add_argument("--data-listen", help="override the data address from the config")
+    p.add_argument("--listen", help="override the address from the config")
     p.set_defaults(func=cmd_daemon)
 
     p = sub.add_parser("stored", help="run a store daemon")
     p.add_argument("name")
     p.add_argument("--config", default=os.environ.get(CONFIG_ENV_VAR), required=False)
     p.add_argument("--listen")
-    p.add_argument("--data-listen")
     p.set_defaults(func=cmd_daemon)
 
     p = sub.add_parser("projectd", help="run the project server")
@@ -138,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     # -- station tools ----------------------------------------------------
     p = sub.add_parser("fetch", help="ask a station to fetch a file into its cache")
     p.add_argument("name")
-    p.add_argument("--station", required=True, help="station control address")
+    p.add_argument("--station", required=True, help="station address")
     p.add_argument("--project", help="pin the file for this project")
     p.set_defaults(func=cmd_fetch)
 
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # -- monitoring and demo ----------------------------------------------
     p = sub.add_parser("status", help="query any daemon's status operation")
-    p.add_argument("addr", help="daemon control address")
+    p.add_argument("addr", help="daemon address")
     p.set_defaults(func=cmd_status)
 
     p = sub.add_parser("demo",
@@ -211,7 +209,7 @@ def cmd_daemon(args) -> int:
             f"a topology file is required (--config or ${CONFIG_ENV_VAR})")
     name = getattr(args, "name", role)
     section = topology.section(role, name)
-    for key in ("listen", "data_listen", "journal"):
+    for key in ("listen", "journal"):
         if getattr(args, key, None):
             setattr(section, key, getattr(args, key))
     if getattr(args, "catalog", None):

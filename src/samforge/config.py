@@ -13,7 +13,6 @@ bytes through, and stores list who may read or write them::
 
     [station fcdf-router]
     listen = 127.0.0.1:4751
-    data_listen = 127.0.0.1:4761
     cache_dir = state/fcdf-router
     cache_capacity_bytes = 50000000
     route_target = stken-sim
@@ -23,7 +22,6 @@ bytes through, and stores list who may read or write them::
 
     [store stken-sim]
     listen = 127.0.0.1:4752
-    data_listen = 127.0.0.1:4762
     root_dir = state/stken-sim
     capacity_bytes = 1000000000
     volume_capacity_bytes = 8000000
@@ -33,22 +31,24 @@ bytes through, and stores list who may read or write them::
         cdfa-1 read_only
 
 An endpoint line is `<name> <access> [max_concurrent_transfers]`; the
-scheme (stn for stations, tape for stores) and the peer's data address
-come from the named section, so they are written once.  A station's
+scheme (stn for stations, tape for stores) and the peer's address come
+from the named section, so they are written once.  A station's
 ``route_target``, one of its endpoints, decides its part in uploads: a
 station routing to a store is a router, which buffers an upload and
-forwards it to tape, and one routing to a station hands uploads to it.
-Relative paths resolve against the config file's directory.  Keys under
-``[DEFAULT]`` apply to every section; port 0 asks the kernel for a free
-port.  :func:`serve` starts daemons from a topology.
+forwards it to tape, and one routing to a station, which must be a
+router, hands uploads to it.  Relative paths resolve against the config
+file's directory.  Keys under ``[DEFAULT]`` apply to every section; port
+0 asks the kernel for a free port.  :func:`serve` starts daemons from a
+topology, each on its one ``listen`` address; a store's or station's
+``data_listen``, if set, is one more, served alike, that peers never use.
 
 Each station section loads straight into the :class:`StationConfig` its
 service takes, and each store section into a :class:`StoreConfig`; both
 types live here, so loading a topology imports no service.  A daemon's own
 rules are its config's; the loader adds only the checks that span sections,
 and reports every problem at once.  :func:`serve` imports a role's service
-and data handler only when it serves that role, so each daemon process
-loads its own role's code and no other.
+and handler only when it serves that role, so each daemon process loads
+its own role's code and no other.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .wire import ControlHandler, Server, format_addr
+from .wire import ControlHandler, Server, format_addr, parse_addr
 
 DEFAULT_CATALOG_PORT = 4750
 DEFAULT_STATION_PORT = 4751
@@ -85,7 +85,7 @@ class EndpointSpec:
     name: str
     scheme: str  # stn | tape
     access: str  # read_only | read_write
-    data_addr: str  # host:port of the peer's data plane
+    addr: str  # host:port the peer listens on
     max_concurrent_transfers: int = DEFAULT_MAX_CONCURRENT
 
 
@@ -96,8 +96,8 @@ class StationConfig:
     cache_capacity_bytes: int
     known_endpoints: list[EndpointSpec] = field(default_factory=list)
     route_target: str | None = None
-    listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
-    data_listen: str = "127.0.0.1:0"
+    listen: str = "127.0.0.1:0"  # bound by serve
+    data_listen: str | None = None  # one more address for the same handler
 
     def __post_init__(self):
         if self.cache_capacity_bytes <= 0:
@@ -125,8 +125,8 @@ class StoreConfig:
     volume_capacity_bytes: int
     access_matrix: dict[str, str] = field(default_factory=dict)
     mount_latency_ms: int = 0
-    listen: str = "127.0.0.1:0"  # control and data addresses, bound by serve
-    data_listen: str = "127.0.0.1:0"
+    listen: str = "127.0.0.1:0"  # bound by serve
+    data_listen: str | None = None  # one more address for the same handler
 
 
 @dataclass
@@ -160,19 +160,13 @@ class TopologyConfig:
             raise ValidationError(f"no {role} {name!r} in the configuration")
         return sections[name]
 
-    def data_addr(self, endpoint_name: str) -> str:
-        if endpoint_name in self.stations:
-            return self.stations[endpoint_name].data_listen
-        if endpoint_name in self.stores:
-            return self.stores[endpoint_name].data_listen
-        raise ValidationError(f"unknown endpoint {endpoint_name!r}")
-
     def resolve_endpoints(self) -> None:
-        """Give every endpoint spec the scheme and data address of the section it names."""
+        """Give every endpoint spec the scheme and listen address of the section it names."""
         for station in self.stations.values():
             for spec in station.known_endpoints:
+                peer = self.stations.get(spec.name) or self.stores[spec.name]
                 spec.scheme = SCHEME_STATION if spec.name in self.stations else SCHEME_TAPE
-                spec.data_addr = self.data_addr(spec.name)
+                spec.addr = peer.listen
 
 
 def load_topology(path: str | Path) -> TopologyConfig:
@@ -185,21 +179,21 @@ def load_topology(path: str | Path) -> TopologyConfig:
     except configparser.Error as e:
         raise ValidationError(f"{path}: {e}") from e
     base = path.parent
-    for name in ("catalog", "project"):
+    problems: list[str] = []
+    addrs = {}
+    for name, port in (("catalog", DEFAULT_CATALOG_PORT), ("project", DEFAULT_PROJECT_PORT)):
         if not parser.has_section(name):
             parser.add_section(name)  # so [DEFAULT] keys reach them too
+        addrs[name] = DaemonAddrs(
+            listen=parser.get(name, "listen", fallback=f"127.0.0.1:{port}"),
+            journal=_path(base, parser.get(name, "journal", fallback=f"state/{name}.journal")),
+        )
+        try:
+            parse_addr(addrs[name].listen)
+        except ValueError as e:
+            problems.append(f"{name}: {e}")
 
-    catalog = DaemonAddrs(
-        listen=parser.get("catalog", "listen", fallback=f"127.0.0.1:{DEFAULT_CATALOG_PORT}"),
-        journal=_path(base, parser.get("catalog", "journal", fallback="state/catalog.journal")),
-    )
-    project = DaemonAddrs(
-        listen=parser.get("project", "listen", fallback=f"127.0.0.1:{DEFAULT_PROJECT_PORT}"),
-        journal=_path(base, parser.get("project", "journal", fallback="state/project.journal")),
-    )
-
-    topology = TopologyConfig(catalog=catalog, project=project, path=path)
-    problems: list[str] = []
+    topology = TopologyConfig(**addrs, path=path)
     sections = {}  # section -> (kind, name) for every station and store
     for section in parser.sections():
         kind, _, name = section.partition(" ")
@@ -217,16 +211,21 @@ def load_topology(path: str | Path) -> TopologyConfig:
                 topology.stations[name] = _station(parser, section, name, base, known, problems)
             else:
                 topology.stores[name] = _store(parser, section, name, base, problems)
-        except ValueError as e:  # a malformed number, or a rule of StationConfig
+        except ValueError as e:  # a malformed number or address, or a rule of StationConfig
             problems.append(f"{kind} {name}: {e}")
+    if not problems:
+        topology.resolve_endpoints()
+        for name, station in topology.stations.items():
+            target = topology.stations.get(station.route_target)
+            if target is not None and not target.is_router:  # only a router takes a STORE
+                problems.append(f"station {name}: route_target {station.route_target!r} "
+                                "is a station that routes to no store")
     if problems:
         raise ValidationError(problems)
-    topology.resolve_endpoints()
     return topology
 
 
 def _station(parser, section, name, base, known, problems) -> StationConfig:
-    listen = parser.get(section, "listen", fallback=f"127.0.0.1:{DEFAULT_STATION_PORT}")
     route_target = parser.get(section, "route_target", fallback=None)
     # references are checked here: StationConfig may refuse to build the station
     if route_target is not None and route_target not in known:
@@ -242,13 +241,13 @@ def _station(parser, section, name, base, known, problems) -> StationConfig:
         if words[0] not in known:
             problems.append(f"station {name}: endpoint {words[0]!r} names no station or store")
         slots = int(words[2]) if len(words) == 3 else DEFAULT_MAX_CONCURRENT
-        # scheme and data address come from the named section, once all are read
+        # scheme and address come from the named section, once all are read
         endpoints.append(EndpointSpec(name=words[0], scheme="", access=words[1],
-                                      data_addr="", max_concurrent_transfers=slots))
+                                      addr="", max_concurrent_transfers=slots))
     return StationConfig(
         name=name,
-        listen=listen,
-        data_listen=parser.get(section, "data_listen", fallback=_bump_port(listen)),
+        listen=_addr(parser, section, "listen", f"127.0.0.1:{DEFAULT_STATION_PORT}"),
+        data_listen=_addr(parser, section, "data_listen", None),
         cache_dir=_path(base, parser.get(section, "cache_dir", fallback=f"state/{name}")),
         cache_capacity_bytes=parser.getint(section, "cache_capacity_bytes", fallback=10**9),
         route_target=route_target,
@@ -257,7 +256,6 @@ def _station(parser, section, name, base, known, problems) -> StationConfig:
 
 
 def _store(parser, section, name, base, problems) -> StoreConfig:
-    listen = parser.get(section, "listen", fallback=f"127.0.0.1:{DEFAULT_STORE_PORT}")
     access = {}
     for line in parser.get(section, "access", fallback="").splitlines():
         words = line.split()
@@ -269,8 +267,8 @@ def _store(parser, section, name, base, problems) -> StoreConfig:
         access[words[0]] = words[1]
     return StoreConfig(
         name=name,
-        listen=listen,
-        data_listen=parser.get(section, "data_listen", fallback=_bump_port(listen)),
+        listen=_addr(parser, section, "listen", f"127.0.0.1:{DEFAULT_STORE_PORT}"),
+        data_listen=_addr(parser, section, "data_listen", None),
         root_dir=_path(base, parser.get(section, "root_dir", fallback=f"state/{name}")),
         capacity_bytes=parser.getint(section, "capacity_bytes", fallback=10**10),
         volume_capacity_bytes=parser.getint(section, "volume_capacity_bytes", fallback=10**7),
@@ -285,14 +283,17 @@ def _path(base: Path, value: str) -> str:
     return str(p if p.is_absolute() else base / p)
 
 
-def _bump_port(listen: str) -> str:
-    host, _, port = listen.rpartition(":")
-    return f"{host}:{int(port) + 1000 if int(port) else 0}"
+def _addr(parser, section, key, fallback) -> str | None:
+    """An address key's value; a ValueError if it is set and not host:port."""
+    value = parser.get(section, key, fallback=fallback)
+    if value is not None:
+        parse_addr(value)
+    return value
 
 
 @dataclass
 class Daemon:
-    """One served daemon: its service and its servers, control port first."""
+    """One served daemon: its service and its servers, ``listen`` first."""
 
     role: str
     name: str
@@ -309,10 +310,10 @@ class Daemon:
 def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
     """Start ``daemons``, (role, name) pairs, from ``topology``.
 
-    Every control and data port is bound first and its address written back
-    into ``topology``, endpoint specs included; only then is each service
-    built and served.  So a port of 0 works, and peers see the real addresses.  If anything fails,
-    whatever was bound or built is closed and the error re-raised.
+    Every ``listen`` and ``data_listen`` address is bound first and written
+    back into ``topology``, endpoint specs included; only then is each service
+    built and served.  So a port of 0 works, and peers see the real addresses.
+    If anything fails, whatever was bound or built is closed and the error re-raised.
     """
     served: list[Daemon] = []
     try:
@@ -320,14 +321,12 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
             section = topology.section(role, name)
             daemon = Daemon(role, name)
             served.append(daemon)
-            control = Server(ControlHandler, None, section.listen)
-            daemon.servers.append(control)
-            section.listen = format_addr(control.bound_addr)
-            _, data_handler = _code(role)
-            if data_handler is not None:
-                data = Server(data_handler, None, section.data_listen)
-                daemon.servers.append(data)
-                section.data_listen = format_addr(data.bound_addr)
+            _, handler = _code(role)
+            for key in ("listen", "data_listen"):
+                if getattr(section, key, None) is not None:
+                    server = Server(handler, None, getattr(section, key))
+                    daemon.servers.append(server)
+                    setattr(section, key, format_addr(server.bound_addr))
         topology.resolve_endpoints()
         for daemon in served:
             daemon.service = _build(topology, daemon.role, daemon.name)
@@ -342,16 +341,16 @@ def serve(topology: TopologyConfig, daemons) -> list[Daemon]:
 
 
 def _code(role: str):
-    """A role's service class and data handler (None without a data plane).
+    """A role's service class and the handler its addresses serve.
 
     Imported here, not at the top, so a daemon loads only its own role's modules.
     """
     if role == "catalog":
         from .catalog import CatalogService
-        return CatalogService, None
+        return CatalogService, ControlHandler
     if role == "project":
         from .project import ProjectServer
-        return ProjectServer, None
+        return ProjectServer, ControlHandler
     if role == "station":
         from .station import StationDataHandler, StationService
         return StationService, StationDataHandler

@@ -220,7 +220,7 @@ def seed_stores(topology: TopologyConfig, corpus: Corpus) -> int:
             parts = parse_legacy_name(name)
             fileset = 0 if isinstance(parts, ConventionViolation) else parts.fileset_number
             for store_name, store in topology.stores.items():
-                volume_id = put_to_store(store.data_listen, SEEDER,
+                volume_id = put_to_store(store.listen, SEEDER,
                                          name, fileset, data, crc32_bytes(data))
                 catalog.add_location(record.file_id, store_name, volume_id)
             seeded += 1

@@ -18,7 +18,7 @@ lexicographic endpoint-name tie-breaks.  Each retry takes the next
 candidate in that order, so a corrupt source is not retried while an
 alternative is left; once every candidate has failed, the next retry
 starts over from the first.  Every pull is one request line to the
-endpoint's data port: ``FETCH <file>`` for a station, ``FETCH <station>
+endpoint's address: ``FETCH <file>`` for a station, ``FETCH <station>
 <file>`` for a store, which checks the client's access.
 
 Per-endpoint transfer slots are granted FIFO; a slot is held only while
@@ -269,7 +269,7 @@ class StationService(Dispatcher):
             client = f"{self.config.name} " if choice.scheme == SCHEME_TAPE else ""
             try:
                 with self._limits[choice.name]:
-                    outcome = transfer_with(choice.data_addr,
+                    outcome = transfer_with(choice.addr,
                                             f"FETCH {client}{record.file_name}",
                                             staging, self._faults.get(choice.name), self._pulls)
             except BaseException as e:
@@ -446,7 +446,7 @@ class StationService(Dispatcher):
             request = f"PUT {self.config.name} {_fileset_of(rec)}"
         else:
             request = "STORE " + json.dumps(rec.to_wire())
-        return Push(route.data_addr,
+        return Push(route.addr,
                     f"{request}\n" + send_header(rec.file_name, rec.size_bytes, rec.crc32),
                     rec.size_bytes, self._limits[route.name])
 

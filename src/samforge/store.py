@@ -7,9 +7,9 @@ checked against a per-client access matrix.  The backing is a directory
 of volume subdirectories plus an inventory journal replayed at startup,
 the same crash discipline as the catalog.
 
-Control plane: line-delimited JSON (list_volumes, status).  Data plane:
-one request line, then a SEND frame (see ``transfer``), streamed in
-constant memory —
+Control plane: line-delimited JSON (list_volumes, status).  Data plane,
+on the same address: one request line, then a SEND frame (see
+``transfer``), streamed in constant memory —
 
     PUT <client> <fileset_number>\n + SEND <file_name> <size_bytes> <crc32-hex>\n + bytes
         -> OK <volume_id>\n | ERR <code> <msg>\n

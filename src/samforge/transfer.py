@@ -26,7 +26,7 @@ file.  The CRC in a SEND header is the sender's recorded checksum, not
 a fresh pass over the file; the receiver computes its own once, as the
 bytes arrive.  Store and station handlers are :class:`DataHandler`
 classes sharing one request skeleton, :func:`serve_request`, and one
-push receiver, :func:`serve_push`.
+push receiver, :func:`serve_push`; a request starting ``{`` is control.
 
 Every push is sent by one :class:`Push`; :func:`send_request` and
 :func:`put_to_store` send a whole body with it.  A receiver may forward
@@ -45,7 +45,6 @@ import logging
 import os
 import random
 import socket
-import socketserver
 import threading
 import zlib
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from .errors import (
     SourceUnavailable,
     TransferExhausted,
 )
-from .wire import TIMEOUT, parse_addr
+from .wire import TIMEOUT, ControlHandler, parse_addr
 
 log = logging.getLogger(__name__)
 
@@ -302,8 +301,8 @@ def reply_err(wfile, code: str, msg: str) -> None:
         pass
 
 
-class DataHandler(socketserver.StreamRequestHandler):
-    """A data port's handler, one per request; a FETCH answered in full keeps the connection."""
+class DataHandler(ControlHandler):
+    """A store's or station's handler, one per request; a full FETCH answer keeps the connection."""
 
     # a frame is two writes, header then body: without this the body of a
     # kept-open connection waits out the puller's delayed ACK
@@ -316,8 +315,11 @@ def serve_request(handler, actions: dict) -> None:
 
     A SamError is answered ``ERR <code> <msg>``, anything else
     ``ERR INTERNAL`` and logged, so no client can take the daemon down.
-    A FETCH answered in full sets handler.keep_open.
+    A FETCH answered in full sets handler.keep_open.  A request starting
+    ``{`` runs the control loop until the client closes, never idled out.
     """
+    if handler.rfile.peek(1)[:1] == b"{":
+        return ControlHandler.handle(handler)
     try:
         line = read_line(handler.rfile)
     except SamError:

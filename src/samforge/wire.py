@@ -13,11 +13,11 @@ args not an object, or that names an argument its op's method does not
 take or lacks one, is BAD_REQUEST; an argument whose JSON type is not
 its annotation is VALIDATION naming it.  Clients keep one connection and raise
 RemoteError for error responses, ConnectFailed for transport trouble or
-a reply that is not protocol JSON.  Every daemon port, control or data
-plane, is a :class:`Server`; its ``close()`` returns at once and cuts the
-connections it accepted, so a client sees ConnectFailed, never a reply
-from a service already closed.  A connection waits at most ``TIMEOUT``
-seconds for a connect, a reply, or, kept open, its next request.
+a reply that is not protocol JSON.  Every daemon port is a :class:`Server`,
+a store's or station's taking data requests too; its ``close()`` returns at
+once and cuts the connections it accepted, so a client sees ConnectFailed,
+never a reply from a service already closed.  A connection waits at most
+``TIMEOUT`` seconds for a connect, a reply, or, kept open, its next request.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ TIMEOUT = 30.0  # seconds
 
 
 def parse_addr(addr) -> tuple[str, int]:
-    """Accept (host, port) or 'host:port'."""
+    """Accept (host, port) or 'host:port'; a ValueError names a string that is neither."""
     if isinstance(addr, (tuple, list)):
         return addr[0], int(addr[1])
     host, _, port = addr.rpartition(":")
-    if not host:
+    if not host or not port.isdecimal() or int(port) > 65535:
         raise ValueError(f"address {addr!r} is not host:port")
     return host, int(port)
 

@@ -22,7 +22,7 @@ class LoopbackRig:
 
     Every server binds an ephemeral port; close() tears everything down.
     Stores and stations are reachable both in process (the service
-    objects) and over their control/data ports.
+    objects) and over their one address each, control and data alike.
     """
 
     def __init__(self, root, known_endpoints=None):
@@ -34,13 +34,12 @@ class LoopbackRig:
         self._services.append(self.catalog_service)
         self.catalog_addr = self._serve(self.catalog_service)
         self.stores: dict[str, StoreService] = {}
-        self.store_data: dict[str, str] = {}
+        self.store_addr: dict[str, str] = {}
         self.stations: dict[str, StationService] = {}
-        self.station_control: dict[str, str] = {}
-        self.station_data: dict[str, str] = {}
+        self.station_addr: dict[str, str] = {}
 
-    def _serve(self, service) -> str:
-        server = Server(ControlHandler, service, ("127.0.0.1", 0)).start()
+    def _serve(self, service, handler=ControlHandler) -> str:
+        server = Server(handler, service, ("127.0.0.1", 0)).start()
         self._servers.append(server)
         return format_addr(server.bound_addr)
 
@@ -58,23 +57,21 @@ class LoopbackRig:
         )
         self.stores[name] = service
         self._services.append(service)
-        data = Server(StoreDataHandler, service, ("127.0.0.1", 0)).start()
-        self._servers.append(data)
-        self.store_data[name] = format_addr(data.bound_addr)
+        self.store_addr[name] = self._serve(service, StoreDataHandler)
         return service
 
     def add_station(self, name, endpoints, cache_capacity=10**8, route_target=None,
-                    with_data_server=False, with_control_server=False) -> StationService:
+                    served=False) -> StationService:
         """endpoints: (endpoint_name, access, slots) over stores and stations
         already added to the rig."""
         specs = []
         for ep, access, slots in endpoints:
             if ep in self.stores:
-                scheme, addr = "tape", self.store_data[ep]
+                scheme, addr = "tape", self.store_addr[ep]
             else:
-                scheme, addr = "stn", self.station_data.get(ep, "127.0.0.1:1")
+                scheme, addr = "stn", self.station_addr.get(ep, "127.0.0.1:1")
             specs.append(EndpointSpec(name=ep, scheme=scheme, access=access,
-                                      data_addr=addr, max_concurrent_transfers=slots))
+                                      addr=addr, max_concurrent_transfers=slots))
         service = StationService(
             StationConfig(
                 name=name,
@@ -87,12 +84,8 @@ class LoopbackRig:
         )
         self.stations[name] = service
         self._services.append(service)
-        if with_data_server:
-            data = Server(StationDataHandler, service, ("127.0.0.1", 0)).start()
-            self._servers.append(data)
-            self.station_data[name] = format_addr(data.bound_addr)
-        if with_control_server:
-            self.station_control[name] = self._serve(service)
+        if served:
+            self.station_addr[name] = self._serve(service, StationDataHandler)
         return service
 
     def catalog_client(self) -> CatalogClient:
@@ -114,7 +107,7 @@ class LoopbackRig:
         with self.catalog_client() as catalog:
             file_id = catalog.declare_file(record)
             for store in stores:
-                volume = put_to_store(self.store_data[store], client, name,
+                volume = put_to_store(self.store_addr[store], client, name,
                                       fileset, data, record.crc32)
                 catalog.add_location(file_id, store, volume)
         return file_id

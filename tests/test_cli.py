@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import samforge
 from samforge.catalog import CatalogClient
 from samforge.cli import main
 from samforge.query import Atom
+from samforge.wire import format_addr
 
 from conftest import BAD_STATIONS, record_ops, spawn_daemon, stop_daemon, write_bad_station
 
@@ -115,11 +118,10 @@ def test_stored_and_stationd_start_from_a_topology_file(capsys, tmp_path):
         "[station fcdf-router]\n"
         "route_target = stken-sim\n"
         "endpoints =\n    stken-sim read_write 4\n")
-    ports = ("--listen", "127.0.0.1:0", "--data-listen", "127.0.0.1:0")
     spawned = []
     try:
         for argv in (("stored", "stken-sim"), ("stationd", "fcdf-router")):
-            spawned.append(spawn_daemon(*argv, "--config", str(config), *ports))
+            spawned.append(spawn_daemon(*argv, "--config", str(config), "--listen", "127.0.0.1:0"))
         statuses = []
         for _proc, addr in spawned:
             code, out, _ = run_cli(capsys, "--json", "status", addr)
@@ -276,11 +278,35 @@ def test_status_queries_any_daemon(capsys, catalogd):
     assert "files" in status
 
 
-def test_status_of_a_data_port_maps_to_e_conn(capsys, rig):
-    # a data plane answers a JSON request with a plain ERR line, not JSON
-    rig.add_store("stken-sim", {"seeder": "read_write"})
-    code, _, err = run_cli(capsys, "status", rig.store_data["stken-sim"])
+def test_status_of_a_peer_answering_a_non_json_line_maps_to_e_conn(capsys):
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def answer():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as rfile:
+                rfile.readline()
+                conn.sendall(b"ERR BAD_REQUEST unparseable request\n")
+
+        peer = threading.Thread(target=answer)
+        peer.start()
+        code, _, err = run_cli(capsys, "status", format_addr(listener.getsockname()))
+        peer.join(timeout=10)
     assert (code, err[-1]) == (3, "E_CONN")
+
+
+def test_fetch_prints_the_cached_path_and_pins_it_for_the_project(capsys, rig):
+    rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 2)], served=True)
+    file_id = rig.seed_file("f.raw", b"fetched bytes", stores=["stken-sim"])
+    addr = rig.station_addr["cdfa-1"]
+    code, out, _ = run_cli(capsys, "fetch", "f.raw", "--station", addr, "--project", "p1")
+    assert code == 0
+    [path] = out
+    assert Path(path).read_bytes() == b"fetched bytes"
+    code, out, _ = run_cli(capsys, "--json", "fetch", "f.raw", "--station", addr)
+    assert (code, json.loads("\n".join(out))) == (0, {"path": path})
+    [entry] = station.station_status()["cache"]["entries"]
+    assert entry["pin_count"] == 1  # the project's, and no more for the second fetch
+    assert station.unpin_file(file_id, "p1")  # NOT_PINNED for any other project
 
 
 def test_migrate_command_with_report(capsys, tmp_path, catalogd):

@@ -5,6 +5,7 @@ import socket
 
 import pytest
 
+from samforge.catalog import CatalogClient
 from samforge.config import (
     DEFAULT_CATALOG_PORT,
     DEFAULT_MAX_CONCURRENT,
@@ -13,7 +14,9 @@ from samforge.config import (
     serve,
 )
 from samforge.errors import JournalCorrupt, ValidationError
-from samforge.wire import parse_addr
+from samforge.records import FileRecord
+from samforge.transfer import crc32_bytes, parse_send_header, put_to_store, read_line
+from samforge.wire import Client, parse_addr
 
 from conftest import BAD_STATIONS, write_bad_station
 
@@ -88,11 +91,11 @@ def test_station_sections(topology):
     assert router.cache_capacity_bytes == 50_000_000
     assert endpoint_lines(router) == [("stken-sim", "read_write", 4),
                                       ("cdfen-sim", "read_only", 2)]
-    assert router.data_listen == "127.0.0.1:6751"  # listen port + 1000
+    assert router.data_listen is None  # one address unless the file sets another
 
     analysis = config.stations["cdfa-1"]
     assert not analysis.is_router  # no route target
-    assert analysis.data_listen == "127.0.0.1:6761"  # explicit wins
+    assert analysis.data_listen == "127.0.0.1:6761"
     assert endpoint_lines(analysis) == [
         ("stken-sim", "read_only", DEFAULT_MAX_CONCURRENT),
         ("fcdf-router", "read_only", DEFAULT_MAX_CONCURRENT),
@@ -107,7 +110,7 @@ def test_store_sections(topology):
     assert stken.mount_latency_ms == 25
     assert stken.access_matrix == {"fcdf-router": "read_write", "cdfa-1": "read_only",
                                    "outsider": "none"}
-    assert stken.data_listen == "127.0.0.1:6752"
+    assert stken.data_listen is None
     assert config.stores["cdfen-sim"].root_dir == str(base / "state/cdfen-sim")
 
 
@@ -117,9 +120,6 @@ def test_endpoint_lookups(topology):
     schemes = {spec.name: spec.scheme for spec in config.stations["cdfa-1"].known_endpoints}
     assert schemes["fcdf-router"] == "stn"
     assert schemes["stken-sim"] == "tape"
-    assert config.data_addr("stken-sim") == "127.0.0.1:6752"
-    with pytest.raises(ValidationError):
-        config.data_addr("nosuch")
 
 
 def test_station_config_materializes_endpoint_specs(topology):
@@ -129,14 +129,14 @@ def test_station_config_materializes_endpoint_specs(topology):
     assert station.route_target == "stken-sim"
     by_name = {spec.name: spec for spec in station.known_endpoints}
     assert by_name["stken-sim"].scheme == "tape"
-    assert by_name["stken-sim"].data_addr == "127.0.0.1:6752"
+    assert by_name["stken-sim"].addr == "127.0.0.1:5752"  # the peer's listen
     assert by_name["stken-sim"].max_concurrent_transfers == 4
     assert by_name["cdfen-sim"].access == "read_only"
 
     peer = config.stations["cdfa-1"]
     router_spec = {s.name: s for s in peer.known_endpoints}["fcdf-router"]
     assert router_spec.scheme == "stn"
-    assert router_spec.data_addr == "127.0.0.1:6751"
+    assert router_spec.addr == "127.0.0.1:5751"
 
     with pytest.raises(ValidationError):
         config.section("station", "nosuch")
@@ -213,6 +213,38 @@ def test_a_malformed_number_is_a_problem_not_a_crash(tmp_path):
     assert [p.split(":")[0] for p in excinfo.value.problems] == ["station a1", "store s1"]
 
 
+@pytest.mark.parametrize("section, problem", [
+    ("[catalog]\nlisten = 127.0.0.1:many\n", "catalog: address '127.0.0.1:many' is not host:port"),
+    ("[project]\nlisten = 4753\n", "project: address '4753' is not host:port"),
+    ("[station a1]\ndata_listen = 127.0.0.1:70000\n",
+     "station a1: address '127.0.0.1:70000' is not host:port"),
+    ("[store s1]\nlisten = :4752\n", "store s1: address ':4752' is not host:port"),
+], ids=["catalog-listen", "project-listen", "station-data_listen", "store-listen"])
+def test_a_malformed_address_is_a_problem_naming_its_daemon(tmp_path, section, problem):
+    config_file = tmp_path / "addresses.ini"
+    config_file.write_text(section)
+    with pytest.raises(ValidationError) as excinfo:
+        load_topology(config_file)
+    assert excinfo.value.problems == [problem]
+
+
+def test_a_station_routed_at_a_station_needs_a_router_there(tmp_path):
+    # only a router takes a STORE: a loop, or a chain through an analysis
+    # station, refuses every upload
+    config_file = tmp_path / "routes.ini"
+    config_file.write_text("[store s1]\n\n"
+                           "[station r1]\nroute_target = s1\nendpoints =\n    s1 read_write\n\n"
+                           "[station a1]\nroute_target = a2\nendpoints =\n    a2 read_write\n\n"
+                           "[station a2]\nroute_target = a1\nendpoints =\n    a1 read_write\n\n"
+                           "[station a3]\nroute_target = r1\nendpoints =\n    r1 read_write\n\n"
+                           "[station a4]\nroute_target = a3\nendpoints =\n    a3 read_write\n")
+    with pytest.raises(ValidationError) as excinfo:
+        load_topology(config_file)
+    assert excinfo.value.problems == [
+        f"station {name}: route_target {target!r} is a station that routes to no store"
+        for name, target in (("a1", "a2"), ("a2", "a1"), ("a4", "a3"))]
+
+
 def test_route_target_must_exist(tmp_path):
     config_file = tmp_path / "bad_route.ini"
     config_file.write_text("""
@@ -247,13 +279,63 @@ access =
     assert any("bad access line 'other sometimes'" in p for p in problems)
 
 
-def test_port_zero_gives_a_data_port_of_zero(tmp_path):
-    config_file = tmp_path / "ephemeral.ini"
+def served_rig(tmp_path, extra=""):
+    """Store s1 holding f.raw, readable by station a1, both served from one file."""
+    config_file = tmp_path / "one-port.ini"
     config_file.write_text("[DEFAULT]\nlisten = 127.0.0.1:0\n\n"
-                           "[store s1]\n\n[station a1]\n")
-    config = load_topology(config_file)
-    assert config.stores["s1"].data_listen == "127.0.0.1:0"
-    assert config.stations["a1"].data_listen == "127.0.0.1:0"
+                           f"[store s1]\n{extra}access =\n    a1 read_only\n    seeder read_write\n\n"
+                           "[station a1]\nendpoints =\n    s1 read_only\n")
+    topology = load_topology(config_file)
+    served = serve(topology, [("catalog", "catalog"), ("store", "s1"), ("station", "a1")])
+    with CatalogClient(topology.catalog.listen) as catalog:
+        file_id = catalog.declare_file(FileRecord("f.raw", 5, crc32_bytes(b"bytes"),
+                                                  "raw", "phy", 1, 1))
+        volume = put_to_store(topology.stores["s1"].listen, "seeder", "f.raw", 0, b"bytes",
+                              crc32_bytes(b"bytes"))
+        catalog.add_location(file_id, "s1", volume)
+    return topology, served
+
+
+def fetched(addr, request_line) -> bytes:
+    with socket.create_connection(parse_addr(addr), timeout=10) as sock, \
+            sock.makefile("rb") as rfile:
+        sock.sendall(request_line.encode() + b"\n")
+        _name, size, _crc = parse_send_header(read_line(rfile))
+        return rfile.read(size)
+
+
+def status_of(addr) -> dict:
+    with Client(addr) as client:
+        return client.call("status")
+
+
+def test_a_store_and_a_station_answer_control_and_data_on_one_address(tmp_path):
+    topology, served = served_rig(tmp_path)
+    try:
+        assert [len(daemon.servers) for daemon in served] == [1, 1, 1]
+        store, station = topology.stores["s1"].listen, topology.stations["a1"].listen
+        assert status_of(store)["name"] == "s1"
+        assert fetched(store, "FETCH a1 f.raw") == b"bytes"
+        served[2].service.fetch_file("f.raw")  # pulled from the store's one address
+        assert status_of(station)["name"] == "a1"
+        assert fetched(station, "FETCH f.raw") == b"bytes"
+    finally:
+        for daemon in reversed(served):
+            daemon.close()
+
+
+def test_data_listen_is_one_more_address_answering_both_planes(tmp_path):
+    topology, served = served_rig(tmp_path, "data_listen = 127.0.0.1:0\n")
+    try:
+        store = topology.stores["s1"]
+        assert len(served[1].servers) == 2 and store.data_listen != store.listen
+        assert status_of(store.data_listen)["name"] == "s1"
+        assert fetched(store.data_listen, "FETCH a1 f.raw") == b"bytes"
+        [spec] = topology.stations["a1"].known_endpoints
+        assert spec.addr == store.listen  # peers never use the extra address
+    finally:
+        for daemon in reversed(served):
+            daemon.close()
 
 
 def _refuses(addr) -> bool:
@@ -291,10 +373,9 @@ def test_serve_closes_what_it_built_when_a_later_daemon_fails(tmp_path):
     topology = load_topology(config_file)
     with pytest.raises(JournalCorrupt):
         serve(topology, topology.daemons())
-    addrs = [topology.catalog.listen, topology.stores["s1"].listen,
-             topology.stores["s1"].data_listen, topology.project.listen]
+    addrs = [topology.catalog.listen, topology.stores["s1"].listen, topology.project.listen]
     assert not any(addr.endswith(":0") for addr in addrs)
-    assert [_refuses(addr) for addr in addrs] == [True] * 4
+    assert [_refuses(addr) for addr in addrs] == [True] * 3
 
 
 def test_serve_points_endpoint_specs_at_the_bound_data_ports(tmp_path):
@@ -307,8 +388,8 @@ def test_serve_points_endpoint_specs_at_the_bound_data_ports(tmp_path):
         station = served[1].service
         assert station.config is topology.stations["a1"]
         [spec] = station.config.known_endpoints
-        assert spec.data_addr == topology.stores["s1"].data_listen
-        assert not spec.data_addr.endswith(":0")
+        assert spec.addr == topology.stores["s1"].listen
+        assert not spec.addr.endswith(":0")
     finally:
         for daemon in reversed(served):
             daemon.close()

@@ -268,7 +268,7 @@ class FakePeer:
 def test_broken_peer_frames_leak_neither_files_nor_capacity(rig, reply):
     peer = FakePeer(reply)
     try:
-        rig.station_data["cdfa-2"] = peer.addr
+        rig.station_addr["cdfa-2"] = peer.addr
         rig.add_store("stken-sim", STORE_ACCESS)
         station = rig.add_station(
             "cdfa-1", [("stken-sim", "read_only", 4), ("cdfa-2", "read_only", 4)],
@@ -475,7 +475,7 @@ def test_store_routing_from_router_to_store(rig):
 def test_store_routing_through_analysis_station(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", served=True)
     analysis = rig.add_station("cdfa-1", [("fcdf-router", "read_write", 4)],
                                route_target="fcdf-router")
     payload = b"analysis output"
@@ -495,7 +495,7 @@ def test_store_routing_through_analysis_station(rig):
 def test_analysis_store_route_needs_read_write_and_takes_a_slot(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             route_target="stken-sim", with_data_server=True)
+                             route_target="stken-sim", served=True)
     read_only = rig.add_station("cdfa-1", [("fcdf-router", "read_only", 1)],
                                 route_target="fcdf-router")
     writable = rig.add_station("cdfa-2", [("fcdf-router", "read_write", 1)],
@@ -528,7 +528,7 @@ def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
     # unread would reach the sender as a reset, not as ERR <code>
     rig.add_store("stken-sim", STORE_ACCESS)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                             route_target="stken-sim", with_data_server=True)
+                             route_target="stken-sim", served=True)
     record = {
         "file_name": "bphy0412_fs0007_0045.raw", "size_bytes": 0, "crc32": 0,
         "data_tier": "raw", "event_type": "phy", "program_version": 4,
@@ -539,7 +539,7 @@ def test_router_refuses_a_corrupt_store_frame(rig, corrupt, code):
     crc = crc32_bytes(data) ^ (1 if corrupt == "crc" else 0)
     head = "STORE " + line + "\n" + send_header(record["file_name"], len(data), crc)
     with pytest.raises(RemoteError) as excinfo:
-        send_request(rig.station_data["fcdf-router"], head, io.BytesIO(data), len(data))
+        send_request(rig.station_addr["fcdf-router"], head, io.BytesIO(data), len(data))
     assert excinfo.value.code == code
     assert list(router.incoming_dir.iterdir()) == []
     assert list(router.buffer_dir.iterdir()) == []
@@ -568,19 +568,19 @@ def test_a_malformed_record_is_refused_naming_its_field(rig, path, case):
     record, named = MALFORMED_RECORDS[case]
     rig.add_store("stken-sim", STORE_ACCESS)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)], route_target="stken-sim",
-                    with_data_server=True, with_control_server=True)
+                    served=True)
     data = b"results"
     with pytest.raises(RemoteError) as excinfo:
         if path == "declare_file":
             with Client(rig.catalog_addr) as catalog:
                 catalog.call("declare_file", record=record)
         elif path == "store":
-            with Client(rig.station_control["fcdf-router"]) as station:
+            with Client(rig.station_addr["fcdf-router"]) as station:
                 station.call("store", record=record, local_path=local_file(rig, "bad", data))
         else:
             head = "STORE " + json.dumps(record) + "\n" + send_header(
                 GOOD_RECORD["file_name"], len(data), crc32_bytes(data))
-            send_request(rig.station_data["fcdf-router"], head, io.BytesIO(data), len(data))
+            send_request(rig.station_addr["fcdf-router"], head, io.BytesIO(data), len(data))
     assert (excinfo.value.code, named in excinfo.value.msg) == ("VALIDATION", True)
 
 
@@ -597,9 +597,9 @@ def test_an_analysis_station_refuses_a_store_frame(rig):
     # socket buffers, so only a refusal that drains it reaches the sender.
     rig.add_store("stken-sim", STORE_ACCESS)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", served=True)
     analysis = rig.add_station("cdfa-1", [("fcdf-router", "read_write", 4)],
-                               route_target="fcdf-router", with_data_server=True)
+                               route_target="fcdf-router", served=True)
     record = {
         "file_name": "bphy0412_fs0007_0046.raw", "size_bytes": 0, "crc32": 0,
         "data_tier": "raw", "event_type": "phy", "program_version": 4,
@@ -609,7 +609,7 @@ def test_an_analysis_station_refuses_a_store_frame(rig):
     head = "STORE " + json.dumps(record) + "\n" + send_header(record["file_name"], len(data),
                                                               crc32_bytes(data))
     with pytest.raises(RemoteError) as excinfo:
-        send_request(rig.station_data["cdfa-1"], head, io.BytesIO(data), len(data))
+        send_request(rig.station_addr["cdfa-1"], head, io.BytesIO(data), len(data))
     assert excinfo.value.code == "ACCESS_DENIED"
     assert list(analysis.incoming_dir.iterdir()) == []
     assert list(analysis.buffer_dir.iterdir()) == []
@@ -711,7 +711,7 @@ def streaming_router(rig):
     """A router whose store takes 32 MiB files, both on the data plane."""
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
     return rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                           route_target="stken-sim", with_data_server=True)
+                           route_target="stken-sim", served=True)
 
 
 def store_head(data, crc=None, name=STREAMED) -> str:
@@ -729,7 +729,7 @@ def wait_for(predicate, what, timeout=5.0):
 def paused_store(rig, data, halfway, sent=lambda: None):
     """Send a STORE of data to the router, run halfway() at half the body and
     sent() after all of it; returns the reply line."""
-    with socket.create_connection(parse_addr(rig.station_data["fcdf-router"])) as sock:
+    with socket.create_connection(parse_addr(rig.station_addr["fcdf-router"])) as sock:
         sock.sendall(store_head(data).encode() + data[:len(data) // 2])
         halfway()
         sock.sendall(data[len(data) // 2:])
@@ -782,7 +782,7 @@ def test_a_corrupt_store_body_reaches_no_tape(rig):
     router = streaming_router(rig)
     data = bytes(8 * MiB)
     with pytest.raises(RemoteError) as excinfo:
-        send_request(rig.station_data["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
+        send_request(rig.station_addr["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
                      io.BytesIO(data), len(data))
     assert excinfo.value.code == "CRC_MISMATCH"
     assert_store_kept_nothing(rig, router)
@@ -813,7 +813,7 @@ def test_a_store_of_a_declared_name_is_refused_before_its_body(rig):
     rig.seed_file(STREAMED, b"first", stores=["stken-sim"])
     data = bytes(8 * MiB)  # corrupt too: a refusal after the body would name the CRC
     with pytest.raises(RemoteError) as excinfo:
-        send_request(rig.station_data["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
+        send_request(rig.station_addr["fcdf-router"], store_head(data, crc32_bytes(data) ^ 1),
                      io.BytesIO(data), len(data))
     assert excinfo.value.code == "DUPLICATE_NAME"
     assert_store_kept_nothing(rig, router, puts=1)
@@ -869,13 +869,13 @@ class CutFirstConnection:
 
 def test_a_store_connection_cut_mid_body_is_sent_again_from_the_buffer(rig):
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
-    relay = CutFirstConnection(rig.store_data["stken-sim"], after=MiB)
+    relay = CutFirstConnection(rig.store_addr["stken-sim"], after=MiB)
     try:
-        rig.store_data["stken-sim"] = relay.addr
+        rig.store_addr["stken-sim"] = relay.addr
         router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                                 route_target="stken-sim", with_data_server=True)
+                                 route_target="stken-sim", served=True)
         data = random.Random(22).randbytes(8 * MiB)
-        file_id = int(send_request(rig.station_data["fcdf-router"], store_head(data),
+        file_id = int(send_request(rig.station_addr["fcdf-router"], store_head(data),
                                    io.BytesIO(data), len(data)))
         assert relay.cut.is_set()
         assert read_stored(rig.stores["stken-sim"], "cdfa-1", STREAMED) == data
@@ -889,7 +889,7 @@ def test_a_store_connection_cut_mid_body_is_sent_again_from_the_buffer(rig):
 
 def test_an_empty_store_is_forwarded_after_its_declare(rig):
     router = streaming_router(rig)
-    file_id = int(send_request(rig.station_data["fcdf-router"], store_head(b""),
+    file_id = int(send_request(rig.station_addr["fcdf-router"], store_head(b""),
                                io.BytesIO(b""), 0))
     assert read_stored(rig.stores["stken-sim"], "cdfa-1", STREAMED) == b""
     assert_store_kept_nothing(rig, router, puts=1)
@@ -902,14 +902,14 @@ def test_concurrent_streamed_stores_share_one_route_slot(rig):
     # mid-body, and no slot leaks or is held twice
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
     router = rig.add_station("fcdf-router", [("stken-sim", "read_write", 1)],
-                             route_target="stken-sim", with_data_server=True)
+                             route_target="stken-sim", served=True)
     bodies = {f"bphy0412_fs0007_{i:04d}.raw": random.Random(i).randbytes(i * 100 * 1024 + i)
               for i in range(6)}  # 0 bytes to 500 KiB
 
     def store(i):
         name = sorted(bodies)[i]
         data = bodies[name]
-        send_request(rig.station_data["fcdf-router"], store_head(data, name=name),
+        send_request(rig.station_addr["fcdf-router"], store_head(data, name=name),
                      io.BytesIO(data), len(data))
 
     interval = sys.getswitchinterval()
@@ -928,7 +928,7 @@ def test_concurrent_streamed_stores_share_one_route_slot(rig):
 def test_fetch_prefers_station_cache_over_tape(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     peer = rig.add_station("cdfa-2", [("stken-sim", "read_only", 4)],
-                           with_data_server=True)
+                           served=True)
     station = rig.add_station(
         "cdfa-1", [("stken-sim", "read_only", 4), ("cdfa-2", "read_only", 4)])
     data = b"shared bytes"
@@ -948,10 +948,10 @@ def test_data_plane_memory_does_not_grow_with_file_size(rig):
     # station -> peer station; no daemon may hold the whole file
     rig.add_store("stken-sim", STORE_ACCESS, volume_capacity=64 * MiB)
     rig.add_station("fcdf-router", [("stken-sim", "read_write", 4)],
-                    route_target="stken-sim", with_data_server=True)
+                    route_target="stken-sim", served=True)
     station = rig.add_station(
         "cdfa-1", [("stken-sim", "read_only", 4), ("fcdf-router", "read_write", 4)],
-        route_target="fcdf-router", with_data_server=True)
+        route_target="fcdf-router", served=True)
     peer = rig.add_station(
         "cdfa-2", [("stken-sim", "read_only", 4), ("cdfa-1", "read_only", 4)])
     local = rig.root / "big.raw"
@@ -1005,7 +1005,7 @@ def test_hit_makes_no_catalog_call(rig, monkeypatch):
 def test_project_delivery_pulls_each_file_once_and_then_hits(rig):
     rig.add_store("stken-sim", STORE_ACCESS)
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
-                              with_control_server=True)
+                              served=True)
     n_files = 8
     ids = [rig.seed_file(f"f{i}", b"%d" % i, stores=["stken-sim"]) for i in range(n_files)]
     with rig.catalog_client() as catalog:
@@ -1017,7 +1017,7 @@ def test_project_delivery_pulls_each_file_once_and_then_hits(rig):
         while True:
             settle_prefetches(station)  # the worker has finished what it was told
             hits = station.counters["cache_hits"]
-            result = project.next_file("p", "c1", station=rig.station_control["cdfa-1"])
+            result = project.next_file("p", "c1", station=rig.station_addr["cdfa-1"])
             if result.get("end"):
                 break
             if got:
@@ -1066,7 +1066,7 @@ def test_prefetch_into_a_pinned_full_cache_is_dropped(rig):
 @pytest.mark.parametrize("failure", ["no_replica", "unreachable"])
 def test_failed_prefetch_leaves_nothing_behind(rig, failure):
     rig.add_store("stken-sim", STORE_ACCESS)
-    # cdfa-2 has no data server in this rig: its address refuses connections
+    # cdfa-2 is not served in this rig: its address refuses connections
     station = rig.add_station(
         "cdfa-1", [("stken-sim", "read_only", 4), ("cdfa-2", "read_only", 1)])
     rig.seed_file("a", b"a", stores=["stken-sim"])
@@ -1085,7 +1085,7 @@ def test_failed_prefetch_leaves_nothing_behind(rig, failure):
         station.fetch_file("f")
     if failure == "unreachable":
         # once a reachable copy exists, the same fetch succeeds
-        volume = put_to_store(rig.store_data["stken-sim"], "seeder", "f", 0, b"f",
+        volume = put_to_store(rig.store_addr["stken-sim"], "seeder", "f", 0, b"f",
                               crc32_bytes(b"f"))
         with rig.catalog_client() as catalog:
             catalog.add_location(file_id, "stken-sim", volume)
@@ -1132,10 +1132,10 @@ def test_close_stops_every_prefetch_worker(rig):
 
 @pytest.mark.parametrize("prefetch", ["1,2", 3, [1.5], [1], [True], {"names": ["a"]}, [["a"]]])
 def test_prefetch_must_be_a_list_of_ids(rig, prefetch):
-    station = rig.add_station("cdfa-1", [], with_control_server=True)
+    station = rig.add_station("cdfa-1", [], served=True)
     with pytest.raises(ValidationError):
         station.dispatch("fetch", {"file_name": "a", "prefetch": prefetch})
-    with Client(rig.station_control["cdfa-1"]) as client:
+    with Client(rig.station_addr["cdfa-1"]) as client:
         with pytest.raises(RemoteError) as excinfo:
             client.call("fetch", file_name="a", prefetch=prefetch)
     assert excinfo.value.code == "VALIDATION"

@@ -23,6 +23,7 @@ from samforge.transfer import (
     receive_body,
 )
 import io
+import json
 import socket
 
 from conftest import read_stored
@@ -283,6 +284,28 @@ def test_an_idle_kept_open_connection_is_closed(data_server, monkeypatch):
         started = time.monotonic()
         assert rfile.read(1) == b""  # closed by the server, not a client timeout
     assert time.monotonic() - started < 2
+
+
+def test_a_json_request_after_a_kept_open_fetch_is_answered(data_server):
+    addr, store = data_server
+    put(store, "writer", "f.raw", b"framed payload", 2)
+    with socket.create_connection(addr, timeout=5) as sock, sock.makefile("rb") as rfile:
+        sock.sendall(b"FETCH reader f.raw\n")
+        _name, size, _crc = parse_send_header(read_line(rfile))
+        assert rfile.read(size) == b"framed payload"
+        sock.sendall(b'{"id": 7, "op": "status", "args": {}}\n')
+        reply = json.loads(rfile.readline())
+    assert (reply["id"], reply["ok"], reply["result"]["gets"]) == (7, True, 1)
+
+
+def test_an_idle_control_connection_is_not_closed(data_server, monkeypatch):
+    # a project server's station client, say, does not reconnect
+    monkeypatch.setattr(wire, "TIMEOUT", 0.2)
+    addr, _store = data_server
+    with wire.Client(addr) as client:
+        assert client.call("status")["files"] == 0
+        time.sleep(0.6)
+        assert client.call("status")["files"] == 0
 
 
 def test_fetch_over_the_wire_denies_unknown_client(data_server):

@@ -1,4 +1,4 @@
-"""The pull path against a store's and a station's data port, and deterministic fault injection."""
+"""The pull path against a store's and a station's address, and deterministic fault injection."""
 
 import socket
 import sys
@@ -27,7 +27,7 @@ def stored(rig, data=b"payload bytes"):
     """Put data on a store as a.raw; returns pull(dest, faults=None) for it."""
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
     rig.seed_file("a.raw", data, stores=["stken-sim"])
-    addr = rig.store_data["stken-sim"]
+    addr = rig.store_addr["stken-sim"]
 
     def pull(dest, faults=None):
         return pull_once(addr, "FETCH cdfa-1 a.raw", dest, faults)
@@ -48,7 +48,7 @@ def test_pull_missing_source(rig, tmp_path):
     stored(rig)
     dest = tmp_path / "out"
     with pytest.raises(SourceUnavailable):  # the store answers ERR NOT_FOUND
-        pull_once(rig.store_data["stken-sim"], "FETCH cdfa-1 nope.raw", dest)
+        pull_once(rig.store_addr["stken-sim"], "FETCH cdfa-1 nope.raw", dest)
     with pytest.raises(SourceUnavailable):  # nothing listens on port 1
         pull_once("127.0.0.1:1", "FETCH nope.raw", dest)
     assert not dest.exists()
@@ -58,13 +58,13 @@ def test_a_station_fetch_of_a_path_tells_nothing_of_the_host(rig, tmp_path, monk
     # the station's upload buffer joined with an absolute name is that name, so
     # a path that is no file name must be refused before the disk is looked at
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
-    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)], with_data_server=True)
+    station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)], served=True)
     rig.seed_file("f", b"x", stores=["stken-sim"])
     station.fetch_file("f")
     there = tmp_path / "there"
     there.write_bytes(b"host file")
     ops = record_ops(rig.catalog_service, monkeypatch)
-    addr = parse_addr(rig.station_data["cdfa-1"])
+    addr = parse_addr(rig.station_addr["cdfa-1"])
     answers = []
     for name in (str(there), str(tmp_path / "absent"), "../files/f"):
         with socket.create_connection(addr, timeout=10) as sock, sock.makefile("rb") as answer:
@@ -183,8 +183,8 @@ def count_accepts(monkeypatch) -> list[str]:
     return accepted
 
 
-def data_server_of(rig, store) -> Server:
-    [server] = [s for s in rig._servers if format_addr(s.bound_addr) == rig.store_data[store]]
+def server_of(rig, store) -> Server:
+    [server] = [s for s in rig._servers if format_addr(s.bound_addr) == rig.store_addr[store]]
     return server
 
 
@@ -202,7 +202,7 @@ def test_ten_misses_open_one_connection_to_the_store(rig, monkeypatch):
     accepted = count_accepts(monkeypatch)
     for i in range(10):
         station.fetch_file(f"f{i}.raw")
-    assert accepted.count(rig.store_data["stken-sim"]) == 1
+    assert accepted.count(rig.store_addr["stken-sim"]) == 1
     assert station.counters["transfers_ok"] == 10
 
 
@@ -212,12 +212,12 @@ def test_a_pull_after_the_store_restarts_is_sent_again_on_a_new_connection(rig, 
     accepted = count_accepts(monkeypatch)
     station.fetch_file("f0.raw")
     station.fetch_file("f1.raw")
-    data_server_of(rig, "stken-sim").close()  # cuts the kept-open connection
-    addr = rig.store_data["stken-sim"]
+    server_of(rig, "stken-sim").close()  # cuts the kept-open connection
+    addr = rig.store_addr["stken-sim"]
     rig._servers.append(Server(StoreDataHandler, rig.stores["stken-sim"], addr).start())
     station.fetch_file("f2.raw")  # the idle connection answers nothing: one more try
     station.fetch_file("f3.raw")
-    assert accepted.count(addr) == 2  # one per life of the store's data server
+    assert accepted.count(addr) == 2  # one per life of the store's server
     assert station.counters["retries"] == 0
     assert (faults.calls, faults.corrupted) == (4, 0)
 
@@ -228,7 +228,7 @@ def test_kept_open_pulls_wait_for_no_delayed_ack(rig, tmp_path, monkeypatch):
     data = bytes(range(256)) * 4
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
     rig.seed_file("a.raw", data, stores=["stken-sim"])
-    addr = rig.store_data["stken-sim"]
+    addr = rig.store_addr["stken-sim"]
     accepted = count_accepts(monkeypatch)
     pool = PullPool()
     started = time.monotonic()
@@ -244,7 +244,7 @@ def test_kept_open_pulls_wait_for_no_delayed_ack(rig, tmp_path, monkeypatch):
 
 def test_an_err_answer_closes_the_pull_connection(rig, tmp_path, monkeypatch):
     pull = stored(rig)
-    addr = rig.store_data["stken-sim"]
+    addr = rig.store_addr["stken-sim"]
     accepted = count_accepts(monkeypatch)
     pool = PullPool()
     try:
@@ -262,7 +262,7 @@ def test_an_err_answer_closes_the_pull_connection(rig, tmp_path, monkeypatch):
 def test_station_close_leaves_no_pull_connection_open(rig):
     station = station_over_store(rig, 4)
     run_threads(4, lambda i: station.fetch_file(f"f{i}.raw"))
-    server = data_server_of(rig, "stken-sim")
+    server = server_of(rig, "stken-sim")
     assert server._conns
     station.close()
     deadline = time.monotonic() + 1

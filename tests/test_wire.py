@@ -52,8 +52,9 @@ def test_parse_addr_forms():
     assert parse_addr("127.0.0.1:4750") == ("127.0.0.1", 4750)
     assert parse_addr(("localhost", 99)) == ("localhost", 99)
     assert parse_addr(["localhost", "99"]) == ("localhost", 99)
-    with pytest.raises(ValueError):
-        parse_addr("4750")
+    for malformed in ("4750", "127.0.0.1:many", "127.0.0.1:70000", ":4750"):
+        with pytest.raises(ValueError):
+            parse_addr(malformed)
 
 
 def test_round_trip_preserves_json_values(server):
@@ -250,12 +251,12 @@ WRONG_TYPES = [
 def test_a_wrong_typed_argument_is_refused_naming_its_field(rig, daemon, op, args, field):
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
-                              with_control_server=True)
+                              served=True)
     rig.seed_file("f", b"x", stores=["stken-sim"])
     station.fetch_file("f", requesting_project="p")
     project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     server = Server(ControlHandler, project, ("127.0.0.1", 0)).start()
-    addrs = {"catalog": rig.catalog_addr, "station": rig.station_control["cdfa-1"],
+    addrs = {"catalog": rig.catalog_addr, "station": rig.station_addr["cdfa-1"],
              "project": format_addr(server.bound_addr)}
     try:
         with CatalogClient(rig.catalog_addr) as catalog:
@@ -301,13 +302,13 @@ def test_no_request_arguments_answer_internal_or_journal_a_refusal(rig, daemon):
     # and no next reaches a station
     rig.add_store("stken-sim", {"cdfa-1": "read_only", "seeder": "read_write"})
     station = rig.add_station("cdfa-1", [("stken-sim", "read_only", 4)],
-                              with_control_server=True)
+                              served=True)
     rig.seed_file("f", b"x", stores=["stken-sim"])
     station.fetch_file("f", requesting_project="p")  # resident, so a prefetch of it pulls nothing
     project = ProjectServer(rig.root / "project.journal", rig.catalog_addr)
     server = Server(ControlHandler, project, ("127.0.0.1", 0)).start()
     services = {"catalog": (rig.catalog_service, rig.catalog_addr),
-                "station": (station, rig.station_control["cdfa-1"]),
+                "station": (station, rig.station_addr["cdfa-1"]),
                 "project": (project, format_addr(server.bound_addr))}
     service, addr = services[daemon]
     journals = (rig.catalog_service.journal, project.journal)
