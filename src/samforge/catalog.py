@@ -256,7 +256,7 @@ class CatalogClient(Client):
         self.call("define_dataset", name=name, expr=expr_to_wire(expr))
 
     def get_locations(self, file_id: int) -> list[ReplicaLocation]:
-        return [ReplicaLocation.from_wire(r) for r in self.call("get_locations", file_id=file_id)]
+        return [ReplicaLocation(**r) for r in self.call("get_locations", file_id=file_id)]
 
     # kept because bench/workloads.py passes the path positionally
     def add_location(self, file_id: int, endpoint_name: str, path_or_volume: str) -> None:

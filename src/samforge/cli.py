@@ -116,15 +116,18 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     d.set_defaults(func=cmd_dataset_snapshot)
 
-    p = sub.add_parser("declare", help="declare one file into the catalog")
+    # the record flags of declare and store; a flag beats what the name encodes
+    record = argparse.ArgumentParser(add_help=False)
+    record.add_argument("--name", help="catalog name (defaults to the file's basename)")
+    record.add_argument("--event-type")
+    record.add_argument("--data-tier")
+    record.add_argument("--program-version", type=int)
+    record.add_argument("--calibration-set", type=int)
+    record.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
+
+    p = sub.add_parser("declare", parents=[record], help="declare one file into the catalog")
     p.add_argument("path", help="local file; size and checksum are computed from it")
-    p.add_argument("--name", help="catalog name (defaults to the file's basename)")
-    p.add_argument("--event-type")
-    p.add_argument("--data-tier")
-    p.add_argument("--program-version", type=int)
-    p.add_argument("--calibration-set", type=int)
     p.add_argument("--parent", type=int, action="append", default=[])
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     p.set_defaults(func=cmd_declare)
 
@@ -140,15 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--project", help="pin the file for this project")
     p.set_defaults(func=cmd_fetch)
 
-    p = sub.add_parser("store", help="store a new file through a station")
+    p = sub.add_parser("store", parents=[record], help="store a new file through a station")
     p.add_argument("path")
     p.add_argument("--station", required=True)
-    p.add_argument("--name")
-    p.add_argument("--event-type")
-    p.add_argument("--data-tier")
-    p.add_argument("--program-version", type=int)
-    p.add_argument("--calibration-set", type=int)
-    p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     p.set_defaults(func=cmd_store)
 
     # -- projects ---------------------------------------------------------

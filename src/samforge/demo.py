@@ -31,7 +31,15 @@ from types import SimpleNamespace
 from .catalog import CatalogClient
 from .config import TopologyConfig, load_topology, serve
 from .consumer import AdaptorConfig, adaptor_run
-from .migrate import load_export, run_migration, verify_migration
+from .migrate import (
+    DatasetRow,
+    FileRow,
+    FilesetRow,
+    columns,
+    load_export,
+    run_migration,
+    verify_migration,
+)
 from .naming import ConventionViolation, parse_legacy_name
 from .transfer import crc32_bytes, crc32_file, put_to_store
 from .wire import Client
@@ -180,12 +188,9 @@ def make_corpus(root: str | Path, seed: int = DEFAULT_SEED, n_files: int = 1000,
     if malformed_left:
         raise RuntimeError("corpus too small to place every malformed name")
 
-    _write_csv(export_dir / "files.csv",
-               ("file_name", "size_bytes", "fileset_id", "dataset_id",
-                "dfc_comment", "dfc_row_key"), file_rows)
-    _write_csv(export_dir / "filesets.csv",
-               ("fileset_id", "dataset_id", "tape_label"), fileset_rows)
-    _write_csv(export_dir / "datasets.csv", ("dataset_id", "description"),
+    _write_csv(export_dir / "files.csv", FileRow, file_rows)
+    _write_csv(export_dir / "filesets.csv", FilesetRow, fileset_rows)
+    _write_csv(export_dir / "datasets.csv", DatasetRow,
                [(ds, f"synthetic dataset {ds}") for ds in dataset_ids])
     return Corpus(
         root=root,
@@ -202,10 +207,10 @@ def _split_evenly(total: int, parts: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(parts)]
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _write_csv(path: Path, row_type, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(columns(row_type))
         writer.writerows(rows)
 
 

@@ -22,7 +22,7 @@ noticed and skipped.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import MalformedRow, MissingTable, RemoteError
@@ -36,6 +36,7 @@ DATASET_PREFIX = "dfc-"
 DATASET_ID_PARAM = "legacy.dataset_id"
 
 
+# One row of each export table; a row dataclass's fields are its table's columns.
 @dataclass
 class FileRow:
     file_name: str
@@ -100,50 +101,34 @@ class MappingReport:
     datasets_created: list[str] = field(default_factory=list)
 
     def to_wire(self) -> dict:
-        return {
-            "cat1_fields_mapped": self.cat1_fields_mapped,
-            "cat2_defaults_applied": self.cat2_defaults_applied,
-            "cat3_params_created": self.cat3_params_created,
-            "cat3_hooks_created": self.cat3_hooks_created,
-            "declared": self.declared,
-            "duplicates": self.duplicates,
-            "violations": [list(v) for v in self.violations],
-            "datasets_created": list(self.datasets_created),
-        }
+        return asdict(self)
 
 
 # -- export loading --------------------------------------------------------
 
-_TABLES = {
-    "files.csv": ("file_name", "size_bytes", "fileset_id", "dataset_id",
-                  "dfc_comment", "dfc_row_key"),
-    "filesets.csv": ("fileset_id", "dataset_id", "tape_label"),
-    "datasets.csv": ("dataset_id", "description"),
-}
+_TABLES = {"files.csv": FileRow, "filesets.csv": FilesetRow, "datasets.csv": DatasetRow}
+
+
+def columns(row_type) -> tuple[str, ...]:
+    """The columns of a table: the fields of its row dataclass, in order."""
+    return tuple(f.name for f in fields(row_type))
 
 
 def load_export(directory: str | Path) -> LegacyExport:
     directory = Path(directory)
     tables = {}
-    for table, columns in _TABLES.items():
+    for table, row_type in _TABLES.items():
         path = directory / table
         if not path.is_file():
             raise MissingTable(f"{directory} has no {table}")
-        tables[table] = _read_table(path, columns)
-    export = LegacyExport(
-        files=[FileRow(r["file_name"], int(r["size_bytes"]), r["fileset_id"],
-                       r["dataset_id"], r["dfc_comment"], r["dfc_row_key"])
-               for r in tables["files.csv"]],
-        filesets=[FilesetRow(r["fileset_id"], r["dataset_id"], r["tape_label"])
-                  for r in tables["filesets.csv"]],
-        datasets=[DatasetRow(r["dataset_id"], r["description"])
-                  for r in tables["datasets.csv"]],
-    )
+        tables[row_type] = _read_table(path, row_type)
+    export = LegacyExport(files=tables[FileRow], filesets=tables[FilesetRow],
+                          datasets=tables[DatasetRow])
     _check_integrity(export)
     return export
 
 
-def _read_table(path: Path, columns: tuple[str, ...]) -> list[dict]:
+def _read_table(path: Path, row_type) -> list:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -151,10 +136,10 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> list[dict]:
             header = next(reader)
         except StopIteration:
             raise MalformedRow(path.name, 1, "missing header row") from None
-        missing = [c for c in columns if c not in header]
+        missing = [c for c in columns(row_type) if c not in header]
         if missing:
             raise MalformedRow(path.name, 1, f"missing columns {missing}")
-        index = {c: header.index(c) for c in columns}
+        index = {c: header.index(c) for c in columns(row_type)}
         for line_number, raw in enumerate(reader, start=2):
             if not raw:
                 continue
@@ -164,12 +149,12 @@ def _read_table(path: Path, columns: tuple[str, ...]) -> list[dict]:
             row = {c: raw[i] for c, i in index.items()}
             if "size_bytes" in row:
                 try:
-                    int(row["size_bytes"])
+                    row["size_bytes"] = int(row["size_bytes"])
                 except ValueError:
                     raise MalformedRow(path.name, line_number,
                                        f"size_bytes {row['size_bytes']!r} is not an integer"
                                        ) from None
-            rows.append(row)
+            rows.append(row_type(**row))
     return rows
 
 

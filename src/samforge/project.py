@@ -168,15 +168,14 @@ class ProjectServer(Dispatcher):
     def start_project(self, project_name: str, dataset_name: str) -> dict:
         if not project_name:
             raise ValidationError("project name must be non-empty")
-        with self._lock:
-            live = self.projects.get(project_name)
-            if live is not None and live.state != STATE_ENDED:
-                raise DuplicateProject(f"project {project_name!r} is live")
-            self.journal.commit("StartProject", {
-                "project_name": project_name,
-                # NOT_FOUND propagates
-                "snapshot": self.catalog.call("take_snapshot", dataset_name=dataset_name),
-            })
+        with self._lock:  # a consumer joining a live project takes no snapshot
+            self._refuse_live(project_name)
+        # outside the lock, so no other project waits on the catalog; NOT_FOUND propagates
+        snapshot = self.catalog.call("take_snapshot", dataset_name=dataset_name)
+        with self._lock:  # a start that lost the race leaves its snapshot unused
+            self._refuse_live(project_name)
+            self.journal.commit("StartProject", {"project_name": project_name,
+                                                 "snapshot": snapshot})
             project = self.projects[project_name]
             return {
                 "project_name": project_name,
@@ -297,6 +296,11 @@ class ProjectServer(Dispatcher):
             }
 
     # -- helpers -----------------------------------------------------------
+
+    def _refuse_live(self, project_name: str) -> None:
+        live = self.projects.get(project_name)
+        if live is not None and live.state != STATE_ENDED:
+            raise DuplicateProject(f"project {project_name!r} is live")
 
     def _project(self, project_name: str) -> ProjectState:
         project = self.projects.get(project_name)

@@ -13,6 +13,7 @@ syntax for humans (:func:`parse_expr`).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -22,7 +23,17 @@ from .errors import MalformedQuery
 INT_KEYS = ("program_version", "calibration_set")
 STR_KEYS = ("event_type", "data_tier")
 PARAM_PREFIX = "param."
-OPS = ("=", "!=", "<", "<=", ">", ">=", "in")
+# each operator: what it computes of (the record's value, the atom's value)
+_COMPARE = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "in": lambda actual, values: actual in values,
+}
+OPS = tuple(_COMPARE)
 
 
 @dataclass(frozen=True)
@@ -109,21 +120,10 @@ def _eval_atom(atom: Atom, record) -> bool:
             return False  # missing parameter: atom is false, never an error
     else:
         actual = getattr(record, atom.key)
-    if atom.op == "=":
-        return actual == atom.value
-    if atom.op == "!=":
-        return actual != atom.value
-    if atom.op == "in":
-        return actual in atom.value
-    if atom.op == "<":
-        return actual < atom.value
-    if atom.op == "<=":
-        return actual <= atom.value
-    if atom.op == ">":
-        return actual > atom.value
-    if atom.op == ">=":
-        return actual >= atom.value
-    raise MalformedQuery(f"unknown operator {atom.op!r}")
+    compare = _COMPARE.get(atom.op)
+    if compare is None:
+        raise MalformedQuery(f"unknown operator {atom.op!r}")
+    return compare(actual, atom.value)
 
 
 # -- wire form -------------------------------------------------------------

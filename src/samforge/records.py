@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import re
 from collections.abc import Container
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ValidationError
 from .naming import DATA_TIERS
 
 _CRC32_MAX = 2**32 - 1
 _NAME_FORBIDDEN = re.compile(r"[\s/]")
-_REQUIRED = ("file_name", "size_bytes", "crc32", "data_tier", "event_type",
-             "program_version", "calibration_set")
 
 
 @dataclass
@@ -40,21 +38,11 @@ class FileRecord:
     file_id: int | None = None
 
     def to_wire(self) -> dict:
-        return {
-            "file_id": self.file_id,
-            "file_name": self.file_name,
-            "size_bytes": self.size_bytes,
-            "crc32": self.crc32,
-            "data_tier": self.data_tier,
-            "event_type": self.event_type,
-            "program_version": self.program_version,
-            "calibration_set": self.calibration_set,
-            "parents": list(self.parents),
-            "parameters": dict(self.parameters),
-            "legacy_hook": list(self.legacy_hook) if self.legacy_hook else None,
-            "convention_violation": self.convention_violation,
-            "created_at": self.created_at,
-        }
+        wire = self.__dict__.copy()  # a dataclass instance holds its fields, in order
+        wire["parents"] = list(self.parents)
+        wire["parameters"] = dict(self.parameters)
+        wire["legacy_hook"] = list(self.legacy_hook) if self.legacy_hook else None
+        return wire
 
     @classmethod
     def from_wire(cls, obj: dict) -> "FileRecord":
@@ -64,37 +52,39 @@ class FileRecord:
         """
         if not isinstance(obj, dict):
             raise ValidationError(f"a file record is an object, not {type(obj).__name__}")
-        problems = [f"{key} is missing" for key in _REQUIRED if key not in obj]
-        if not isinstance(obj.get("file_name", ""), str):
-            problems.append(f"file_name {obj['file_name']!r} must be a string")
-        parents = obj.get("parents") or []
+        values = dict(obj)
+        if not _FIELDS.issuperset(values):  # a field this side does not know is ignored
+            values = {name: value for name, value in values.items() if name in _FIELDS}
+        problems = [f"{name} is missing" for name in _REQUIRED if name not in values]
+        if not isinstance(values.get("file_name", ""), str):
+            problems.append(f"file_name {values['file_name']!r} must be a string")
+        parents = values.get("parents") or []
         if not isinstance(parents, list) or not all(type(p) is int for p in parents):
             problems.append(f"parents {parents!r} must be a list of file ids")
-        if not isinstance(obj.get("parameters") or {}, dict):
-            problems.append(f"parameters {obj['parameters']!r} must be an object")
-        hook = obj.get("legacy_hook")
+        parameters = values.get("parameters") or {}
+        if not isinstance(parameters, dict):
+            problems.append(f"parameters {parameters!r} must be an object")
+        hook = values.get("legacy_hook")
         if hook and not (isinstance(hook, list) and len(hook) == 2
                          and all(isinstance(part, str) for part in hook)):
             problems.append(f"legacy_hook {hook!r} must be a [table, key] pair of strings")
-        if not isinstance(obj.get("created_at") or 0.0, (int, float)):
-            problems.append(f"created_at {obj['created_at']!r} must be a number")
+        created_at = values.get("created_at") or 0.0
+        if not isinstance(created_at, (int, float)):
+            problems.append(f"created_at {created_at!r} must be a number")
         if problems:
             raise ValidationError(problems)
-        return cls(
-            file_name=obj["file_name"],
-            size_bytes=obj["size_bytes"],
-            crc32=obj["crc32"],
-            data_tier=obj["data_tier"],
-            event_type=obj["event_type"],
-            program_version=obj["program_version"],
-            calibration_set=obj["calibration_set"],
-            parents=list(parents),
-            parameters=dict(obj.get("parameters") or {}),
-            legacy_hook=(hook[0], hook[1]) if hook else None,
-            convention_violation=bool(obj.get("convention_violation", False)),
-            created_at=float(obj.get("created_at") or 0.0),
-            file_id=obj.get("file_id"),
-        )
+        values["parents"] = list(parents)
+        values["parameters"] = dict(parameters)
+        values["legacy_hook"] = (hook[0], hook[1]) if hook else None
+        values["convention_violation"] = bool(values.get("convention_violation"))
+        values["created_at"] = float(created_at)
+        return cls(**values)
+
+
+# each record field's name, and those a record cannot be made without
+_FIELDS = frozenset(f.name for f in fields(FileRecord))
+_REQUIRED = tuple(f.name for f in fields(FileRecord)
+                  if f.default is MISSING and f.default_factory is MISSING)
 
 
 def file_name_problem(name: str) -> str | None:
@@ -143,11 +133,3 @@ class ReplicaLocation:
     file_id: int
     endpoint_name: str
     path_or_volume: str
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "ReplicaLocation":
-        return cls(
-            file_id=obj["file_id"],
-            endpoint_name=obj["endpoint_name"],
-            path_or_volume=obj["path_or_volume"],
-        )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .config import ACCESS_NONE, ACCESS_READ_ONLY, ACCESS_READ_WRITE, StoreConfig
@@ -62,13 +62,7 @@ class Volume:
     bytes_used: int = 0
 
     def to_wire(self, mounted: bool) -> dict:
-        return {
-            "volume_id": self.volume_id,
-            "fileset_number": self.fileset_number,
-            "files": [list(f) for f in self.files],
-            "bytes_used": self.bytes_used,
-            "mounted": mounted,
-        }
+        return {**asdict(self), "mounted": mounted}
 
 
 class StoreService(Dispatcher):

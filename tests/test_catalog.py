@@ -93,6 +93,28 @@ def test_a_dataset_journaled_with_its_creation_time_replays_to_the_same_answers(
     assert answers(tmp_path / "before.journal") == answers(tmp_path / "now.journal")
 
 
+# A DeclareFile entry in the key order journals were first written in: file_id first.
+FILE_ID_FIRST_LINE = (
+    '{"seq":1,"kind":"DeclareFile","payload":{"file_id":1,'
+    '"file_name":"bphy0412_fs0007_0042.raw","size_bytes":2048,"crc32":3421780262,'
+    '"data_tier":"raw","event_type":"phy","program_version":4,"calibration_set":12,'
+    '"parents":[],"parameters":{"skim":"gold"},"legacy_hook":["dfc_files","rk000001"],'
+    '"convention_violation":false,"created_at":1234.5},"at":1792545321.4643612}\n')
+
+
+def test_a_declare_journaled_file_id_first_replays_to_the_same_answer(tmp_path):
+    (tmp_path / "before.journal").write_text(FILE_ID_FIRST_LINE)
+    now = CatalogService(tmp_path / "now.journal")
+    now.declare_file(json.loads(FILE_ID_FIRST_LINE)["payload"])
+    now.close()
+    answers = []
+    for journal in ("before.journal", "now.journal"):
+        service = CatalogService(tmp_path / journal)
+        answers.append(service.get_file("bphy0412_fs0007_0042.raw"))
+        service.close()
+    assert answers[0] == answers[1] == json.loads(FILE_ID_FIRST_LINE)["payload"]
+
+
 def _random_records(n, seed=2024):
     rng = random.Random(seed)
     records = []

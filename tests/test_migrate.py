@@ -1,12 +1,15 @@
 """Legacy CSV import: loading, mapping categories, idempotence, verify."""
 
 import csv
+import json
 import time
 
 import pytest
 
+from samforge.demo import make_corpus
 from samforge.errors import MalformedRow, MissingTable
 from samforge.migrate import (
+    MappingReport,
     load_export,
     map_legacy_record,
     run_migration,
@@ -83,6 +86,17 @@ def test_wrong_header_raises(tmp_path):
     assert excinfo.value.line_number == 1
 
 
+def test_make_corpus_writes_the_columns_load_export_reads(tmp_path):
+    corpus = make_corpus(tmp_path / "corpus", n_files=30, n_datasets=2, n_malformed=1,
+                         project_dataset_size=10)
+    reference = write_export(tmp_path / "reference", [])
+    for table in ("files.csv", "filesets.csv", "datasets.csv"):
+        with open(corpus.export_dir / table, newline="") as written, \
+                open(reference / table, newline="") as literal:
+            assert next(csv.reader(written)) == next(csv.reader(literal))
+    assert len(load_export(corpus.export_dir).files) == 30
+
+
 def test_referential_problems_are_diagnostics_not_errors(tmp_path):
     files = [("a_fs0001_0001.raw", "1", "fs9999", "103", "", "rk1")]
     export = load_export(write_export(tmp_path / "exp", files))
@@ -155,6 +169,14 @@ def test_migration_end_to_end_counts_and_datasets(rig, tmp_path):
              "NOT_A_VALID_NAME.raw"])
         violator = catalog.get_file("NOT_A_VALID_NAME.raw")
         assert violator.convention_violation is True
+
+
+def test_report_wire_form_is_pinned():
+    report = MappingReport(6, 3, 2, 1, 1, 1, [("NOT_A_VALID_NAME.raw", "NOT: bad")], ["dfc-101"])
+    assert json.loads(json.dumps(report.to_wire())) == {
+        "cat1_fields_mapped": 6, "cat2_defaults_applied": 3, "cat3_params_created": 2,
+        "cat3_hooks_created": 1, "declared": 1, "duplicates": 1,
+        "violations": [["NOT_A_VALID_NAME.raw", "NOT: bad"]], "datasets_created": ["dfc-101"]}
 
 
 def test_migration_rerun_is_idempotent(rig, tmp_path):

@@ -147,6 +147,104 @@ def test_start_rejects_live_duplicate_but_allows_after_end(project_rig):
     assert project.start_project("p", "all")["files"] == 2
 
 
+class GatedCatalog(Dispatcher):
+    """Answers take_snapshot with two files; a snapshot of "slow" waits for the gate."""
+
+    ops = {"take_snapshot": "take_snapshot"}
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.slow_asked = threading.Event()
+        self.snapshots = 0
+        self._lock = threading.Lock()
+
+    def take_snapshot(self, dataset_name: str) -> dict:
+        if dataset_name == "slow":
+            self.slow_asked.set()
+            self.gate.wait(timeout=30)
+        with self._lock:
+            self.snapshots += 1
+            return {"snapshot_id": self.snapshots, "file_ids": [1, 2],
+                    "file_names": ["a.raw", "b.raw"]}
+
+
+@pytest.fixture
+def gated_rig(tmp_path):
+    catalog, station = GatedCatalog(), FakeStation()
+    servers = [Server(ControlHandler, service, ("127.0.0.1", 0)).start()
+               for service in (catalog, station)]
+    project = ProjectServer(tmp_path / "project.journal", format_addr(servers[0].bound_addr))
+    yield project, catalog, format_addr(servers[1].bound_addr)
+    catalog.gate.set()
+    project.close()
+    for server in servers:
+        server.close()
+
+
+def test_a_slow_snapshot_holds_up_no_other_project(gated_rig):
+    project, catalog, station_addr = gated_rig
+    project.start_project("fast", "fast")
+    starting = threading.Thread(target=project.start_project, args=("slow", "slow"))
+    starting.start()
+    assert catalog.slow_asked.wait(timeout=10)
+    served = threading.Event()
+
+    def next_and_release():
+        got = project.next_file("fast", "c1", station=station_addr)
+        project.release_file("fast", "c1", got["file_id"], "consumed")
+        served.set()
+
+    threading.Thread(target=next_and_release, daemon=True).start()
+    assert served.wait(timeout=5), "another project's next waited out the snapshot"
+    assert starting.is_alive()
+    catalog.gate.set()
+    starting.join(timeout=10)
+    assert project.status("slow")["undelivered"] == 2
+
+
+def test_of_two_starts_of_one_name_exactly_one_commits(gated_rig, monkeypatch):
+    project, catalog, _ = gated_rig
+    asked = []
+    catalog_call = project.catalog.call
+
+    def counted_call(op, **args):
+        asked.append(op)  # both starts got past their first check
+        return catalog_call(op, **args)
+
+    monkeypatch.setattr(project.catalog, "call", counted_call)
+    outcomes = []
+
+    def start():
+        try:
+            outcomes.append(project.start_project("p", "slow")["files"])
+        except DuplicateProject as e:
+            outcomes.append(e.code)
+
+    threads = [threading.Thread(target=start) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    deadline = time.monotonic() + 5
+    while len(asked) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    catalog.gate.set()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert len(asked) == 2, "the second start waited for the first one's snapshot"
+    assert sorted(outcomes, key=str) == [2, "DUPLICATE_PROJECT"]
+    assert catalog.snapshots == 2  # the loser's snapshot goes unused
+    starts = [line for line in project.journal.path.read_text().splitlines()
+              if json.loads(line)["kind"] == "StartProject"]
+    assert len(starts) == 1
+
+
+def test_joining_a_live_project_takes_no_snapshot(gated_rig):
+    project, catalog, _ = gated_rig
+    project.start_project("p", "fast")
+    with pytest.raises(DuplicateProject):
+        project.start_project("p", "fast")
+    assert catalog.snapshots == 1
+
+
 def test_start_unknown_dataset_propagates_not_found(project_rig):
     rig, project, station, station_addr = project_rig
     with pytest.raises(RemoteError) as excinfo:

@@ -51,6 +51,11 @@ def test_atom_evaluation(atom, expected):
     assert eval_query(atom, RECORD) is expected
 
 
+def test_evaluating_an_unknown_operator_raises():
+    with pytest.raises(MalformedQuery):
+        eval_query(Atom("event_type", "~", "phy"), RECORD)
+
+
 @pytest.mark.parametrize("bad", [
     Atom("no_such_key", "=", "x"),
     Atom("event_type", "~", "x"),

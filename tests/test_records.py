@@ -1,7 +1,10 @@
 """File record wire forms and validation rules."""
 
+import json
+
 import pytest
 
+from samforge.errors import ValidationError
 from samforge.records import (
     FileRecord,
     ReplicaLocation,
@@ -82,10 +85,40 @@ def test_multiple_problems_all_reported():
     assert len(problems) >= 3
 
 
-def test_location_round_trip():
-    # one entry of a get_locations answer
-    wire = {"file_id": 5, "endpoint_name": "stken-sim", "path_or_volume": "stken-sim-vol-0001"}
-    location = ReplicaLocation(5, "stken-sim", "stken-sim-vol-0001")
-    assert ReplicaLocation.from_wire(wire) == location
-    # a field this client does not know is ignored
-    assert ReplicaLocation.from_wire({**wire, "verified_at": None}) == location
+def test_location_round_trip(rig):
+    # CatalogClient hands back each entry of a get_locations answer as a ReplicaLocation
+    with rig.catalog_client() as catalog:
+        file_id = catalog.declare_file(make_record(parents=[], file_id=None))
+        catalog.add_location(file_id, "stken-sim", "stken-sim-vol-0001")
+        assert catalog.get_locations(file_id) == [
+            ReplicaLocation(file_id, "stken-sim", "stken-sim-vol-0001")]
+
+
+def test_wire_form_is_pinned():
+    # the fields and values every journal and peer already holds; key order is free
+    wire = {"file_id": 9, "file_name": "bphy0412_fs0007_0042.raw", "size_bytes": 2048,
+            "crc32": 3421780262, "data_tier": "raw", "event_type": "phy",
+            "program_version": 4, "calibration_set": 12, "parents": [1, 2],
+            "parameters": {"skim": "gold"}, "legacy_hook": ["dfc_files", "rk000001"],
+            "convention_violation": False, "created_at": 1234.5}
+    assert json.loads(json.dumps(make_record().to_wire())) == wire
+
+
+def test_to_wire_copies_the_mutable_fields():
+    record = make_record()
+    wire = record.to_wire()
+    wire["parents"].append(3)
+    wire["parameters"]["skim"] = "silver"
+    assert record == make_record()
+
+
+def test_from_wire_defaults_the_optional_fields_and_ignores_unknown_ones():
+    wire = {k: v for k, v in make_record().to_wire().items()
+            if k in ("file_name", "size_bytes", "crc32", "data_tier", "event_type",
+                     "program_version", "calibration_set")}
+    assert FileRecord.from_wire({**wire, "verified_at": None}) == make_record(
+        parents=[], parameters={}, legacy_hook=None, created_at=0.0, file_id=None)
+    for key in wire:
+        with pytest.raises(ValidationError) as excinfo:
+            FileRecord.from_wire({k: v for k, v in wire.items() if k != key})
+        assert excinfo.value.problems == [f"{key} is missing"]

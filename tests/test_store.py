@@ -12,7 +12,7 @@ from samforge.errors import (
     RemoteError,
     StoreFull,
 )
-from samforge.store import StoreConfig, StoreDataHandler, StoreService
+from samforge.store import StoreConfig, StoreDataHandler, StoreService, Volume
 from samforge import wire
 from samforge.wire import Server
 from samforge.transfer import (
@@ -120,6 +120,13 @@ def test_same_fileset_shares_a_volume_until_full(store):
     assert volumes[v1]["fileset_number"] == 5
     assert volumes[v4]["fileset_number"] == 6
     assert volumes[v1]["bytes_used"] == 80
+
+
+def test_volume_wire_form_is_pinned():
+    volume = Volume("stken-sim-vol-0001", 7, [("a.raw", 0, 10), ("b.raw", 10, 5)], 15)
+    assert json.loads(json.dumps(volume.to_wire(True))) == {
+        "volume_id": "stken-sim-vol-0001", "fileset_number": 7,
+        "files": [["a.raw", 0, 10], ["b.raw", 10, 5]], "bytes_used": 15, "mounted": True}
 
 
 def test_mount_switch_counting_and_latency(tmp_path):
