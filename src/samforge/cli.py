@@ -61,6 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true",
                         help="emit one JSON object on stdout instead of text")
     sub = parser.add_subparsers(dest="command")
+    # the address flags of the client commands, each with its default
+    catalog = argparse.ArgumentParser(add_help=False)
+    catalog.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
+    project_server = argparse.ArgumentParser(add_help=False)
+    project_server.add_argument("--project-server", default=DEFAULT_PROJECT_ADDR)
 
     # -- daemons ----------------------------------------------------------
     p = sub.add_parser("catalogd", help="run the catalog daemon")
@@ -90,9 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_daemon)
 
     # -- catalog tools ----------------------------------------------------
-    p = sub.add_parser("migrate", help="import a legacy CSV export into the catalog")
+    p = sub.add_parser("migrate", parents=[catalog],
+                       help="import a legacy CSV export into the catalog")
     p.add_argument("--export", required=True, help="directory with the export tables")
-    p.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     p.add_argument("--content", help="directory with file bytes for real checksums")
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--report", help="write the mapping report as JSON lines")
@@ -102,18 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="define, resolve, or snapshot datasets")
     dsub = p.add_subparsers(dest="dataset_command", required=True)
-    d = dsub.add_parser("define")
+    d = dsub.add_parser("define", parents=[catalog])
     d.add_argument("name")
     d.add_argument("expr", help="e.g. \"event_type = phy AND data_tier = raw\"")
-    d.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     d.set_defaults(func=cmd_dataset_define)
-    d = dsub.add_parser("resolve")
+    d = dsub.add_parser("resolve", parents=[catalog])
     d.add_argument("name")
-    d.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     d.set_defaults(func=cmd_dataset_resolve)
-    d = dsub.add_parser("snapshot")
+    d = dsub.add_parser("snapshot", parents=[catalog])
     d.add_argument("name")
-    d.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     d.set_defaults(func=cmd_dataset_snapshot)
 
     # the record flags of declare and store; a flag beats what the name encodes
@@ -125,15 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--calibration-set", type=int)
     record.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
 
-    p = sub.add_parser("declare", parents=[record], help="declare one file into the catalog")
+    p = sub.add_parser("declare", parents=[record, catalog],
+                       help="declare one file into the catalog")
     p.add_argument("path", help="local file; size and checksum are computed from it")
     p.add_argument("--parent", type=int, action="append", default=[])
-    p.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     p.set_defaults(func=cmd_declare)
 
-    p = sub.add_parser("locate", help="list a file's replica locations")
+    p = sub.add_parser("locate", parents=[catalog], help="list a file's replica locations")
     p.add_argument("name")
-    p.add_argument("--catalog", default=DEFAULT_CATALOG_ADDR)
     p.set_defaults(func=cmd_locate)
 
     # -- station tools ----------------------------------------------------
@@ -151,23 +152,19 @@ def build_parser() -> argparse.ArgumentParser:
     # -- projects ---------------------------------------------------------
     p = sub.add_parser("project", help="start, inspect, or stop delivery projects")
     psub = p.add_subparsers(dest="project_command", required=True)
-    d = psub.add_parser("start")
+    d = psub.add_parser("start", parents=[project_server])
     d.add_argument("name")
     d.add_argument("--dataset", required=True)
-    d.add_argument("--project-server", default=DEFAULT_PROJECT_ADDR)
     d.set_defaults(func=cmd_project_start)
-    d = psub.add_parser("status")
+    d = psub.add_parser("status", parents=[project_server])
     d.add_argument("name", nargs="?")
-    d.add_argument("--project-server", default=DEFAULT_PROJECT_ADDR)
     d.set_defaults(func=cmd_project_status)
-    d = psub.add_parser("stop")
+    d = psub.add_parser("stop", parents=[project_server])
     d.add_argument("name")
-    d.add_argument("--project-server", default=DEFAULT_PROJECT_ADDR)
     d.set_defaults(func=cmd_project_stop)
 
-    p = sub.add_parser("consume",
+    p = sub.add_parser("consume", parents=[project_server],
                        help="run the consumer adaptor on stdin/stdout")
-    p.add_argument("--project-server", default=DEFAULT_PROJECT_ADDR)
     p.add_argument("--station", required=True, help="this consumer's station")
     p.add_argument("--project", default=os.environ.get("SAM_PROJECT"))
     p.add_argument("--dataset")

@@ -127,10 +127,6 @@ class MalformedRow(SamError):
 
 # -- generic ---------------------------------------------------------------
 
-class RangeError(SamError, ValueError):
-    code = "RANGE"
-
-
 class ConnectFailed(SamError):
     """A daemon could not be reached; the CLI renders this as E_CONN."""
     code = "CONN"

@@ -1,4 +1,4 @@
-"""Legacy file-naming convention: parsing, formatting, violation reporting.
+"""Legacy file-naming convention: parsing and violation reporting.
 
 The convention packs dataset identity and storage grouping into the file
 name::
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RangeError
-
 DATA_TIERS = ("raw", "prd", "ntp")
 
 _FS_MARKER = "_fs"
@@ -38,14 +36,6 @@ class LegacyNameParts:
     fileset_number: int
     sequence: int
     data_tier: str
-
-    @property
-    def dataset_id(self) -> str:
-        """8-character dataset prefix encoding type, version and calibration."""
-        return (
-            f"{self.stream}{self.event_type}"
-            f"{self.program_version:02d}{self.calibration_set:02d}"
-        )
 
 
 @dataclass(frozen=True)
@@ -100,31 +90,6 @@ def parse_legacy_name(name: str) -> LegacyNameParts | ConventionViolation:
         fileset_number=int(tail[0:4]),
         sequence=int(tail[5:9]),
         data_tier=tier,
-    )
-
-
-def format_legacy_name(parts: LegacyNameParts) -> str:
-    """Render parts canonically (zero-padded); inverse of parse.
-
-    Raises RangeError when any field is outside the grammar's ranges.
-    """
-    if len(parts.stream) != 1 or not _lower_alpha(parts.stream):
-        raise RangeError(f"stream {parts.stream!r} must be 1 lowercase letter")
-    if len(parts.event_type) != 3 or not _lower_alpha(parts.event_type):
-        raise RangeError(f"event_type {parts.event_type!r} must be 3 lowercase letters")
-    if not 0 <= parts.program_version <= 99:
-        raise RangeError(f"program_version {parts.program_version} outside 0..99")
-    if not 0 <= parts.calibration_set <= 99:
-        raise RangeError(f"calibration_set {parts.calibration_set} outside 0..99")
-    if not 0 <= parts.fileset_number <= 9999:
-        raise RangeError(f"fileset_number {parts.fileset_number} outside 0..9999")
-    if not 0 <= parts.sequence <= 9999:
-        raise RangeError(f"sequence {parts.sequence} outside 0..9999")
-    if parts.data_tier not in DATA_TIERS:
-        raise RangeError(f"data_tier {parts.data_tier!r} not one of {DATA_TIERS}")
-    return (
-        f"{parts.dataset_id}"
-        f"{_FS_MARKER}{parts.fileset_number:04d}_{parts.sequence:04d}.{parts.data_tier}"
     )
 
 

@@ -107,7 +107,7 @@ class ProjectServer(Dispatcher):
 
     def __init__(self, journal_path, catalog_addr):
         self._lock = threading.RLock()
-        self.catalog = Client(catalog_addr)
+        self.catalog_addr = catalog_addr
         self.projects: dict[str, ProjectState] = {}
         # what is not journaled: each project's clients and calls, and _fetches;
         # never held across a station call or a journal commit
@@ -170,8 +170,9 @@ class ProjectServer(Dispatcher):
             raise ValidationError("project name must be non-empty")
         with self._lock:  # a consumer joining a live project takes no snapshot
             self._refuse_live(project_name)
-        # outside the lock, so no other project waits on the catalog; NOT_FOUND propagates
-        snapshot = self.catalog.call("take_snapshot", dataset_name=dataset_name)
+        # outside the lock and on its own connection, so no other start waits; NOT_FOUND propagates
+        with Client(self.catalog_addr) as catalog:
+            snapshot = catalog.call("take_snapshot", dataset_name=dataset_name)
         with self._lock:  # a start that lost the race leaves its snapshot unused
             self._refuse_live(project_name)
             self.journal.commit("StartProject", {"project_name": project_name,
@@ -379,7 +380,6 @@ class ProjectServer(Dispatcher):
                 pass
 
     def close(self) -> None:
-        self.catalog.close()
         for project in self.projects.values():
             for client in project.clients.values():
                 client.close()

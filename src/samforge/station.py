@@ -120,6 +120,8 @@ class StationService(Dispatcher):
         self.buffer_dir = self.cache_dir / "permanent"
         for d in (self.files_dir, self.incoming_dir, self.buffer_dir):
             d.mkdir(parents=True, exist_ok=True)
+        for leftover in self.incoming_dir.iterdir():  # pulls and uploads cut off by a crash
+            leftover.unlink()
 
         self._lock = threading.RLock()
         self._settled = threading.Condition(self._lock)  # notified when a miss ends

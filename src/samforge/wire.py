@@ -13,11 +13,14 @@ args not an object, or that names an argument its op's method does not
 take or lacks one, is BAD_REQUEST; an argument whose JSON type is not
 its annotation is VALIDATION naming it.  Clients keep one connection and raise
 RemoteError for error responses, ConnectFailed for transport trouble or
-a reply that is not protocol JSON.  Every daemon port is a :class:`Server`,
-a store's or station's taking data requests too; its ``close()`` returns at
-once and cuts the connections it accepted, so a client sees ConnectFailed,
-never a reply from a service already closed.  A connection waits at most
-``TIMEOUT`` seconds for a connect, a reply, or, kept open, its next request.
+a reply that is not protocol JSON.  A server never sends unasked, so a kept
+connection that turned readable while idle was closed by its peer, and the
+client connects again before it sends; it never sends a request twice.
+Every daemon port is a :class:`Server`, a store's or station's taking data
+requests too; its ``close()`` returns at once and cuts the connections it
+accepted, so a client sees ConnectFailed, never a reply from a service
+already closed.  A connection waits at most ``TIMEOUT`` seconds for a
+connect, a reply, or, kept open, its next request.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class Client:
         self.addr = parse_addr(addr)
         self._sock: socket.socket | None = None
         self._rfile = None
+        self._closed_by_peer = None  # polls the kept connection for its end
         self._next_id = 0
         self._lock = threading.Lock()
 
@@ -70,9 +74,13 @@ class Client:
             self._sock = None
             raise ConnectFailed(f"cannot connect to {format_addr(self.addr)}: {e}") from e
         self._rfile = self._sock.makefile("rb")
+        self._closed_by_peer = select.poll()  # select.select fails above descriptor 1023
+        self._closed_by_peer.register(self._sock, select.POLLIN)
 
     def call(self, op: str, **args):
         with self._lock:
+            if self._sock is not None and self._closed_by_peer.poll(0):
+                self.close()  # nothing was sent on it, so nothing is sent twice
             if self._sock is None:
                 self._connect()
             self._next_id += 1

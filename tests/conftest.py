@@ -10,11 +10,12 @@ import threading
 import pytest
 
 from samforge.catalog import CatalogClient, CatalogService
+from samforge.project import ProjectServer
 from samforge.records import FileRecord
 from samforge.station import EndpointSpec, StationConfig, StationDataHandler, StationService
 from samforge.store import StoreConfig, StoreDataHandler, StoreService
-from samforge.transfer import crc32_bytes, put_to_store
-from samforge.wire import ControlHandler, Server, format_addr
+from samforge.transfer import PullPool, crc32_bytes, put_to_store
+from samforge.wire import Client, ControlHandler, Server, format_addr
 
 
 class LoopbackRig:
@@ -27,6 +28,7 @@ class LoopbackRig:
 
     def __init__(self, root, known_endpoints=None):
         self.root = root
+        self._known_endpoints = known_endpoints
         self._servers = []
         self._services = []
         self.catalog_service = CatalogService(root / "catalog.journal",
@@ -88,6 +90,19 @@ class LoopbackRig:
             self.station_addr[name] = self._serve(service, StationDataHandler)
         return service
 
+    def restart_catalog(self) -> None:
+        """Replace the catalog with a new one on its address, replayed from its journal.
+
+        Every connection to the old one is cut, as when its daemon restarts.
+        """
+        self._servers.pop(0).close()  # the catalog's server is the first
+        self.catalog_service.close()
+        self.catalog_service = CatalogService(self.root / "catalog.journal",
+                                              known_endpoints=self._known_endpoints)
+        self._services[0] = self.catalog_service
+        self._servers.insert(0, Server(ControlHandler, self.catalog_service,
+                                       self.catalog_addr).start())
+
     def catalog_client(self) -> CatalogClient:
         return CatalogClient(self.catalog_addr)
 
@@ -119,6 +134,52 @@ class LoopbackRig:
         for service in reversed(self._services):
             if hasattr(service, "close"):
                 service.close()
+
+
+# each service with the lock that no remote call may be made under
+SERVICE_LOCKS = {CatalogService: "_lock", ProjectServer: "_lock",
+                 StationService: "_lock", StoreService: "_state_lock"}
+
+
+@pytest.fixture(autouse=True)
+def lock_auditor(monkeypatch):
+    """Fail a test in which a remote call was made under a live service's lock.
+
+    A control call (``Client.call``) or a pull (``PullPool.pull``) is a
+    violation when its thread owns the lock of a service built in the
+    test: the call would stall every other caller of that service for as
+    long as its peer takes.  ``RLock._is_owned()`` is false in every
+    thread but the owner.  The test fails at teardown, not at the call,
+    since most remote calls run in server and prefetch threads, which
+    would swallow the error or turn it into an answer.  A journal fsync
+    under a service lock is not a remote call; it stays allowed until
+    commits are grouped (ROADMAP item 3).  Yields the violations found.
+    """
+    services, violations = [], []
+
+    def registering(init, lock_name):
+        def init_and_register(self, *args, **kwargs):
+            services.append((self, lock_name))  # before init: a call made in it counts
+            init(self, *args, **kwargs)
+        return init_and_register
+
+    def audited(remote):
+        def audited_remote(self, *args, **kwargs):
+            for service, lock_name in list(services):
+                lock = getattr(service, lock_name, None)
+                if lock is not None and lock._is_owned():
+                    violations.append(f"{remote.__qualname__}{args!r:.80} under "
+                                      f"{type(service).__name__}.{lock_name} in "
+                                      f"{threading.current_thread().name}")
+            return remote(self, *args, **kwargs)
+        return audited_remote
+
+    for cls, lock_name in SERVICE_LOCKS.items():
+        monkeypatch.setattr(cls, "__init__", registering(cls.__init__, lock_name))
+    monkeypatch.setattr(Client, "call", audited(Client.call))
+    monkeypatch.setattr(PullPool, "pull", audited(PullPool.pull))
+    yield violations
+    assert not violations, f"remote calls made under a service lock: {violations}"
 
 
 @pytest.fixture(autouse=True)
@@ -154,6 +215,12 @@ def spawn_daemon(*argv) -> tuple[subprocess.Popen, str]:
         _, err = proc.communicate()
         raise AssertionError(f"daemon never came up: {line!r}\n{err}")
     return proc, line.split()[1]
+
+
+def serve_again(server: Server) -> Server:
+    """Close server and serve its service anew on its address, as a restarted daemon would."""
+    server.close()
+    return Server(server.RequestHandlerClass, server.service, server.bound_addr).start()
 
 
 def stop_daemon(proc: subprocess.Popen, kill: bool = False) -> None:

@@ -328,8 +328,8 @@ def test_criterion_6_durability_under_kill_9(tmp_path):
         assert len(baseline["file_ids"]) == n_files
 
         def retrying(op, **kwargs):
-            # one ConnectFailed per restart is expected: the client's socket
-            # died with the old process; reconnection happens on retry
+            # the client replaces a connection the killed daemon left before
+            # it sends; a ConnectFailed means the daemon died with a call out
             for _ in range(80):
                 try:
                     return project_client.call(op, **kwargs)

@@ -31,7 +31,7 @@ from samforge.query import Atom
 from samforge.records import FileRecord
 from samforge.wire import ControlHandler, Dispatcher, Server, format_addr
 
-from conftest import run_threads
+from conftest import run_threads, serve_again
 
 
 class FakeStation(Dispatcher):
@@ -155,10 +155,13 @@ class GatedCatalog(Dispatcher):
     def __init__(self):
         self.gate = threading.Event()
         self.slow_asked = threading.Event()
+        self.asked = 0  # snapshots begun
         self.snapshots = 0
         self._lock = threading.Lock()
 
     def take_snapshot(self, dataset_name: str) -> dict:
+        with self._lock:
+            self.asked += 1
         if dataset_name == "slow":
             self.slow_asked.set()
             self.gate.wait(timeout=30)
@@ -202,16 +205,52 @@ def test_a_slow_snapshot_holds_up_no_other_project(gated_rig):
     assert project.status("slow")["undelivered"] == 2
 
 
-def test_of_two_starts_of_one_name_exactly_one_commits(gated_rig, monkeypatch):
+def test_a_slow_snapshot_holds_up_no_other_start(gated_rig):
     project, catalog, _ = gated_rig
-    asked = []
-    catalog_call = project.catalog.call
+    slow = threading.Thread(target=project.start_project, args=("slow", "slow"))
+    slow.start()
+    assert catalog.slow_asked.wait(timeout=10)
+    started = threading.Event()
 
-    def counted_call(op, **args):
-        asked.append(op)  # both starts got past their first check
-        return catalog_call(op, **args)
+    def start_fast():
+        project.start_project("fast", "fast")
+        started.set()
 
-    monkeypatch.setattr(project.catalog, "call", counted_call)
+    threading.Thread(target=start_fast, daemon=True).start()
+    assert started.wait(timeout=1), "another project's start waited out the snapshot"
+    assert "slow" not in project.projects
+    catalog.gate.set()
+    slow.join(timeout=10)
+    assert project.status("slow")["undelivered"] == 2
+
+
+def test_a_start_after_the_catalog_restarts_succeeds(project_rig):
+    rig, project, station, station_addr = project_rig
+    declare_files(rig, 2)
+    project.start_project("before", "all")
+    rig.restart_catalog()
+    assert project.start_project("after", "all")["files"] == 2
+
+
+def test_a_next_after_its_station_restarts_journals_no_failure(project_rig):
+    rig, project, _, _ = project_rig
+    ids = declare_files(rig, 2)
+    project.start_project("p", "all")
+    server = Server(ControlHandler, FakeStation(), ("127.0.0.1", 0)).start()
+    station_addr = format_addr(server.bound_addr)
+    try:
+        got = project.next_file("p", "c1", station=station_addr)
+        project.release_file("p", "c1", got["file_id"])  # the consumer's client stays open
+        server = serve_again(server)
+        assert project.next_file("p", "c1", station=station_addr)["file_id"] == ids[1]
+    finally:
+        server.close()
+    kinds = [json.loads(line)["kind"] for line in project.journal.path.read_text().splitlines()]
+    assert "DeliveryFailed" not in kinds
+
+
+def test_of_two_starts_of_one_name_exactly_one_commits(gated_rig):
+    project, catalog, _ = gated_rig
     outcomes = []
 
     def start():
@@ -224,12 +263,13 @@ def test_of_two_starts_of_one_name_exactly_one_commits(gated_rig, monkeypatch):
     for thread in threads:
         thread.start()
     deadline = time.monotonic() + 5
-    while len(asked) < 2 and time.monotonic() < deadline:
+    while catalog.asked < 2 and time.monotonic() < deadline:  # both got past their first check
         time.sleep(0.01)
+    asked = catalog.asked
     catalog.gate.set()
     for thread in threads:
         thread.join(timeout=10)
-    assert len(asked) == 2, "the second start waited for the first one's snapshot"
+    assert asked == 2, "the second start waited for the first one's snapshot"
     assert sorted(outcomes, key=str) == [2, "DUPLICATE_PROJECT"]
     assert catalog.snapshots == 2  # the loser's snapshot goes unused
     starts = [line for line in project.journal.path.read_text().splitlines()
@@ -425,7 +465,6 @@ def test_ended_projects_leave_no_station_connection_open(project_rig):
     project.release_file("stopped", "c0", held["file_id"])
     assert [p.state for p in project.projects.values()] == ["ended"] * 6
     assert project._fetches == {}
-    project.catalog.close()  # the one connection every project shares
     deadline = time.monotonic() + 10
     while threading.active_count() > threads and time.monotonic() < deadline:
         time.sleep(0.01)

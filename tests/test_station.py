@@ -94,6 +94,24 @@ def test_second_fetch_is_a_cache_hit(rig):
     assert station.counters["cache_hits"] == 1
 
 
+def test_a_miss_after_the_catalog_restarts_is_served(rig):
+    station = simple_rig(rig)
+    rig.seed_file("a.raw", b"a", stores=["stken-sim"])
+    rig.seed_file("b.raw", b"b", stores=["stken-sim"])
+    station.fetch_file("a.raw")  # opens the station's catalog connection
+    rig.restart_catalog()
+    with open(station.fetch_file("b.raw"), "rb") as fh:
+        assert fh.read() == b"b"
+
+
+def test_a_station_clears_what_a_crash_left_in_incoming(rig):
+    incoming = rig.root / "cdfa-1" / "incoming"
+    incoming.mkdir(parents=True)
+    (incoming / f"a.raw.{'0' * 32}").write_bytes(b"a pull cut off")
+    simple_rig(rig)
+    assert list(incoming.iterdir()) == []
+
+
 def test_fetch_without_replica(rig):
     station = simple_rig(rig)
     rig.seed_file("lonely.raw", b"x", stores=[])  # declared, no bytes anywhere

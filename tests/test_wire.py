@@ -15,6 +15,7 @@ from samforge.project import ProjectServer
 from samforge.query import Atom, expr_to_wire
 from samforge.station import StationService
 from samforge.store import StoreService
+from samforge.transfer import PullPool
 from samforge.wire import (
     Client,
     ControlHandler,
@@ -192,6 +193,25 @@ def test_close_cuts_connections_already_open(tmp_path):
         service.close()
         with pytest.raises(ConnectFailed):
             catalog.define_dataset("after", Atom("event_type", "=", "phy"))
+
+
+def test_the_lock_auditor_reports_a_remote_call_under_a_service_lock(rig, lock_auditor,
+                                                                     tmp_path):
+    rig.add_store("stken-sim", {"seeder": "read_write"})
+    rig.seed_file("a.raw", b"a", stores=["stken-sim"])
+    project, pulls = ProjectServer(tmp_path / "project.journal", rig.catalog_addr), PullPool()
+    with Client(rig.catalog_addr) as catalog, project._lock:
+        catalog.call("status")
+        pulls.pull(rig.store_addr["stken-sim"], "FETCH seeder a.raw", tmp_path / "a.raw")
+        elsewhere = threading.Thread(target=catalog.call, args=("status",))
+        elsewhere.start()  # the lock is not that thread's
+        elsewhere.join(timeout=10)
+    assert not elsewhere.is_alive()
+    pulls.close()
+    project.close()
+    assert [v.split("(")[0] for v in lock_auditor] == ["Client.call", "PullPool.pull"]
+    assert all("under ProjectServer._lock in MainThread" in v for v in lock_auditor)
+    lock_auditor.clear()  # seen; the test passes
 
 
 PHY = expr_to_wire(Atom("event_type", "=", "phy"))
